@@ -20,9 +20,9 @@ import (
 const maxBatchItems = 256
 
 // BatchItem is one submission in a batch: the job kind ("predict",
-// "simulate" or "sweep") and the config its standalone route would
-// take (a PredictRequest, SimulateRequest or SweepRequest — or any
-// value marshalling to the same JSON).
+// "bounds", "simulate" or "sweep") and the config its standalone
+// route would take (a PredictRequest, BoundsRequest, SimulateRequest
+// or SweepRequest — or any value marshalling to the same JSON).
 type BatchItem struct {
 	Kind   string `json:"kind"`
 	Config any    `json:"config"`

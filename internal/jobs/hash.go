@@ -50,8 +50,15 @@ func Hash(kind string, v any) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return HashCanonical(kind, canon), nil
+}
+
+// HashCanonical is Hash over a body already in canonical form, for
+// callers that keep that form too (a journal record) and need not
+// compute it twice.
+func HashCanonical(kind string, canon []byte) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "starperf/%s/%s\n", SchemaVersion, kind)
 	h.Write(canon)
-	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
+	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }

@@ -104,3 +104,20 @@ func TestHashRejectsUnencodable(t *testing.T) {
 		t.Fatal("expected error hashing a func value")
 	}
 }
+
+// TestHashCanonicalMatchesHash: hashing a stored canonical body gives
+// the id Hash gives the value it came from.
+func TestHashCanonicalMatchesHash(t *testing.T) {
+	v := map[string]any{"b": 0.25, "a": 3}
+	canon, err := CanonicalJSON(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := Hash("predict", v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := HashCanonical("predict", canon); got != h {
+		t.Fatalf("HashCanonical = %s, Hash = %s", got, h)
+	}
+}

@@ -60,7 +60,9 @@ type PoolConfig struct {
 	// to finish in the background (every simulator run is
 	// cycle-bounded, so it terminates) and its result discarded —
 	// the same wall-budget policy the experiment harness applies to
-	// sweep points. Zero means no timeout and no extra goroutine.
+	// sweep points. Shutdown still waits for abandoned runs, within its
+	// ctx, so none outlives the resources it writes to. Zero means no
+	// timeout and no extra goroutine.
 	JobTimeout time.Duration
 	// RetainDone bounds how many finished jobs stay pollable through
 	// Get before the oldest are forgotten (default 1024). Results
@@ -497,11 +499,11 @@ func (p *Pool) Stats() obs.PoolStats {
 }
 
 // Shutdown stops intake and drains: queued and running jobs finish,
-// then the workers exit. If ctx expires first, the per-job contexts
-// are cancelled — jobs not yet started fail fast with the context
-// error, and Shutdown returns without waiting for in-flight
-// computations to notice. Submit fails with ErrPoolClosed from the
-// moment Shutdown is called.
+// then the workers exit, and so do runs abandoned by JobTimeout. If
+// ctx expires first, the per-job contexts are cancelled — jobs not
+// yet started fail fast with the context error, and Shutdown returns
+// without waiting for in-flight computations to notice. Submit fails
+// with ErrPoolClosed from the moment Shutdown is called.
 func (p *Pool) Shutdown(ctx context.Context) error {
 	p.mu.Lock()
 	if !p.closed {
@@ -559,8 +561,11 @@ func (p *Pool) runOne(j *Job) (any, error) {
 		err    error
 	}
 	done := make(chan outcome, 1)
+	fn := j.fn
+	p.wg.Add(1) // the worker's own count is held, so Shutdown's Wait cannot have returned
 	go func() {
-		result, err := runRecovered(ctx, j.fn)
+		defer p.wg.Done()
+		result, err := runRecovered(ctx, fn)
 		done <- outcome{result, err}
 	}()
 	select {
@@ -604,6 +609,7 @@ func (p *Pool) finish(j *Job, result any, err error, took time.Duration) {
 	}
 	p.mu.Lock()
 	p.running--
+	j.fn = nil // a retained job must not pin what its run closed over
 	if p.inflight[j.id] == j {
 		delete(p.inflight, j.id)
 	}

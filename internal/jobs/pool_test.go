@@ -269,3 +269,39 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatal("nil fn accepted")
 	}
 }
+
+// TestShutdownWaitsForAbandonedRun: a run abandoned by JobTimeout
+// still counts as in flight for Shutdown, so nothing it writes can
+// land after Shutdown returns.
+func TestShutdownWaitsForAbandonedRun(t *testing.T) {
+	p := NewPool(PoolConfig{Workers: 1, JobTimeout: 10 * time.Millisecond})
+	release := make(chan struct{})
+	var finished atomic.Bool
+	j, err := p.Submit("abandoned", func(ctx context.Context) (any, error) {
+		<-release
+		time.Sleep(20 * time.Millisecond)
+		finished.Store(true)
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("job: got %v, want deadline exceeded", err)
+	}
+
+	// Bounded by its ctx: the run is still blocked, so Shutdown gives up.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := p.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("shutdown with a blocked abandoned run: got %v, want deadline exceeded", err)
+	}
+
+	close(release)
+	if err := p.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !finished.Load() {
+		t.Fatal("Shutdown returned before the abandoned run finished")
+	}
+}

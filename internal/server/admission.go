@@ -1,9 +1,7 @@
 package server
 
 import (
-	"math"
 	"net/http"
-	"strconv"
 	"time"
 )
 
@@ -20,22 +18,13 @@ import (
 // job occupies a worker, and a synchronous route's HTTP latency
 // already contains queue wait, which would double-count the backlog.
 
-// routeKind maps a compute route to the job kind its handler
-// submits, so the route's own expected service time can be read from
-// the pool's per-kind execution means.
-var routeKind = map[string]string{
-	"/v1/predict":  "predict",
-	"/v1/simulate": "simulate",
-	"/v1/sweep":    "sweep",
-}
-
-// estWait estimates how long a request admitted on route now would
-// wait before its job completes: the backlog's drain time plus the
-// route's own expected execution time. Zero when nothing has finished
-// yet (first requests must be admitted — there is nothing to estimate
-// from) and the pool is idle.
-func (s *Server) estWait(route string) time.Duration {
-	us := s.pool.EstWaitMicros() + s.pool.ExecMeanMicros(routeKind[route])
+// estWait estimates how long a request for a job of the named kind
+// admitted now would wait before its job completes: the backlog's
+// drain time plus the kind's own expected execution time. Zero when
+// nothing has finished yet (first requests must be admitted — there
+// is nothing to estimate from) and the pool is idle.
+func (s *Server) estWait(kind string) time.Duration {
+	us := s.pool.EstWaitMicros() + s.pool.ExecMeanMicros(kind)
 	return time.Duration(us * float64(time.Microsecond))
 }
 
@@ -51,17 +40,7 @@ func (s *Server) requestDeadline(r *http.Request) time.Duration {
 			return d
 		}
 	}
-	return s.defaultDeadline
-}
-
-// setRetryAfter stamps the header every 429/503 carries: the
-// estimated wait rounded up to whole seconds, at least 1.
-func setRetryAfter(w http.ResponseWriter, wait time.Duration) {
-	secs := int64(math.Ceil(wait.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	return s.cfg.DefaultDeadline
 }
 
 // queueWait is the route-agnostic backlog estimate used where no

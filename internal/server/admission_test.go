@@ -168,8 +168,16 @@ func TestConcurrencyCapCarriesRetryAfter(t *testing.T) {
 			readBody(t, resp)
 		}
 	}()
-	// Wait for the slot to fill, then probe: 503 + Retry-After.
+	// Wait for the predict to hold the slot — queued in the pool behind
+	// the blocked job — then probe: 503 + Retry-After. A probe sent
+	// earlier could take the slot first and 503 the predict instead.
 	deadline := time.Now().Add(5 * time.Second)
+	for s.pool.Stats().Queued == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("predict never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	for {
 		resp, err := http.Get(ts.URL + "/healthz")
 		if err != nil {
@@ -194,4 +202,35 @@ func TestConcurrencyCapCarriesRetryAfter(t *testing.T) {
 	close(gate)
 	released = true
 	<-blocked
+}
+
+// TestAdmissionPricesBoundsRunTime: on an idle pool the estimate is
+// the kind's own expected run time, so a bounds request whose observed
+// mean exceeds its deadline is shed. Cheap predicts pull the all-kinds
+// mean (~200ms) under the deadline, so pricing bounds at anything but
+// its own mean would admit it.
+func TestAdmissionPricesBoundsRunTime(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.pool.ObserveExec("bounds", 2*time.Second)
+	for i := 0; i < 9; i++ {
+		s.pool.ObserveExec("predict", time.Millisecond)
+	}
+	req, err := http.NewRequest("POST", ts.URL+"/v1/bounds", strings.NewReader(boundsS4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(deadlineHeader, "500ms")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("bounds past its deadline: %d %s, want 429", resp.StatusCode, body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Class != "queue_full" {
+		t.Fatalf("shed body %s", body)
+	}
 }

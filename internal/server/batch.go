@@ -2,7 +2,7 @@ package server
 
 // POST /v1/jobs:batch — batched ingestion (PR 10).
 //
-// Request:  {"items": [{"kind": "predict", "config": {...}}, ...]}
+// Request:  {"items": [{"kind": "<kind>", "config": {...}}, ...]}
 // Response: 200 {"items": [{"id", "status"} | {"error": {...}}, ...]}
 //
 // A batch is a set of independently addressable jobs — content-hash
@@ -25,14 +25,12 @@ package server
 // single-request fallback policy in cluster.go.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
 	"time"
 
-	"starperf/internal/cfgerr"
 	"starperf/internal/jobs"
 )
 
@@ -66,87 +64,11 @@ type batchResponse struct {
 	Items []batchItemResult `json:"items"`
 }
 
-// parsedItem is a validated, hashed batch item bound for the pool.
+// parsedItem is a parsed batch item bound for the pool.
 type parsedItem struct {
-	idx  int // position in the request
-	id   string
-	meta jobs.Meta
-	fn   jobs.Func
-	raw  batchItem // original wire form, for sub-batch forwarding
-}
-
-// decodeStrict parses raw into v with unknown fields rejected,
-// classifying failures as configuration errors.
-func decodeStrict(raw []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return cfgerr.New("malformed config: " + err.Error())
-	}
-	return nil
-}
-
-// parseBatchItem validates one item through the same pipeline its
-// standalone route runs: strict decode, defaults, validate, hash.
-func (s *Server) parseBatchItem(it batchItem) (parsedItem, error) {
-	switch it.Kind {
-	case "predict":
-		var req PredictRequest
-		if err := decodeStrict(it.Config, &req); err != nil {
-			return parsedItem{}, err
-		}
-		req = req.withDefaults()
-		if err := req.validate(); err != nil {
-			return parsedItem{}, err
-		}
-		id, err := req.hash()
-		if err != nil {
-			return parsedItem{}, err
-		}
-		meta, err := submitMeta("predict", req)
-		if err != nil {
-			return parsedItem{}, err
-		}
-		return parsedItem{id: id, meta: meta, fn: s.runAndStore(id, func() (any, error) { return req.run() }), raw: it}, nil
-	case "simulate":
-		var req SimulateRequest
-		if err := decodeStrict(it.Config, &req); err != nil {
-			return parsedItem{}, err
-		}
-		req = req.withDefaults()
-		if err := req.validate(); err != nil {
-			return parsedItem{}, err
-		}
-		id, err := req.hash()
-		if err != nil {
-			return parsedItem{}, err
-		}
-		meta, err := submitMeta("simulate", req)
-		if err != nil {
-			return parsedItem{}, err
-		}
-		return parsedItem{id: id, meta: meta, fn: s.runAndStore(id, func() (any, error) { return req.run() }), raw: it}, nil
-	case "sweep":
-		var req SweepRequest
-		if err := decodeStrict(it.Config, &req); err != nil {
-			return parsedItem{}, err
-		}
-		req = req.withDefaults()
-		if err := req.validate(); err != nil {
-			return parsedItem{}, err
-		}
-		id, err := req.hash()
-		if err != nil {
-			return parsedItem{}, err
-		}
-		meta, err := submitMeta("sweep", req)
-		if err != nil {
-			return parsedItem{}, err
-		}
-		return parsedItem{id: id, meta: meta, fn: s.runAndStore(id, func() (any, error) { return req.run() }), raw: it}, nil
-	default:
-		return parsedItem{}, cfgerr.Errorf("unknown job kind %q (want predict, simulate or sweep)", it.Kind)
-	}
+	job
+	idx int       // position in the request
+	raw batchItem // original wire form, for sub-batch forwarding
 }
 
 // handleBatch serves POST /v1/jobs:batch.
@@ -156,24 +78,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if !s.decode(w, r, raw, &req) {
+	if err := decodeStrict(raw, &req); err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	if len(req.Items) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, classInvalidConfig, "batch has no items", noRetry)
+		reply(w, http.StatusBadRequest, failure(classInvalidConfig, "batch has no items", noRetry))
 		return
 	}
 	if len(req.Items) > maxBatchItems {
-		s.writeError(w, r, http.StatusBadRequest, classInvalidConfig,
-			fmt.Sprintf("batch has %d items, limit %d", len(req.Items), maxBatchItems), noRetry)
+		reply(w, http.StatusBadRequest, failure(classInvalidConfig,
+			fmt.Sprintf("batch has %d items, limit %d", len(req.Items), maxBatchItems), noRetry))
 		return
 	}
 	// A batch is an async acceptance en masse — the one journal
 	// AppendBatch is its durability. A read-only journal refuses the
 	// whole request up front (503 read_only) rather than accepting
 	// items it cannot make durable.
-	if s.journalReadOnly() {
-		s.refuseReadOnly(w, r)
+	if s.refuseReadOnly(w) {
 		return
 	}
 	s.observeBatch(len(req.Items))
@@ -184,18 +106,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// rest queue up for routing and admission.
 	var pending []parsedItem
 	for i, it := range req.Items {
-		p, err := s.parseBatchItem(it)
+		// Each item parses through its kind's registry step — the same
+		// one its standalone route runs.
+		j, err := parseKind(it.Kind, it.Config)
 		if err != nil {
 			_, we := s.classifyErr(err)
 			out[i] = batchItemResult{Error: &we}
 			continue
 		}
-		p.idx = i
-		if s.cache.Contains(p.id) {
-			out[i] = batchItemResult{ID: p.id, Status: jobs.StatusDone}
+		if _, ok := s.cache.Get(j.id); ok {
+			out[i] = batchItemResult{ID: j.id, Status: jobs.StatusDone}
 			continue
 		}
-		pending = append(pending, p)
+		pending = append(pending, parsedItem{job: j, idx: i, raw: it})
 	}
 
 	// Split by ring owner; peer sub-batches come back merged into out,
@@ -214,19 +137,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// fit — acceptance is per item, not prefix-only.
 	deadline := s.requestDeadline(r)
 	est := s.queueWait()
-	workers := float64(s.workers)
+	workers := float64(s.cfg.Workers)
 	admitted := make([]parsedItem, 0, len(local))
 	for _, p := range local {
 		cost := time.Duration(s.pool.ExecMeanMicros(p.meta.Kind) / workers * float64(time.Microsecond))
 		if est+cost > deadline {
 			s.shed.Add(1)
 			s.batchShed.Add(1)
-			out[p.idx] = batchItemResult{Error: &wireError{
-				Class: classQueueFull,
-				Message: fmt.Sprintf("estimated queue wait %s exceeds request deadline %s",
-					(est + cost).Round(time.Millisecond), deadline.Round(time.Millisecond)),
-				RetryAfterMS: retryMillis(est + cost),
-			}}
+			we := failure(classQueueFull,
+				fmt.Sprintf("estimated queue wait %s exceeds request deadline %s",
+					(est+cost).Round(time.Millisecond), deadline.Round(time.Millisecond)),
+				est+cost)
+			out[p.idx] = batchItemResult{Error: &we}
 			continue
 		}
 		est += cost
@@ -237,7 +159,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// admitted set.
 	items := make([]jobs.BatchItem, len(admitted))
 	for n, p := range admitted {
-		items[n] = jobs.BatchItem{ID: p.id, Meta: p.meta, Fn: p.fn}
+		items[n] = jobs.BatchItem{ID: p.id, Meta: p.meta, Fn: s.runAndStore(p.id, p.run)}
 	}
 	for n, res := range s.pool.SubmitBatch(items) {
 		p := admitted[n]
@@ -248,7 +170,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		out[p.idx] = batchItemResult{ID: p.id, Status: res.Job.Status()}
 	}
-	s.writeJSON(w, http.StatusOK, batchResponse{Items: out})
+	reply(w, http.StatusOK, batchResponse{Items: out})
 }
 
 // clusterBatch routes a batch's pending items across the ring: items
@@ -285,9 +207,7 @@ func (s *Server) clusterBatch(r *http.Request, pending []parsedItem, out []batch
 		if err != nil {
 			// Dead or failing peer: feed its breaker and keep the items —
 			// capacity degrades, the batch still completes.
-			cn.breakers.observe(owner, true)
-			cn.forwardErrors.Add(1)
-			cn.failovers.Add(1)
+			cn.peerFailed(owner)
 			cn.localFallbacks.Add(1)
 			local = append(local, group...)
 			continue
@@ -304,7 +224,6 @@ func (s *Server) clusterBatch(r *http.Request, pending []parsedItem, out []batch
 // forwardBatch relays one owner's sub-batch and returns its per-item
 // results in sub-batch order.
 func (s *Server) forwardBatch(r *http.Request, owner string, group []parsedItem) ([]batchItemResult, error) {
-	cn := s.cluster
 	sub := batchRequest{Items: make([]batchItem, len(group))}
 	for n, p := range group {
 		sub.Items[n] = p.raw
@@ -313,7 +232,7 @@ func (s *Server) forwardBatch(r *http.Request, owner string, group []parsedItem)
 	if err != nil {
 		return nil, err
 	}
-	resp, respBody, err := cn.forwardOnce(r.Context(), owner, "/v1/jobs:batch", body, s.requestDeadline(r))
+	resp, respBody, err := s.cluster.forwardOnce(r.Context(), owner, "/v1/jobs:batch", body, s.requestDeadline(r))
 	if err != nil {
 		return nil, err
 	}

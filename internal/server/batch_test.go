@@ -309,3 +309,17 @@ func TestBatchShapeLimits(t *testing.T) {
 		t.Fatalf("oversized batch: %d %s", resp.StatusCode, body)
 	}
 }
+
+// TestBatchBoundsItem: a bounds item is accepted like any other kind,
+// under the id POST /v1/bounds answers, and its polled result is
+// byte-identical to the standalone response.
+func TestBatchBoundsItem(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	br := postBatch(t, ts.URL, batchBody(t, `{"kind":"bounds","config":`+boundsS4+`}`))
+	if it := br.Items[0]; it.Error != nil || it.ID != boundsID(t) {
+		t.Fatalf("bounds item = %+v, want id %s", it, boundsID(t))
+	}
+	if got := jobResultBody(t, ts.URL, boundsID(t)); string(got) != string(controlBounds(t)) {
+		t.Fatalf("batched bounds differs from POST /v1/bounds: %s", got)
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"starperf/internal/cluster"
-	"starperf/internal/jobs"
 	"starperf/internal/obs"
 )
 
@@ -54,21 +53,6 @@ func resultSum(body []byte) string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
-// sumMatches verifies a relayed response body against its advertised
-// content sum, accepting both wire shapes that carry the header: a
-// sync route's body is the result bytes themselves, a job envelope
-// holds them in its "result" field.
-func sumMatches(body []byte, sum string) bool {
-	if resultSum(body) == sum {
-		return true
-	}
-	var env jobBody
-	if err := json.Unmarshal(body, &env); err != nil || env.Result == nil {
-		return false
-	}
-	return resultSum(env.Result) == sum
-}
-
 // peerNet is one node's view of the cluster: the ring, the HTTP
 // client it reaches peers with, per-peer breakers and the routing
 // counters /metricsz reports.
@@ -89,23 +73,12 @@ type peerNet struct {
 }
 
 func newPeerNet(cfg Config) *peerNet {
-	httpc := cfg.PeerHTTP
-	if httpc == nil {
-		httpc = &http.Client{}
-	}
-	scheme := cfg.PeerScheme
-	if scheme == "" {
-		scheme = "http"
-	}
-	timeout := cfg.PeerTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
+	cfg = cfg.withDefaults()
 	return &peerNet{
 		ring:     cfg.Ring,
-		http:     httpc,
-		scheme:   scheme,
-		timeout:  timeout,
+		http:     cfg.PeerHTTP,
+		scheme:   cfg.PeerScheme,
+		timeout:  cfg.PeerTimeout,
 		breakers: newBreakerSet(cfg.PeerBreaker),
 	}
 }
@@ -138,10 +111,9 @@ func isForwarded(r *http.Request) bool { return r.Header.Get(forwardedHeader) !=
 // serve from a peer's cache. It reports true when it wrote the
 // response; false means the caller should compute locally — either
 // because this node owns the id, or as the last-resort fallback when
-// no preferred peer could take it. sync selects the response shape of
-// a peer-cache fill: the stored bytes for the synchronous predict
-// route, a done job envelope for the async routes.
-func (s *Server) clusterRoute(w http.ResponseWriter, r *http.Request, id string, raw []byte, sync bool) bool {
+// no preferred peer could take it. A peer-cache fill is answered in
+// the kind's own shape (jobKind.answer).
+func (s *Server) clusterRoute(w http.ResponseWriter, r *http.Request, k *jobKind, id string, raw []byte) bool {
 	cn := s.cluster
 	if cn == nil || isForwarded(r) {
 		return false
@@ -162,31 +134,27 @@ func (s *Server) clusterRoute(w http.ResponseWriter, r *http.Request, id string,
 			cn.failovers.Add(1)
 			continue
 		}
-		resp, body, err := cn.forwardOnce(r.Context(), node, r.URL.Path, raw, deadline)
+		resp, body, err := cn.forwardOnce(r.Context(), node, k.route, raw, deadline)
 		if err != nil || resp.StatusCode >= 500 {
 			// Connection refused, timeout, or the peer failing server-
 			// side: feed its breaker and move down the ring. 4xx are
 			// the peer answering deliberately (bad request, its own
 			// load shedding) — relayed below, not failed over, so a
 			// breaker can never trip on backpressure.
-			cn.breakers.observe(node, true)
-			cn.forwardErrors.Add(1)
-			cn.failovers.Add(1)
+			cn.peerFailed(node)
 			continue
 		}
-		if resp.StatusCode == http.StatusOK {
-			// A peer result that advertises a content sum must match it
-			// (PR 12): a mismatch means the bytes were damaged in
-			// flight, so relaying them would launder corruption into a
-			// verbatim-looking answer. Treated exactly like a transport
-			// failure — feed the breaker, fail over down the ring.
-			if sum := resp.Header.Get(resultSumHeader); sum != "" && !sumMatches(body, sum) {
-				cn.peerFillCorrupt.Add(1)
-				cn.breakers.observe(node, true)
-				cn.forwardErrors.Add(1)
-				cn.failovers.Add(1)
-				continue
-			}
+		// A peer result that advertises a content sum must match it: a
+		// mismatch means the bytes were damaged in flight, so relaying
+		// them would launder corruption into a verbatim-looking answer.
+		// Treated exactly like a transport failure — feed the breaker,
+		// fail over down the ring. Only a sync kind's 200, the result
+		// bytes themselves, carries a sum: an async kind answers with a
+		// job id.
+		if sum := resp.Header.Get(resultSumHeader); sum != "" && resultSum(body) != sum {
+			cn.peerFillCorrupt.Add(1)
+			cn.peerFailed(node)
+			continue
 		}
 		cn.breakers.observe(node, false)
 		cn.forwarded.Add(1)
@@ -199,15 +167,19 @@ func (s *Server) clusterRoute(w http.ResponseWriter, r *http.Request, id string,
 	// an earlier failover, may already hold the verified bytes.
 	if body, ok := cn.fill(r.Context(), id); ok {
 		s.cache.Put(id, body)
-		if sync {
-			s.writeResult(w, id, "peer", body)
-		} else {
-			s.writeJSON(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusDone})
-		}
+		k.answer(w, id, "peer", body)
 		return true
 	}
 	cn.localFallbacks.Add(1)
 	return false
+}
+
+// peerFailed records a forward that failed at node: the peer's breaker
+// sees the failure and the request moves down the ring.
+func (cn *peerNet) peerFailed(node string) {
+	cn.breakers.observe(node, true)
+	cn.forwardErrors.Add(1)
+	cn.failovers.Add(1)
 }
 
 // forwardOnce relays one compute request to a peer, propagating the
@@ -225,10 +197,16 @@ func (cn *peerNet) forwardOnce(ctx context.Context, node, path string, body []by
 		return nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardedHeader, cn.ring.Self())
 	if deadline > 0 {
 		req.Header.Set(deadlineHeader, deadline.Round(time.Millisecond).String())
 	}
+	return cn.exchange(req)
+}
+
+// exchange sends one request to a peer, marked as having crossed a
+// hop, and reads the whole response body (bounded by maxPeerBody).
+func (cn *peerNet) exchange(req *http.Request) (*http.Response, []byte, error) {
+	req.Header.Set(forwardedHeader, cn.ring.Self())
 	resp, err := cn.http.Do(req)
 	if err != nil {
 		return nil, nil, err
@@ -267,17 +245,8 @@ func (cn *peerNet) peerJob(ctx context.Context, node, id string) (env jobBody, o
 	if err != nil {
 		return env, false, true
 	}
-	req.Header.Set(forwardedHeader, cn.ring.Self())
-	resp, err := cn.http.Do(req)
-	if err != nil {
-		return env, false, true
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
-	if err != nil {
-		return env, false, true
-	}
-	if resp.StatusCode >= 500 {
+	resp, b, err := cn.exchange(req)
+	if err != nil || resp.StatusCode >= 500 {
 		return env, false, true
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -286,7 +255,7 @@ func (cn *peerNet) peerJob(ctx context.Context, node, id string) (env jobBody, o
 	if err := json.Unmarshal(b, &env); err != nil {
 		return env, false, false
 	}
-	if env.Status == jobs.StatusDone && env.Result != nil {
+	if env.finished() {
 		if sum := resp.Header.Get(resultSumHeader); sum == "" || resultSum(env.Result) != sum {
 			cn.peerFillCorrupt.Add(1)
 			return jobBody{}, false, false
@@ -295,9 +264,11 @@ func (cn *peerNet) peerJob(ctx context.Context, node, id string) (env jobBody, o
 	return env, true, false
 }
 
-// fill asks each peer in the id's preference order for a finished,
-// verified result. The first hit wins.
-func (cn *peerNet) fill(ctx context.Context, id string) ([]byte, bool) {
+// lookup asks the peers in id's preference order for the job's state,
+// feeding each one's breaker. The first peer that knows the job
+// answers — or, with finished set, the first holding its finished,
+// verified result. A finished result counts as a peer fill.
+func (cn *peerNet) lookup(ctx context.Context, id string, finished bool) (jobBody, bool) {
 	for _, node := range cn.ring.Successors(id) {
 		if node == cn.ring.Self() {
 			continue
@@ -307,49 +278,43 @@ func (cn *peerNet) fill(ctx context.Context, id string) ([]byte, bool) {
 		}
 		env, ok, failed := cn.peerJob(ctx, node, id)
 		cn.breakers.observe(node, failed)
-		if ok && env.Status == jobs.StatusDone && env.Result != nil {
-			cn.peerFills.Add(1)
-			return env.Result, true
+		if ok && (env.finished() || !finished) {
+			if env.finished() {
+				cn.peerFills.Add(1)
+			}
+			return env, true
 		}
 	}
-	return nil, false
+	return jobBody{}, false
+}
+
+// fill asks each peer in the id's preference order for a finished,
+// verified result. The first hit wins.
+func (cn *peerNet) fill(ctx context.Context, id string) ([]byte, bool) {
+	env, ok := cn.lookup(ctx, id, true)
+	return env.Result, ok
 }
 
 // clusterJobLookup extends GET /v1/jobs/{id} across the ring: a job
 // this node has never heard of may be running (or finished) on the
-// peer that owns it. A finished, verified result is stored in the
-// local cache on the way through (peer cache fill), so the next poll
-// for it is a local hit. Reports true when it wrote the response.
+// peer that owns it. The peer's view is relayed — queued, running and
+// failed too, so cross-node polling works mid-computation — and a
+// finished, verified result is stored in the local cache on the way
+// through (peer cache fill), so the next poll for it is a local hit.
+// Reports true when it wrote the response.
 func (s *Server) clusterJobLookup(w http.ResponseWriter, r *http.Request, id string) bool {
-	cn := s.cluster
-	if cn == nil || isForwarded(r) {
+	if s.cluster == nil || isForwarded(r) {
 		return false
 	}
-	for _, node := range cn.ring.Successors(id) {
-		if node == cn.ring.Self() {
-			continue
-		}
-		if ok, _ := cn.breakers.allow(node); !ok {
-			continue
-		}
-		env, ok, failed := cn.peerJob(r.Context(), node, id)
-		cn.breakers.observe(node, failed)
-		if !ok {
-			continue
-		}
-		if env.Status == jobs.StatusDone && env.Result != nil {
-			cn.peerFills.Add(1)
-			s.cache.Put(id, env.Result)
-			w.Header().Set(resultSumHeader, resultSum(env.Result))
-			s.writeJSON(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusDone, Result: env.Result})
-			return true
-		}
-		// Queued, running, failed, or done-without-body: relay the
-		// peer's view so cross-node polling works mid-computation.
-		s.writeJSON(w, http.StatusOK, env)
-		return true
+	env, ok := s.cluster.lookup(r.Context(), id, false)
+	if !ok {
+		return false
 	}
-	return false
+	if env.finished() {
+		s.cache.Put(id, env.Result)
+	}
+	reply(w, http.StatusOK, env)
+	return true
 }
 
 // ringBody is the GET /v1/ring/{id} response: where a job id lives.
@@ -363,14 +328,10 @@ type ringBody struct {
 // this node's ring — owner first, failover order after. On an
 // unclustered server the list is this node alone.
 func (s *Server) handleRing(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.cluster == nil {
-		s.writeJSON(w, http.StatusOK, ringBody{ID: id, Self: "", Nodes: []string{}})
-		return
+	body := ringBody{ID: r.PathValue("id"), Nodes: []string{}}
+	if s.cluster != nil {
+		body.Self = s.cluster.ring.Self()
+		body.Nodes = s.cluster.ring.Successors(body.ID)
 	}
-	s.writeJSON(w, http.StatusOK, ringBody{
-		ID:    id,
-		Self:  s.cluster.ring.Self(),
-		Nodes: s.cluster.ring.Successors(id),
-	})
+	reply(w, http.StatusOK, body)
 }

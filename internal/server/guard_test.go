@@ -117,8 +117,9 @@ func TestPanickingProbeReleasesSlot(t *testing.T) {
 	clk := newFakeClock()
 	withClock(s.breakers, clk)
 
-	boom := s.guard("/x", func(w http.ResponseWriter, r *http.Request) { panic("boom") })
-	calm := s.guard("/x", func(w http.ResponseWriter, r *http.Request) {})
+	x := &jobKind{name: "x", route: "/x"}
+	boom := s.guard(x, func(w http.ResponseWriter, r *http.Request) { panic("boom") })
+	calm := s.guard(x, func(w http.ResponseWriter, r *http.Request) {})
 	call := func(h http.HandlerFunc) (panicked bool) {
 		defer func() {
 			panicked = recover() != nil

@@ -8,11 +8,13 @@ package server
 // with no restart.
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"starperf/internal/fsx"
 	"starperf/internal/journal"
@@ -38,7 +40,17 @@ func newReadOnlyStack(t *testing.T) (*fsx.Faulty, *journal.Journal, *httptest.Se
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	// Registered after the TempDirs, so it runs before their removal:
+	// an async job still running must not write into a deleted dir.
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("server close: %v", err)
+		}
+		_ = j.Close() // a full fault-injected disk may refuse the final sync
+	})
 	return fa, j, ts
 }
 

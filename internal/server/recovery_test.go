@@ -195,11 +195,11 @@ func TestRecoverSkipsCachedResults(t *testing.T) {
 	// duplicate submission after the first completed.
 	jobResultBody(t, ts1.URL, jb.ID)
 	waitJournalIdle(t, j1)
-	meta, err := submitMeta("simulate", mustSimReq(t))
+	sim, err := simulateKind.parse([]byte(recoverySim))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j1.Append(journal.Record{Type: journal.TypeAccepted, ID: jb.ID, Kind: meta.Kind, Req: meta.Req}); err != nil {
+	if err := j1.Append(journal.Record{Type: journal.TypeAccepted, ID: jb.ID, Kind: sim.meta.Kind, Req: sim.meta.Req}); err != nil {
 		t.Fatal(err)
 	}
 	ts1.Close()
@@ -254,11 +254,11 @@ func TestRecoverRequeuesCorruptCachedResult(t *testing.T) {
 	waitJournalIdle(t, j1)
 	// An accepted record with no terminal, as if a crash caught a
 	// duplicate submission right after the first run completed.
-	meta, err := submitMeta("simulate", mustSimReq(t))
+	sim, err := simulateKind.parse([]byte(recoverySim))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j1.Append(journal.Record{Type: journal.TypeAccepted, ID: jb.ID, Kind: meta.Kind, Req: meta.Req}); err != nil {
+	if err := j1.Append(journal.Record{Type: journal.TypeAccepted, ID: jb.ID, Kind: sim.meta.Kind, Req: sim.meta.Req}); err != nil {
 		t.Fatal(err)
 	}
 	ts1.Close()
@@ -319,12 +319,32 @@ func cacheCfgDir(dir string) cache.Config {
 	return cache.Config{Dir: dir}
 }
 
-// mustSimReq parses recoverySim into its typed, defaulted request.
-func mustSimReq(t *testing.T) SimulateRequest {
-	t.Helper()
-	var r SimulateRequest
-	if err := json.Unmarshal([]byte(recoverySim), &r); err != nil {
+// TestAsyncResubmitRecomputesCorruptCacheEntry: an async submit takes
+// the same verifying cache read as the poll. A corrupt disk entry is
+// quarantined and the job accepted and recomputed — never answered
+// done on the strength of a file the poll would then 404.
+func TestAsyncResubmitRecomputesCorruptCacheEntry(t *testing.T) {
+	cdir := t.TempDir()
+	_, ts1 := newTestServer(t, Config{Workers: 1, Cache: cacheCfgDir(cdir)})
+	id, want := submitKind(t, ts1.URL, simulateKind, recoverySim)
+	ts1.Close()
+
+	entry := filepath.Join(cdir, strings.TrimPrefix(id, "sha256:")+".json")
+	if err := os.WriteFile(entry, []byte("starperf-cache v2 garbage\nnot the payload"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return r.withDefaults()
+
+	// Restart on the same cache dir and resubmit.
+	s2, ts2 := newTestServer(t, Config{Workers: 1, Cache: cacheCfgDir(cdir)})
+	resp := postJSON(t, ts2.URL+"/v1/simulate", recoverySim)
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resubmit over a corrupt entry: %d %s, want 202", resp.StatusCode, body)
+	}
+	if q := s2.Cache().Stats().Quarantined; q < 1 {
+		t.Fatalf("corrupt entry not quarantined (quarantined = %d)", q)
+	}
+	if got := jobResultBody(t, ts2.URL, id); string(got) != string(want) {
+		t.Fatalf("recomputed result differs:\n %s\n %s", got, want)
+	}
 }

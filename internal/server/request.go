@@ -21,9 +21,15 @@ import (
 // The wire schema of starperfd. Every request type normalises its
 // defaults (withDefaults) BEFORE hashing, so an explicit
 // `"seed": 1` and an omitted seed are the same job, the same cache
-// entry and the same singleflight flight. Validation errors carry the
-// cfgerr contract: they match starperf.ErrInvalidConfig and map to
-// HTTP 400.
+// entry and the same singleflight flight. hash is a request's content
+// id, the one the registry's parse step assigns (kinds.go); the golden
+// tests pin it. prepare validates a request and returns its runner,
+// closing over the artefacts validation built so the run does not
+// build them again. Validation errors carry the cfgerr contract: they
+// match starperf.ErrInvalidConfig and map to HTTP 400.
+
+// runner computes one prepared request's result.
+type runner func() (any, error)
 
 // TopoSpec names a topology on the wire.
 type TopoSpec struct {
@@ -83,6 +89,22 @@ func parseRouting(s string) (routing.Kind, error) {
 	}
 }
 
+// routed builds the topology and the routing spec for v virtual
+// channels on it: the shared validation of the kinds that route
+// messages.
+func (t TopoSpec) routed(routingName string, v int) (topology.Topology, routing.Spec, error) {
+	top, err := t.build()
+	if err != nil {
+		return nil, routing.Spec{}, err
+	}
+	kind, err := parseRouting(routingName)
+	if err != nil {
+		return nil, routing.Spec{}, err
+	}
+	spec, err := routing.New(kind, top, v)
+	return top, spec, err
+}
+
 // PredictRequest is POST /v1/predict: one analytical-model
 // evaluation (paper eq. 16 mean latency), served synchronously.
 type PredictRequest struct {
@@ -100,27 +122,13 @@ func (r PredictRequest) withDefaults() PredictRequest {
 	return r
 }
 
-// validate rejects a request that cannot materialise, without
-// running it.
-func (r PredictRequest) validate() error {
-	if _, err := r.Topo.paths(); err != nil {
-		return err
-	}
-	if _, err := parseRouting(r.Routing); err != nil {
-		return err
-	}
-	return nil
-}
+func (r PredictRequest) hash() (string, error) { return jobs.Hash(predictKind.name, r) }
 
-func (r PredictRequest) hash() (string, error) { return jobs.Hash("predict", r) }
-
-// run evaluates the model. A saturated operating point is a valid
-// answer (Saturated true), not an error.
-func (r PredictRequest) run() (*PredictResult, error) {
-	top, err := r.Topo.build()
-	if err != nil {
-		return nil, err
-	}
+// prepare builds the model's path structure and routing kind. A
+// saturated operating point is a valid answer (Saturated true), not
+// an error. The topology is built in the run, not here: a cache hit
+// never needs it.
+func (r PredictRequest) prepare() (runner, error) {
 	paths, err := r.Topo.paths()
 	if err != nil {
 		return nil, err
@@ -129,25 +137,31 @@ func (r PredictRequest) run() (*PredictResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := model.Evaluate(model.Config{
-		Paths: paths, Top: top, Kind: kind,
-		V: r.V, MsgLen: r.MsgLen, Rate: r.Rate,
-	})
-	if err != nil {
-		if errors.Is(err, model.ErrSaturated) {
-			return &PredictResult{Saturated: true}, nil
+	return func() (any, error) {
+		top, err := r.Topo.build()
+		if err != nil {
+			return nil, err
 		}
-		return nil, err
-	}
-	return &PredictResult{
-		LatencyCycles: res.Latency,
-		NetLatency:    res.NetLatency,
-		SourceWait:    res.SourceWait,
-		ChannelWait:   res.ChannelWait,
-		Multiplexing:  res.Multiplexing,
-		Utilization:   res.Utilization,
-		MeanBlocking:  res.MeanBlocking,
-		Converged:     res.Converged,
+		res, err := model.Evaluate(model.Config{
+			Paths: paths, Top: top, Kind: kind,
+			V: r.V, MsgLen: r.MsgLen, Rate: r.Rate,
+		})
+		if err != nil {
+			if errors.Is(err, model.ErrSaturated) {
+				return &PredictResult{Saturated: true}, nil
+			}
+			return nil, err
+		}
+		return &PredictResult{
+			LatencyCycles: res.Latency,
+			NetLatency:    res.NetLatency,
+			SourceWait:    res.SourceWait,
+			ChannelWait:   res.ChannelWait,
+			Multiplexing:  res.Multiplexing,
+			Utilization:   res.Utilization,
+			MeanBlocking:  res.MeanBlocking,
+			Converged:     res.Converged,
+		}, nil
 	}, nil
 }
 
@@ -192,62 +206,45 @@ func (r BoundsRequest) withDefaults() BoundsRequest {
 	return r
 }
 
-func (r BoundsRequest) validate() error {
-	top, err := r.Topo.build()
-	if err != nil {
-		return err
-	}
-	kind, err := parseRouting(r.Routing)
-	if err != nil {
-		return err
-	}
-	if _, err := routing.New(kind, top, r.V); err != nil {
-		return err
-	}
-	return nil
-}
+func (r BoundsRequest) hash() (string, error) { return jobs.Hash(boundsKind.name, r) }
 
-func (r BoundsRequest) hash() (string, error) { return jobs.Hash("bounds", r) }
-
-// run evaluates the bound engine. An unboundable operating point is a
-// valid answer (Unboundable true), not an error — the bounds
-// counterpart of PredictResult.Saturated.
-func (r BoundsRequest) run() (*BoundsResult, error) {
-	top, err := r.Topo.build()
+// prepare builds the topology and routing kind. An
+// unboundable operating point is a valid answer (Unboundable true),
+// not an error — the bounds counterpart of PredictResult.Saturated.
+func (r BoundsRequest) prepare() (runner, error) {
+	top, spec, err := r.Topo.routed(r.Routing, r.V)
 	if err != nil {
 		return nil, err
 	}
-	kind, err := parseRouting(r.Routing)
-	if err != nil {
-		return nil, err
-	}
-	res, err := bounds.Evaluate(bounds.Config{
-		Top: top, Kind: kind,
-		V: r.V, MsgLen: r.MsgLen, Rate: r.Rate,
-		BufCap: r.BufCap, LinkBW: r.LinkBW,
-	})
-	if err != nil {
-		if errors.Is(err, bounds.ErrUnboundable) {
-			return &BoundsResult{Unboundable: true}, nil
-		}
-		return nil, err
-	}
-	out := &BoundsResult{
-		WorstBound:  res.WorstCase,
-		Utilization: res.Utilization,
-		HopDelay:    res.HopDelay,
-		Residual:    res.Residual,
-		Feedforward: res.Feedforward,
-		Iterations:  res.Iterations,
-		Flows:       res.Flows,
-		Channels:    res.Channels,
-	}
-	for _, fb := range res.Classes {
-		out.Classes = append(out.Classes, BoundsClass{
-			Hops: fb.Hops, Flows: fb.Flows, Bound: fb.Bound,
+	return func() (any, error) {
+		res, err := bounds.Evaluate(bounds.Config{
+			Top: top, Kind: spec.Kind,
+			V: r.V, MsgLen: r.MsgLen, Rate: r.Rate,
+			BufCap: r.BufCap, LinkBW: r.LinkBW,
 		})
-	}
-	return out, nil
+		if err != nil {
+			if errors.Is(err, bounds.ErrUnboundable) {
+				return &BoundsResult{Unboundable: true}, nil
+			}
+			return nil, err
+		}
+		out := &BoundsResult{
+			WorstBound:  res.WorstCase,
+			Utilization: res.Utilization,
+			HopDelay:    res.HopDelay,
+			Residual:    res.Residual,
+			Feedforward: res.Feedforward,
+			Iterations:  res.Iterations,
+			Flows:       res.Flows,
+			Channels:    res.Channels,
+		}
+		for _, fb := range res.Classes {
+			out.Classes = append(out.Classes, BoundsClass{
+				Hops: fb.Hops, Flows: fb.Flows, Bound: fb.Bound,
+			})
+		}
+		return out, nil
+	}, nil
 }
 
 // BoundsResult is the bounds response body. When Unboundable is true
@@ -313,63 +310,44 @@ func (r SimulateRequest) withDefaults() SimulateRequest {
 	return r
 }
 
-func (r SimulateRequest) validate() error {
-	top, err := r.Topo.build()
-	if err != nil {
-		return err
-	}
-	kind, err := parseRouting(r.Routing)
-	if err != nil {
-		return err
-	}
-	if _, err := routing.New(kind, top, r.V); err != nil {
-		return err
-	}
-	return nil
-}
+func (r SimulateRequest) hash() (string, error) { return jobs.Hash(simulateKind.name, r) }
 
-func (r SimulateRequest) hash() (string, error) { return jobs.Hash("simulate", r) }
-
-func (r SimulateRequest) run() (*SimulateResult, error) {
-	top, err := r.Topo.build()
+// prepare builds the topology and the routing spec the simulator runs
+// on.
+func (r SimulateRequest) prepare() (runner, error) {
+	top, spec, err := r.Topo.routed(r.Routing, r.V)
 	if err != nil {
 		return nil, err
 	}
-	kind, err := parseRouting(r.Routing)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := routing.New(kind, top, r.V)
-	if err != nil {
-		return nil, err
-	}
-	res, err := desim.Run(desim.Config{
-		Top: top, Spec: spec,
-		Rate: r.Rate, MsgLen: r.MsgLen, BufCap: r.BufCap, Seed: r.Seed,
-		WarmupCycles: r.Warmup, MeasureCycles: r.Measure, DrainCycles: r.Drain,
-		MaxMsgAge: r.MaxMsgAge,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &SimulateResult{
-		MeanLatency:  res.Latency.Mean(),
-		MinLatency:   res.Latency.Min(),
-		MaxLatency:   res.Latency.Max(),
-		Measured:     res.MeasuredDelivered,
-		Delivered:    res.Delivered,
-		AcceptedRate: float64(res.DeliveredInWindow) / float64(r.Measure) / float64(top.N()),
-		Cycles:       res.Cycles,
-		Saturated:    res.Saturated(),
-		Aborted:      res.Aborted,
-		AbortReason:  res.AbortReason,
-	}
-	if res.LatencyHist != nil && res.LatencyHist.Total() > 0 {
-		out.P50Latency = res.LatencyHist.Quantile(0.50)
-		out.P95Latency = res.LatencyHist.Quantile(0.95)
-		out.P99Latency = res.LatencyHist.Quantile(0.99)
-	}
-	return out, nil
+	return func() (any, error) {
+		res, err := desim.Run(desim.Config{
+			Top: top, Spec: spec,
+			Rate: r.Rate, MsgLen: r.MsgLen, BufCap: r.BufCap, Seed: r.Seed,
+			WarmupCycles: r.Warmup, MeasureCycles: r.Measure, DrainCycles: r.Drain,
+			MaxMsgAge: r.MaxMsgAge,
+		})
+		if err != nil {
+			return nil, err
+		}
+		out := &SimulateResult{
+			MeanLatency:  res.Latency.Mean(),
+			MinLatency:   res.Latency.Min(),
+			MaxLatency:   res.Latency.Max(),
+			Measured:     res.MeasuredDelivered,
+			Delivered:    res.Delivered,
+			AcceptedRate: float64(res.DeliveredInWindow) / float64(r.Measure) / float64(top.N()),
+			Cycles:       res.Cycles,
+			Saturated:    res.Saturated(),
+			Aborted:      res.Aborted,
+			AbortReason:  res.AbortReason,
+		}
+		if res.LatencyHist != nil && res.LatencyHist.Total() > 0 {
+			out.P50Latency = res.LatencyHist.Quantile(0.50)
+			out.P95Latency = res.LatencyHist.Quantile(0.95)
+			out.P99Latency = res.LatencyHist.Quantile(0.99)
+		}
+		return out, nil
+	}, nil
 }
 
 // SimulateResult is the simulate job's result body. Latencies are in
@@ -426,55 +404,55 @@ func (r SweepRequest) withDefaults() SweepRequest {
 	return r
 }
 
-func (r SweepRequest) validate() error {
+func (r SweepRequest) hash() (string, error) { return jobs.Hash(sweepKind.name, r) }
+
+// prepare checks the panel shape; the panel's models and simulations
+// are all built inside the run.
+func (r SweepRequest) prepare() (runner, error) {
 	switch r.Panel {
 	case "a", "b", "c":
 	default:
-		return cfgerr.Errorf("server: unknown sweep panel %q (want a, b or c)", r.Panel)
+		return nil, cfgerr.Errorf("server: unknown sweep panel %q (want a, b or c)", r.Panel)
 	}
 	if r.Points < 0 || r.Points > 64 {
-		return cfgerr.Errorf("server: sweep points %d outside 1..64", r.Points)
+		return nil, cfgerr.Errorf("server: sweep points %d outside 1..64", r.Points)
 	}
 	if len(r.Seeds) > 16 {
-		return cfgerr.Errorf("server: %d sweep seeds, at most 16", len(r.Seeds))
+		return nil, cfgerr.Errorf("server: %d sweep seeds, at most 16", len(r.Seeds))
 	}
-	return nil
-}
-
-func (r SweepRequest) hash() (string, error) { return jobs.Hash("sweep", r) }
-
-func (r SweepRequest) run() (*SweepResult, error) {
-	p, err := experiments.Figure1Panel(experiments.Figure1Config{
-		Panel:   r.Panel[0],
-		Points:  r.Points,
-		Workers: r.Workers,
-		Sim: experiments.SimOptions{
-			Seeds:   r.Seeds,
-			Warmup:  r.Warmup,
-			Measure: r.Measure,
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &SweepResult{Title: p.Title, XLabel: p.XLabel}
-	for _, s := range p.Series {
-		ws := SweepSeries{Name: s.Name, V: s.V, MsgLen: s.MsgLen}
-		for _, pt := range s.Points {
-			ws.Points = append(ws.Points, SweepPoint{
-				Rate:           pt.Rate,
-				Model:          finite(pt.Model),
-				ModelSaturated: pt.ModelSaturated,
-				Sim:            finite(pt.Sim),
-				SimHW:          pt.SimHW,
-				SimSaturated:   pt.SimSaturated,
-				Failed:         pt.Failed,
-				Err:            pt.Err,
-			})
+	return func() (any, error) {
+		p, err := experiments.Figure1Panel(experiments.Figure1Config{
+			Panel:   r.Panel[0],
+			Points:  r.Points,
+			Workers: r.Workers,
+			Sim: experiments.SimOptions{
+				Seeds:   r.Seeds,
+				Warmup:  r.Warmup,
+				Measure: r.Measure,
+			},
+		})
+		if err != nil {
+			return nil, err
 		}
-		out.Series = append(out.Series, ws)
-	}
-	return out, nil
+		out := &SweepResult{Title: p.Title, XLabel: p.XLabel}
+		for _, s := range p.Series {
+			ws := SweepSeries{Name: s.Name, V: s.V, MsgLen: s.MsgLen}
+			for _, pt := range s.Points {
+				ws.Points = append(ws.Points, SweepPoint{
+					Rate:           pt.Rate,
+					Model:          finite(pt.Model),
+					ModelSaturated: pt.ModelSaturated,
+					Sim:            finite(pt.Sim),
+					SimHW:          pt.SimHW,
+					SimSaturated:   pt.SimSaturated,
+					Failed:         pt.Failed,
+					Err:            pt.Err,
+				})
+			}
+			out.Series = append(out.Series, ws)
+		}
+		return out, nil
+	}, nil
 }
 
 // finite maps a latency to the wire, where a NaN (model saturated, or

@@ -1,16 +1,23 @@
 // Package server is the HTTP serving layer of the repository
 // (cmd/starperfd): a stdlib net/http JSON API over the analytical
-// model, the flit-level simulator and the Figure 1 sweep harness.
+// model, the worst-case bound engine, the flit-level simulator and
+// the Figure 1 sweep harness.
 //
-// Layering. Requests (request.go) normalise their defaults and hash
-// into a content id (internal/jobs.Hash). Synchronous evaluation
-// (POST /v1/predict, POST /v1/bounds) and asynchronous jobs (POST /v1/simulate,
-// POST /v1/sweep; GET /v1/jobs/{id}) both run on one bounded
-// jobs.Pool — singleflight on the content id, typed backpressure —
-// and store their marshalled results in the two-tier internal/cache
-// keyed by the same id, so an identical request is a cache hit with
-// a byte-identical body, an in-flight duplicate shares the
-// computation, and only genuinely new work costs anything.
+// Layering. Every job kind is one row of the registry (kinds.go):
+// its name, its route, whether it answers synchronously, and one
+// parse step — strict decode, defaults, prepare, content hash
+// (internal/jobs) and canonical journal meta. Every path that
+// touches a job dispatches through that table: the one compute
+// handler each kind's POST route mounts, the items of
+// POST /v1/jobs:batch, journal recovery, cluster forwarding and
+// admission pricing. Sync kinds (predict, bounds) answer with the
+// result bytes; async kinds (simulate, sweep) answer with a job id to
+// poll at GET /v1/jobs/{id}. All of them run on one bounded jobs.Pool
+// — singleflight on the content id, typed backpressure — and store
+// their marshalled results in the two-tier internal/cache keyed by
+// the same id, so an identical request is a cache hit with a
+// byte-identical body, an in-flight duplicate shares the computation,
+// and only genuinely new work costs anything.
 //
 // Operational surface: GET /healthz liveness, GET /metricsz (pool
 // depth, cache hit/miss/evict counters, per-route latency
@@ -118,12 +125,22 @@ func (c Config) withDefaults() Config {
 	if c.ProbeEvery == 0 {
 		c.ProbeEvery = time.Second
 	}
+	if c.PeerHTTP == nil {
+		c.PeerHTTP = &http.Client{}
+	}
+	if c.PeerScheme == "" {
+		c.PeerScheme = "http"
+	}
+	if c.PeerTimeout <= 0 {
+		c.PeerTimeout = 2 * time.Second
+	}
 	return c
 }
 
 // Server routes the starperfd API. Construct with New, mount
 // Handler, and Close on the way out.
 type Server struct {
+	cfg      Config // with defaults applied
 	pool     *jobs.Pool
 	cache    *cache.Cache
 	journal  *journal.Journal
@@ -132,17 +149,12 @@ type Server struct {
 	breakers *breakerSet
 	cluster  *peerNet // nil when unclustered
 	sem      chan struct{}
-	maxBody  int64
-	workers  int // pool size, for batch admission pricing
-
-	defaultDeadline time.Duration
-	shed            atomic.Uint64
+	shed     atomic.Uint64
 
 	// Read-only degradation (PR 12): when the journal trips on
 	// ENOSPC, async submits are refused until a probe proves space
 	// returned. lastProbe rate-limits those probes; readOnly503
 	// counts the refusals for /metricsz.
-	probeEvery  time.Duration
 	lastProbe   atomic.Int64
 	readOnly503 atomic.Uint64
 
@@ -161,33 +173,29 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
+		cfg: cfg,
 		pool: jobs.NewPool(jobs.PoolConfig{
 			Workers:    cfg.Workers,
 			QueueDepth: cfg.QueueDepth,
 			JobTimeout: cfg.JobTimeout,
 			Journal:    cfg.Journal,
 		}),
-		cache:           store,
-		journal:         cfg.Journal,
-		mux:             http.NewServeMux(),
-		metrics:         newMetrics(),
-		breakers:        newBreakerSet(cfg.Breaker),
-		sem:             make(chan struct{}, cfg.MaxInFlight),
-		maxBody:         cfg.MaxBodyBytes,
-		workers:         cfg.Workers,
-		defaultDeadline: cfg.DefaultDeadline,
-		probeEvery:      cfg.ProbeEvery,
+		cache:    store,
+		journal:  cfg.Journal,
+		mux:      http.NewServeMux(),
+		metrics:  newMetrics(),
+		breakers: newBreakerSet(cfg.Breaker),
+		sem:      make(chan struct{}, cfg.MaxInFlight),
 	}
 	if cfg.Ring != nil {
 		s.cluster = newPeerNet(cfg)
 	}
-	// The three compute routes run behind the breaker and admission
-	// control; the read-only operational routes never shed — you must
-	// be able to poll a job or read /metricsz on an overloaded server.
-	s.mux.HandleFunc("POST /v1/predict", s.instrument("/v1/predict", s.guard("/v1/predict", s.handlePredict)))
-	s.mux.HandleFunc("POST /v1/bounds", s.instrument("/v1/bounds", s.guard("/v1/bounds", s.handleBounds)))
-	s.mux.HandleFunc("POST /v1/simulate", s.instrument("/v1/simulate", s.guard("/v1/simulate", s.handleSimulate)))
-	s.mux.HandleFunc("POST /v1/sweep", s.instrument("/v1/sweep", s.guard("/v1/sweep", s.handleSweep)))
+	// The compute routes run behind the breaker and admission control;
+	// the read-only operational routes never shed — you must be able
+	// to poll a job or read /metricsz on an overloaded server.
+	for _, k := range registry {
+		s.mux.HandleFunc("POST "+k.route, s.instrument(k.route, s.guard(k, s.serve(k))))
+	}
 	// The batch route runs its own per-item admission (one decision
 	// priced at batch cost, partial acceptance — see batch.go), so it
 	// mounts under instrument only, not guard.
@@ -200,61 +208,24 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Recover replays a journal's incomplete records into the pool: each
-// is rebuilt from its journaled kind and canonical request body, or
-// skipped when the cache already holds its result. Call once after
-// New, before serving traffic.
+// is parsed back from its journaled kind and canonical request body
+// by the same registry step a live request takes, or skipped when the
+// cache already holds its result. Call once after New, before serving
+// traffic.
 func (s *Server) Recover(rec *journal.Recovery) jobs.Recovery {
 	if rec == nil {
 		return jobs.Recovery{}
 	}
-	return s.pool.Recover(rec.Incomplete, func(id, kind string, req []byte) (jobs.Func, bool, error) {
-		// A verifying read, not Contains: Contains only stats the disk
-		// file, and journaling a job done on the strength of a corrupt
-		// entry would 404 it forever — Get checksums the entry,
-		// quarantining a corrupt one so the job is re-enqueued and
-		// recomputed instead.
+	return s.pool.Recover(rec.Incomplete, func(id, name string, req []byte) (jobs.Func, bool, error) {
 		if _, ok := s.cache.Get(id); ok {
 			return nil, false, nil
 		}
-		run, err := rebuildRun(kind, req)
+		j, err := parseKind(name, req)
 		if err != nil {
-			return nil, false, err
+			return nil, false, fmt.Errorf("server: journaled %q job: %w", name, err)
 		}
-		return s.runAndStore(id, run), true, nil
+		return s.runAndStore(id, j.run), true, nil
 	})
-}
-
-// rebuildRun reconstitutes a journaled request body into its typed
-// runner — the inverse of the meta each handler journals on submit.
-func rebuildRun(kind string, req []byte) (func() (any, error), error) {
-	switch kind {
-	case "predict":
-		var r PredictRequest
-		if err := json.Unmarshal(req, &r); err != nil {
-			return nil, fmt.Errorf("server: journaled predict body: %w", err)
-		}
-		return func() (any, error) { return r.run() }, nil
-	case "bounds":
-		var r BoundsRequest
-		if err := json.Unmarshal(req, &r); err != nil {
-			return nil, fmt.Errorf("server: journaled bounds body: %w", err)
-		}
-		return func() (any, error) { return r.run() }, nil
-	case "simulate":
-		var r SimulateRequest
-		if err := json.Unmarshal(req, &r); err != nil {
-			return nil, fmt.Errorf("server: journaled simulate body: %w", err)
-		}
-		return func() (any, error) { return r.run() }, nil
-	case "sweep":
-		var r SweepRequest
-		if err := json.Unmarshal(req, &r); err != nil {
-			return nil, fmt.Errorf("server: journaled sweep body: %w", err)
-		}
-		return func() (any, error) { return r.run() }, nil
-	default:
-		return nil, fmt.Errorf("server: journaled job of unknown kind %q", kind)
-	}
 }
 
 // Handler returns the routed API.
@@ -288,13 +259,11 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
 		default:
-			s.writeError(w, r, http.StatusServiceUnavailable,
-				classQueueFull, "server at concurrency cap", s.queueWait())
+			reply(w, http.StatusServiceUnavailable,
+				failure(classQueueFull, "server at concurrency cap", s.queueWait()))
 			return
 		}
-		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-		}
+		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes) // never nil on a server request
 		if s.cluster != nil {
 			// Name the serving node; a relayed peer response overwrites
 			// this with the node that actually did the work.
@@ -307,30 +276,31 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// guard stacks the failure-protection layers in front of a compute
-// handler: deadline-aware admission control first, the circuit
-// breaker second. The order matters — breakers.allow consumes the
-// single half-open probe slot, and only observe releases it, so
-// every path between the two must reach the handler. Shedding after
-// allow would leak the probe and pin the route open forever (likely,
-// too: at half-open time the backlog that tripped the breaker is
-// often still there). Admission sheds and breaker rejections return
-// before allow, so neither feeds the breaker's outcome window — its
-// own refusals would otherwise poison the sample.
-func (s *Server) guard(route string, h http.HandlerFunc) http.HandlerFunc {
+// guard stacks the failure-protection layers in front of a kind's
+// compute handler: deadline-aware admission control first, priced at
+// the kind's own expected run time, the circuit breaker second. The
+// order matters — breakers.allow consumes the single half-open probe
+// slot, and only observe releases it, so every path between the two
+// must reach the handler. Shedding after allow would leak the probe
+// and pin the route open forever (likely, too: at half-open time the
+// backlog that tripped the breaker is often still there). Admission
+// sheds and breaker rejections return before allow, so neither feeds
+// the breaker's outcome window — its own refusals would otherwise
+// poison the sample.
+func (s *Server) guard(k *jobKind, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if est, deadline := s.estWait(route), s.requestDeadline(r); est > deadline {
+		if est, deadline := s.estWait(k.name), s.requestDeadline(r); est > deadline {
 			s.shed.Add(1)
-			s.writeError(w, r, http.StatusTooManyRequests, classQueueFull,
+			reply(w, http.StatusTooManyRequests, failure(classQueueFull,
 				fmt.Sprintf("estimated queue wait %s exceeds request deadline %s",
 					est.Round(time.Millisecond), deadline.Round(time.Millisecond)),
-				est)
+				est))
 			return
 		}
-		ok, wait := s.breakers.allow(route)
+		ok, wait := s.breakers.allow(k.route)
 		if !ok {
-			s.writeError(w, r, http.StatusServiceUnavailable, classQueueFull,
-				"circuit breaker open for "+route, wait)
+			reply(w, http.StatusServiceUnavailable, failure(classQueueFull,
+				"circuit breaker open for "+k.route, wait))
 			return
 		}
 		gw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -340,7 +310,7 @@ func (s *Server) guard(route string, h http.HandlerFunc) http.HandlerFunc {
 		// probe slot exactly like a shed one.
 		panicked := true
 		defer func() {
-			s.breakers.observe(route, panicked || gw.status >= 500)
+			s.breakers.observe(k.route, panicked || gw.status >= 500)
 		}()
 		h(gw, r)
 		panicked = false
@@ -355,6 +325,9 @@ type jobBody struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
+// finished reports whether b carries a done job's result bytes.
+func (b jobBody) finished() bool { return b.Status == jobs.StatusDone && b.Result != nil }
+
 // readBody drains a request body into memory (already bounded by
 // MaxBytesReader). Handlers keep the raw bytes because the cluster
 // path forwards them verbatim to a peer — which re-normalises and
@@ -364,40 +337,35 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.writeError(w, r, http.StatusRequestEntityTooLarge, classInvalidConfig,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), noRetry)
+			reply(w, http.StatusRequestEntityTooLarge, failure(classInvalidConfig,
+				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), noRetry))
 			return nil, false
 		}
-		s.writeError(w, r, http.StatusBadRequest, classInvalidConfig,
-			"reading request: "+err.Error(), noRetry)
+		reply(w, http.StatusBadRequest, failure(classInvalidConfig,
+			"reading request: "+err.Error(), noRetry))
 		return nil, false
 	}
 	return raw, true
 }
 
-// decode parses a JSON request body strictly — unknown fields are
+// decodeStrict parses a JSON body strictly — unknown fields are
 // errors, because a silently dropped typo would mint a fresh cache
-// key for a request the caller never meant to make.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, raw []byte, v any) bool {
+// key for a request the caller never meant to make. Failures are
+// configuration errors.
+func decodeStrict(raw []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, classInvalidConfig,
-			"malformed request: "+err.Error(), noRetry)
-		return false
+		return cfgerr.New("malformed request: " + err.Error())
 	}
-	return true
+	return nil
 }
 
 // writeErr maps a computation or submission error onto the wire via
 // classifyErr.
-func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, err error) {
+func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	status, we := s.classifyErr(err)
-	retry := noRetry
-	if we.RetryAfterMS > 0 {
-		retry = time.Duration(we.RetryAfterMS) * time.Millisecond
-	}
-	s.writeError(w, r, status, we.Class, we.Message, retry)
+	reply(w, status, we)
 }
 
 // classifyErr maps an error onto the v1 wire contract: status code
@@ -407,168 +375,30 @@ func (s *Server) classifyErr(err error) (int, wireError) {
 	var unreachable *routing.UnreachableError
 	switch {
 	case errors.Is(err, cfgerr.ErrInvalid):
-		return http.StatusBadRequest, wireError{Class: classInvalidConfig, Message: err.Error()}
+		return http.StatusBadRequest, failure(classInvalidConfig, err.Error(), noRetry)
 	case errors.Is(err, model.ErrSaturated):
-		return http.StatusUnprocessableEntity, wireError{Class: classSaturated, Message: err.Error()}
+		return http.StatusUnprocessableEntity, failure(classSaturated, err.Error(), noRetry)
 	case errors.As(err, &unreachable):
-		return http.StatusUnprocessableEntity, wireError{Class: classUnreachable, Message: err.Error()}
+		return http.StatusUnprocessableEntity, failure(classUnreachable, err.Error(), noRetry)
 	case errors.Is(err, jobs.ErrQueueFull):
-		return http.StatusTooManyRequests, wireError{
-			Class: classQueueFull, Message: err.Error(),
-			RetryAfterMS: retryMillis(s.queueWait()),
-		}
+		return http.StatusTooManyRequests, failure(classQueueFull, err.Error(), s.queueWait())
 	case errors.Is(err, jobs.ErrPoolClosed):
-		return http.StatusServiceUnavailable, wireError{
-			Class: classQueueFull, Message: err.Error(),
-			RetryAfterMS: retryMillis(time.Second),
-		}
+		return http.StatusServiceUnavailable, failure(classQueueFull, err.Error(), time.Second)
 	case errors.Is(err, jobs.ErrReadOnly):
-		// The pool-level backstop of the journalReadOnly gate: a
+		// The pool-level backstop of the refuseReadOnly gate: a
 		// submission that raced past the handler check still refuses
 		// with the read_only contract.
-		return http.StatusServiceUnavailable, wireError{
-			Class: classReadOnly, Message: err.Error(),
-			RetryAfterMS: retryMillis(time.Second),
-		}
+		return http.StatusServiceUnavailable, failure(classReadOnly, err.Error(), time.Second)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout, wireError{Class: classTimeout, Message: err.Error()}
+		return http.StatusGatewayTimeout, failure(classTimeout, err.Error(), noRetry)
 	default:
-		return http.StatusInternalServerError, wireError{Class: classInternal, Message: err.Error()}
+		return http.StatusInternalServerError, failure(classInternal, err.Error(), noRetry)
 	}
 }
 
-// retryMillis converts a wait estimate to the envelope's
-// retry_after_ms, minimum 1 ms so a retryable class always carries a
-// positive hint.
-func retryMillis(d time.Duration) int64 {
-	if ms := d.Milliseconds(); ms > 1 {
-		return ms
-	}
-	return 1
-}
-
-// writeJSON emits v with the given status.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v) // the connection is the only failure mode left
-}
-
-// writeResult emits a finished computation's stored bytes verbatim —
-// the response body is exactly the cached (and therefore exactly the
-// recomputed) encoding; hit/miss state travels in headers so it can
-// never perturb the body. The content sum rides along (PR 12) so any
-// hop between us and the caller — a forwarding peer, a retrying
-// client — can verify the bytes arrived intact.
-func (s *Server) writeResult(w http.ResponseWriter, id, cacheState string, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(jobHeader, id)
-	w.Header().Set(cacheHeader, cacheState)
-	w.Header().Set(resultSumHeader, resultSum(body))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
-}
-
-// handlePredict serves POST /v1/predict synchronously: cache hit →
-// stored bytes; otherwise evaluate on the pool (deduplicated against
-// concurrent identical requests) and store.
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	raw, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req PredictRequest
-	if !s.decode(w, r, raw, &req) {
-		return
-	}
-	req = req.withDefaults()
-	if err := req.validate(); err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	id, err := req.hash()
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	if body, ok := s.cache.Get(id); ok {
-		s.writeResult(w, id, "hit", body)
-		return
-	}
-	if s.clusterRoute(w, r, id, raw, true) {
-		return
-	}
-	meta, err := submitMeta("predict", req)
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	v, err := s.pool.DoMeta(r.Context(), id, meta, s.runAndStore(id, func() (any, error) { return req.run() }))
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.writeResult(w, id, "miss", v.([]byte))
-}
-
-// handleBounds serves POST /v1/bounds synchronously, exactly like
-// /v1/predict: cache hit → stored bytes; otherwise evaluate the bound
-// engine on the pool and store. An unboundable operating point is a
-// valid 200 body ({"unboundable":true}), not an error.
-func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
-	raw, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req BoundsRequest
-	if !s.decode(w, r, raw, &req) {
-		return
-	}
-	req = req.withDefaults()
-	if err := req.validate(); err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	id, err := req.hash()
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	if body, ok := s.cache.Get(id); ok {
-		s.writeResult(w, id, "hit", body)
-		return
-	}
-	if s.clusterRoute(w, r, id, raw, true) {
-		return
-	}
-	meta, err := submitMeta("bounds", req)
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	v, err := s.pool.DoMeta(r.Context(), id, meta, s.runAndStore(id, func() (any, error) { return req.run() }))
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.writeResult(w, id, "miss", v.([]byte))
-}
-
-// submitMeta packs a request's journalable identity: the kind plus
-// the canonical body a restart will rebuild the job from (the same
-// canonicalisation the content hash uses, so the journal and the
-// cache agree on what the job is).
-func submitMeta(kind string, req any) (jobs.Meta, error) {
-	body, err := jobs.CanonicalJSON(req)
-	if err != nil {
-		return jobs.Meta{}, err
-	}
-	return jobs.Meta{Kind: kind, Req: body}, nil
-}
-
-// runAndStore adapts a request runner into a pool Func that caches
-// its marshalled result under id and returns the exact stored bytes.
-func (s *Server) runAndStore(id string, run func() (any, error)) jobs.Func {
+// runAndStore adapts a runner into a pool Func that caches its
+// marshalled result under id and returns the exact stored bytes.
+func (s *Server) runAndStore(id string, run runner) jobs.Func {
 	return func(ctx context.Context) (any, error) {
 		res, err := run()
 		if err != nil {
@@ -583,144 +413,46 @@ func (s *Server) runAndStore(id string, run func() (any, error)) jobs.Func {
 	}
 }
 
-// journalReadOnly reports whether async submissions must be refused
-// because the journal cannot make their acceptance durable (ENOSPC).
+// refuseReadOnly refuses an async submission, and reports that it
+// did, when the journal cannot make its acceptance durable (ENOSPC):
+// a 503 with the read_only class and a retry hint sized to the probe
+// interval — the soonest a retry could observe a recovered disk.
 // Before refusing, it issues at most one space probe per ProbeEvery,
 // so a disk that recovered flips the node back to read-write on the
 // next submit instead of waiting for organic sync traffic to commit
 // something. Sync routes never consult this: they acknowledge nothing
 // they have not already computed.
-func (s *Server) journalReadOnly() bool {
+func (s *Server) refuseReadOnly(w http.ResponseWriter) bool {
 	if s.journal == nil || !s.journal.ReadOnly() {
 		return false
 	}
 	now := time.Now().UnixNano()
 	last := s.lastProbe.Load()
-	if now-last >= int64(s.probeEvery) && s.lastProbe.CompareAndSwap(last, now) {
+	if now-last >= int64(s.cfg.ProbeEvery) && s.lastProbe.CompareAndSwap(last, now) {
 		if s.journal.Probe() == nil {
 			return false
 		}
 	}
-	return s.journal.ReadOnly()
-}
-
-// refuseReadOnly emits the read-only 503: the v1 envelope with the
-// read_only class and a retry hint sized to the probe interval — the
-// soonest a retry could observe a recovered disk.
-func (s *Server) refuseReadOnly(w http.ResponseWriter, r *http.Request) {
+	if !s.journal.ReadOnly() {
+		return false
+	}
 	s.readOnly503.Add(1)
-	retry := s.probeEvery
-	if retry < time.Second {
-		retry = time.Second
-	}
-	s.writeError(w, r, http.StatusServiceUnavailable, classReadOnly,
-		"journal is read-only (disk full): async submissions refused until space returns", retry)
-}
-
-// submitAsync is the shared shape of /v1/simulate and /v1/sweep: an
-// already-cached result answers done immediately; otherwise the job
-// is enqueued (or joined, if an identical one is in flight) and the
-// caller polls GET /v1/jobs/{id}. A read-only journal refuses the
-// submit instead: a 202 is a durability promise this node currently
-// cannot keep.
-func (s *Server) submitAsync(w http.ResponseWriter, r *http.Request, id string, meta jobs.Meta, fn jobs.Func) {
-	if s.cache.Contains(id) {
-		s.writeJSON(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusDone})
-		return
-	}
-	if s.journalReadOnly() {
-		s.refuseReadOnly(w, r)
-		return
-	}
-	j, err := s.pool.SubmitMeta(id, meta, fn)
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.writeJSON(w, http.StatusAccepted, jobBody{ID: id, Status: j.Status()})
-}
-
-// handleSimulate serves POST /v1/simulate.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	raw, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req SimulateRequest
-	if !s.decode(w, r, raw, &req) {
-		return
-	}
-	req = req.withDefaults()
-	if err := req.validate(); err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	id, err := req.hash()
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	if s.cache.Contains(id) {
-		s.writeJSON(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusDone})
-		return
-	}
-	if s.clusterRoute(w, r, id, raw, false) {
-		return
-	}
-	meta, err := submitMeta("simulate", req)
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.submitAsync(w, r, id, meta, s.runAndStore(id, func() (any, error) { return req.run() }))
-}
-
-// handleSweep serves POST /v1/sweep.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	raw, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req SweepRequest
-	if !s.decode(w, r, raw, &req) {
-		return
-	}
-	req = req.withDefaults()
-	if err := req.validate(); err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	id, err := req.hash()
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	if s.cache.Contains(id) {
-		s.writeJSON(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusDone})
-		return
-	}
-	if s.clusterRoute(w, r, id, raw, false) {
-		return
-	}
-	meta, err := submitMeta("sweep", req)
-	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	s.submitAsync(w, r, id, meta, s.runAndStore(id, func() (any, error) { return req.run() }))
+	reply(w, http.StatusServiceUnavailable, failure(classReadOnly,
+		"journal is read-only (disk full): async submissions refused until space returns",
+		max(s.cfg.ProbeEvery, time.Second)))
+	return true
 }
 
 // handleJob serves GET /v1/jobs/{id}: resolve from the cache first
 // (results outlive the pool's retention window there), then from the
 // pool registry, then — on a clustered node — from the peers that may
 // own the job. Done responses advertise the sha256 of their result
-// bytes in X-Starperf-Result-Sum so a peer filling its cache can
-// verify what it received.
+// bytes (reply sets X-Starperf-Result-Sum) so a peer filling its
+// cache can verify what it received.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if body, ok := s.cache.Get(id); ok {
-		w.Header().Set(resultSumHeader, resultSum(body))
-		s.writeJSON(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusDone, Result: body})
+		reply(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusDone, Result: body})
 		return
 	}
 	j, ok := s.pool.Get(id)
@@ -728,25 +460,21 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		if s.clusterJobLookup(w, r, id) {
 			return
 		}
-		s.writeError(w, r, http.StatusNotFound, classUnreachable, "unknown job "+id, noRetry)
+		reply(w, http.StatusNotFound, failure(classUnreachable, "unknown job "+id, noRetry))
 		return
 	}
-	switch j.Status() {
+	// Done and failed are terminal, so Result agrees with the status
+	// read first.
+	body := jobBody{ID: id, Status: j.Status()}
+	switch body.Status {
 	case jobs.StatusDone:
-		v, err := j.Result()
-		if err != nil {
-			s.writeErr(w, r, err)
-			return
-		}
-		body := v.([]byte)
-		w.Header().Set(resultSumHeader, resultSum(body))
-		s.writeJSON(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusDone, Result: body})
+		v, _ := j.Result()
+		body.Result = v.([]byte)
 	case jobs.StatusFailed:
 		_, err := j.Result()
-		s.writeJSON(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusFailed, Error: err.Error()})
-	default:
-		s.writeJSON(w, http.StatusOK, jobBody{ID: id, Status: j.Status()})
+		body.Error = err.Error()
 	}
+	reply(w, http.StatusOK, body)
 }
 
 // healthBody is the GET /healthz response. Cluster is present on a
@@ -781,7 +509,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			VirtualNodes: s.cluster.ring.VirtualNodes(),
 		}
 	}
-	s.writeJSON(w, http.StatusOK, body)
+	reply(w, http.StatusOK, body)
 }
 
 // Metricsz is the GET /metricsz response body. Journal is null when
@@ -831,5 +559,5 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		st := s.cluster.stats()
 		body.Cluster = &st
 	}
-	s.writeJSON(w, http.StatusOK, body)
+	reply(w, http.StatusOK, body)
 }

@@ -30,14 +30,13 @@ package server
 //	                rejected submit). 503. (PR 12)
 //	internal        everything else. 500.
 //
-// retry_after_ms is present only on queue_full responses (mirroring
-// the Retry-After header, at millisecond resolution). The pre-PR-8
-// plain-text message body is available for one release behind
-// ?compat=text.
+// retry_after_ms is present only on retryable responses (mirroring
+// the Retry-After header, at millisecond resolution).
 
 import (
-	"fmt"
+	"encoding/json"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -71,28 +70,54 @@ type errorBody struct {
 // succeed.
 const noRetry time.Duration = -1
 
-// writeError emits one non-2xx response in the v1 envelope. A
-// non-negative retryAfter sets the Retry-After header (whole seconds,
-// minimum 1 — setRetryAfter) and the envelope's retry_after_ms
-// (minimum 1 ms). ?compat=text downgrades the body to the bare
-// message as text/plain.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, class, message string, retryAfter time.Duration) {
+// failure builds one error. A non-negative retryAfter becomes
+// retry_after_ms, minimum 1 ms so a retryable class always carries a
+// positive hint; reply mirrors it into the Retry-After header.
+func failure(class, message string, retryAfter time.Duration) wireError {
+	we := wireError{Class: class, Message: message}
 	if retryAfter >= 0 {
-		setRetryAfter(w, retryAfter)
+		we.RetryAfterMS = max(retryAfter.Milliseconds(), 1)
 	}
-	if r != nil && r.URL.Query().Get("compat") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	return we
+}
+
+// result is a finished computation's stored bytes on their way to
+// the caller, with the job id and cache state they answer for.
+type result struct {
+	id, cache string
+	body      []byte
+}
+
+// reply writes every response the server itself produces (relayed
+// peer responses excepted). A result goes out verbatim — the response
+// body is exactly the cached, and therefore exactly the recomputed,
+// encoding — with its id, cache state and content sum in headers, so
+// hit/miss can never perturb the body and any hop can verify the
+// bytes. A job envelope carrying a result advertises the same sum.
+// An error goes out in the v1 envelope, and a retry hint sets
+// Retry-After in whole seconds, at least 1. Everything is JSON with a
+// trailing newline except a result.
+func reply(w http.ResponseWriter, status int, body any) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	switch b := body.(type) {
+	case result:
+		h.Set(jobHeader, b.id)
+		h.Set(cacheHeader, b.cache)
+		h.Set(resultSumHeader, resultSum(b.body))
 		w.WriteHeader(status)
-		fmt.Fprintln(w, message)
+		_, _ = w.Write(b.body)
 		return
-	}
-	body := errorBody{Error: wireError{Class: class, Message: message}}
-	if retryAfter >= 0 {
-		ms := retryAfter.Milliseconds()
-		if ms < 1 {
-			ms = 1
+	case jobBody:
+		if b.Result != nil {
+			h.Set(resultSumHeader, resultSum(b.Result))
 		}
-		body.Error.RetryAfterMS = ms
+	case wireError:
+		if b.RetryAfterMS > 0 {
+			h.Set("Retry-After", strconv.FormatInt((b.RetryAfterMS+999)/1000, 10))
+		}
+		body = errorBody{Error: b}
 	}
-	s.writeJSON(w, status, body)
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(body) // the connection is the only failure mode left
 }

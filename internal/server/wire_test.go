@@ -11,7 +11,7 @@ import (
 )
 
 // TestErrorEnvelopeGolden pins exact bodies for deterministic error
-// paths. writeJSON encodes with a trailing newline.
+// paths. reply encodes with a trailing newline.
 func TestErrorEnvelopeGolden(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
@@ -94,25 +94,5 @@ func TestErrorEnvelopeRetryAfterMS(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After header")
-	}
-}
-
-// TestErrorEnvelopeCompatText: ?compat=text downgrades the body to
-// the bare plain-text message for one release.
-func TestErrorEnvelopeCompatText(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	resp, err := http.Get(ts.URL + "/v1/jobs/sha256:beef?compat=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(readBody(t, resp))
-	if resp.StatusCode != 404 {
-		t.Fatalf("status %d (%s)", resp.StatusCode, body)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("Content-Type %q, want text/plain", ct)
-	}
-	if body != "unknown job sha256:beef\n" {
-		t.Fatalf("body %q", body)
 	}
 }
