@@ -20,6 +20,12 @@
 // than recomputing. Finished jobs stay pollable (Pool.Get) until the
 // retention bound evicts them.
 //
+// Intake. Every entry point (Submit, SubmitMeta, SubmitBatch, Do,
+// DoMeta) goes through one write-ahead path, a single submit being a
+// batch of one: reserve queue slots under the pool lock, make the
+// accepted records durable in one journal group commit outside it,
+// then publish to the workers or roll every reservation back.
+//
 // The engine itself stays deterministic — no wall-clock reads, no
 // randomness; job ids are pure functions of their requests — so a pool
 // of N workers produces byte-identical results to a serial run, a

@@ -180,111 +180,10 @@ func (p *Pool) Submit(id string, fn Func) (*Job, error) {
 // SubmitMeta is Submit carrying the journalable request identity.
 // When the pool has a journal, the accepted record — kind and request
 // body included — is fsynced before the job is enqueued, so a crash
-// at any later point can replay it.
-//
-// The append itself happens outside p.mu: an fsync is milliseconds,
-// and holding the pool lock across it would serialise every
-// submission, completion, Get and Stats behind disk-sync latency.
-// Write-ahead ordering survives the split because the slot is
-// reserved (singleflight entry, queue count) before the append and
-// the channel send happens after it — the worker cannot see the job
-// until its accepted record is durable.
+// at any later point can replay it. It is a batch of one: see submit.
 func (p *Pool) SubmitMeta(id string, meta Meta, fn Func) (*Job, error) {
-	return p.submitMeta(id, meta, fn, true)
-}
-
-// submitMeta implements SubmitMeta. durable marks submissions whose
-// 202 acknowledgement promises crash-replay: those are refused while
-// the journal is read-only (and rolled back when their accept record
-// hits ENOSPC). The synchronous path (DoMeta) passes false — it
-// acknowledges nothing it has not computed, so a full disk degrades
-// its durability, never its service.
-func (p *Pool) submitMeta(id string, meta Meta, fn Func, durable bool) (*Job, error) {
-	if id == "" {
-		return nil, cfgerr.New("jobs: empty job id")
-	}
-	if fn == nil {
-		return nil, cfgerr.New("jobs: nil job func")
-	}
-	if durable && p.ReadOnly() {
-		return nil, ErrReadOnly
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, ErrPoolClosed
-	}
-	if j, ok := p.inflight[id]; ok {
-		p.deduped++
-		p.mu.Unlock()
-		return j, nil
-	}
-	if p.queued >= p.cfg.QueueDepth {
-		p.rejected++
-		p.mu.Unlock()
-		return nil, &QueueFullError{Depth: p.cfg.QueueDepth}
-	}
-	j := &Job{id: id, kind: meta.Kind, fn: fn, status: StatusQueued, done: make(chan struct{})}
-	p.inflight[id] = j
-	p.jobs[id] = j
-	p.kind(meta.Kind).inflight++
-	p.queued++
-	p.submitted++
-	p.mu.Unlock()
-
-	var appendErr error
-	if p.cfg.Journal != nil {
-		// Write-ahead: accepted must be durable before the job can
-		// start (the worker can only receive it after the channel send
-		// below). Append failures are counted by the journal itself —
-		// except ENOSPC, which refuses the submission below: a full
-		// disk must never hand out an acknowledgement it cannot honour.
-		appendErr = p.cfg.Journal.Append(journal.Record{
-			Type: journal.TypeAccepted, ID: id, Kind: meta.Kind, Req: meta.Req,
-		})
-	}
-
-	p.mu.Lock()
-	if durable && appendErr != nil && errors.Is(appendErr, syscall.ENOSPC) {
-		// The accept record hit a full disk (the journal has flipped
-		// read-only). Undo the reservation and refuse, typed — the job
-		// was never durably acknowledged, so a crash right now loses
-		// nothing the caller was promised. No failed record is written:
-		// the disk that refused the accept would refuse it too.
-		delete(p.inflight, id)
-		delete(p.jobs, id)
-		p.kind(meta.Kind).inflight--
-		p.queued--
-		p.submitted--
-		p.mu.Unlock()
-		j.complete(nil, ErrReadOnly)
-		return nil, ErrReadOnly
-	}
-	if p.closed {
-		// Shutdown began while the accepted record was being synced:
-		// the queue channel is closed, so the job can never run. Undo
-		// the reservation and close the journal's books on the id —
-		// the caller is told ErrPoolClosed, so a later boot must not
-		// resurrect work nobody was promised.
-		delete(p.inflight, id)
-		delete(p.jobs, id)
-		p.kind(meta.Kind).inflight--
-		p.queued--
-		p.submitted--
-		p.mu.Unlock()
-		if p.cfg.Journal != nil {
-			_ = p.cfg.Journal.Append(journal.Record{
-				Type: journal.TypeFailed, ID: id, Err: ErrPoolClosed.Error(),
-			})
-		}
-		// A duplicate submit may have deduped onto j during the append
-		// window; fail the job so those callers' Waits return too.
-		j.complete(nil, ErrPoolClosed)
-		return nil, ErrPoolClosed
-	}
-	p.queue <- j // buffered to QueueDepth; the reservation above keeps this non-blocking
-	p.mu.Unlock()
-	return j, nil
+	r := p.submit([]BatchItem{{ID: id, Meta: meta, Fn: fn}}, true)[0]
+	return r.Job, r.Err
 }
 
 // BatchItem is one submission in a SubmitBatch call: the same
@@ -304,133 +203,132 @@ type BatchResult struct {
 
 // SubmitBatch enqueues every item with per-item outcomes — a bad,
 // duplicate or shed item never blocks its neighbours — but the
-// accepted subset pays for durability once: slots are reserved for all
-// accepted items in one pass under the lock, their accepted records go
-// to the journal as ONE group commit (AppendBatch, one fsync), and
-// only then are the jobs made visible to workers. results[i] mirrors
-// what SubmitMeta(items[i]...) would return; a duplicate id inside the
-// batch dedupes onto the first occurrence's job like any other
-// singleflight hit.
+// accepted subset pays for durability once: its accepted records go
+// to the journal as ONE group commit (AppendBatch, one fsync).
+// results[i] is exactly what SubmitMeta(items[i]...) would return; a
+// duplicate id inside the batch dedupes onto the first occurrence's
+// job like any other singleflight hit.
 func (p *Pool) SubmitBatch(items []BatchItem) []BatchResult {
+	return p.submit(items, true)
+}
+
+// submit is the pool's one write-ahead intake path; a single submit
+// is a batch of one. It reserves slots under p.mu, journals the
+// reserved items' accepted records in one AppendBatch outside it — an
+// fsync held under the pool lock would stall every submission,
+// completion, Get and Stats — and re-locks to publish the jobs to the
+// workers or roll every reservation back. No worker can see a job
+// before the publish step, so write-ahead ordering survives the split.
+//
+// durable marks submissions whose acknowledgement promises
+// crash-replay: those are refused while the journal is read-only, and
+// rolled back with ErrReadOnly when their accepted records hit ENOSPC.
+// DoMeta passes false — it acknowledges nothing it has not computed,
+// so a full disk degrades its durability, never its service.
+func (p *Pool) submit(items []BatchItem, durable bool) []BatchResult {
 	results := make([]BatchResult, len(items))
-	if len(items) == 0 {
-		return results
-	}
-	if p.ReadOnly() {
-		for i := range results {
-			results[i].Err = ErrReadOnly
-		}
-		return results
-	}
-	accepted := make([]int, 0, len(items)) // indices that reserved a slot
+	readOnly := durable && p.ReadOnly()
+	var reserved []int // indices that took a queue slot
 	p.mu.Lock()
 	for i, it := range items {
-		if it.ID == "" {
+		switch j := p.inflight[it.ID]; {
+		case it.ID == "":
 			results[i].Err = cfgerr.New("jobs: empty job id")
-			continue
-		}
-		if it.Fn == nil {
+		case it.Fn == nil:
 			results[i].Err = cfgerr.New("jobs: nil job func")
-			continue
-		}
-		if p.closed {
+		case readOnly:
+			results[i].Err = ErrReadOnly
+		case p.closed:
 			results[i].Err = ErrPoolClosed
-			continue
-		}
-		if j, ok := p.inflight[it.ID]; ok {
+		case j != nil:
 			p.deduped++
 			results[i].Job = j
-			continue
-		}
-		if p.queued >= p.cfg.QueueDepth {
+		case p.queued >= p.cfg.QueueDepth:
 			p.rejected++
 			results[i].Err = &QueueFullError{Depth: p.cfg.QueueDepth}
-			continue
+		default:
+			j = &Job{id: it.ID, kind: it.Meta.Kind, fn: it.Fn, status: StatusQueued, done: make(chan struct{})}
+			p.inflight[it.ID] = j
+			p.jobs[it.ID] = j
+			p.kind(it.Meta.Kind).inflight++
+			p.queued++
+			p.submitted++
+			results[i].Job = j
+			reserved = append(reserved, i)
 		}
-		j := &Job{id: it.ID, kind: it.Meta.Kind, fn: it.Fn, status: StatusQueued, done: make(chan struct{})}
-		p.inflight[it.ID] = j
-		p.jobs[it.ID] = j
-		p.kind(it.Meta.Kind).inflight++
-		p.queued++
-		p.submitted++
-		results[i].Job = j
-		accepted = append(accepted, i)
 	}
 	p.mu.Unlock()
-
-	if len(accepted) == 0 {
+	if len(reserved) == 0 {
 		return results
 	}
+
 	var appendErr error
 	if p.cfg.Journal != nil {
-		// Write-ahead, amortised: the whole accepted set becomes
-		// durable behind one fsync before any of its jobs can run.
-		recs := make([]journal.Record, len(accepted))
-		for n, i := range accepted {
-			it := items[i]
-			recs[n] = journal.Record{
-				Type: journal.TypeAccepted, ID: it.ID, Kind: it.Meta.Kind, Req: it.Meta.Req,
-			}
-		}
-		appendErr = p.cfg.Journal.AppendBatch(recs)
+		// Write-ahead: accepted must be durable before any of these
+		// jobs can start. Append failures are counted by the journal
+		// itself — except ENOSPC on a durable submit, refused below.
+		appendErr = p.appendEach(items, reserved, journal.Record{Type: journal.TypeAccepted})
 	}
 
 	p.mu.Lock()
-	if appendErr != nil && errors.Is(appendErr, syscall.ENOSPC) && !p.closed {
-		// The batch's accept records hit a full disk: undo every
-		// reservation and refuse the whole set, typed, exactly as
-		// SubmitMeta does for one — none of these jobs was durably
-		// acknowledged.
-		for _, i := range accepted {
-			it := items[i]
-			delete(p.inflight, it.ID)
-			delete(p.jobs, it.ID)
-			p.kind(it.Meta.Kind).inflight--
-			p.queued--
-			p.submitted--
+	var refuse error
+	switch {
+	case durable && errors.Is(appendErr, syscall.ENOSPC):
+		// The accepted records hit a full disk (the journal has flipped
+		// read-only): none of these jobs was durably acknowledged, so a
+		// crash right now loses nothing the caller was promised. This
+		// wins over a racing Shutdown, and no failed record is written:
+		// the disk that refused the accepts would refuse it too.
+		refuse = ErrReadOnly
+	case p.closed:
+		// Shutdown began while the accepted records were being synced:
+		// the queue channel is closed, so the jobs can never run.
+		refuse = ErrPoolClosed
+	default:
+		for _, i := range reserved {
+			p.queue <- results[i].Job // buffered to QueueDepth; the reservation keeps this non-blocking
 		}
 		p.mu.Unlock()
-		for _, i := range accepted {
-			results[i].Job.complete(nil, ErrReadOnly)
-			results[i].Job = nil
-			results[i].Err = ErrReadOnly
-		}
 		return results
 	}
-	if p.closed {
-		// Shutdown began while the batch was being committed: the queue
-		// channel is closed, so none of the accepted jobs can run. Undo
-		// every reservation, exactly as SubmitMeta does for one.
-		for _, i := range accepted {
-			it := items[i]
-			delete(p.inflight, it.ID)
-			delete(p.jobs, it.ID)
-			p.kind(it.Meta.Kind).inflight--
-			p.queued--
-			p.submitted--
-		}
-		p.mu.Unlock()
-		if p.cfg.Journal != nil {
-			recs := make([]journal.Record, len(accepted))
-			for n, i := range accepted {
-				recs[n] = journal.Record{
-					Type: journal.TypeFailed, ID: items[i].ID, Err: ErrPoolClosed.Error(),
-				}
-			}
-			_ = p.cfg.Journal.AppendBatch(recs)
-		}
-		for _, i := range accepted {
-			results[i].Job.complete(nil, ErrPoolClosed)
-			results[i].Job = nil
-			results[i].Err = ErrPoolClosed
-		}
-		return results
-	}
-	for _, i := range accepted {
-		p.queue <- results[i].Job // reservations above keep this non-blocking
+	for _, i := range reserved {
+		it := items[i]
+		delete(p.inflight, it.ID)
+		delete(p.jobs, it.ID)
+		p.kind(it.Meta.Kind).inflight--
+		p.queued--
+		p.submitted--
 	}
 	p.mu.Unlock()
+	if errors.Is(refuse, ErrPoolClosed) && p.cfg.Journal != nil {
+		// Close the journal's books on the ids: the callers are told
+		// ErrPoolClosed, so a later boot must not resurrect work nobody
+		// was promised.
+		_ = p.appendEach(items, reserved, journal.Record{Type: journal.TypeFailed, Err: ErrPoolClosed.Error()})
+	}
+	for _, i := range reserved {
+		// A duplicate may have deduped onto the job during the append
+		// window; failing it releases those callers' Waits too.
+		results[i].Job.complete(nil, refuse)
+		results[i] = BatchResult{Err: refuse}
+	}
 	return results
+}
+
+// appendEach appends one record per reserved item as a single group
+// commit: rec stamped with the item's id, and for accepted records
+// its kind and request body.
+func (p *Pool) appendEach(items []BatchItem, reserved []int, rec journal.Record) error {
+	recs := make([]journal.Record, len(reserved))
+	for n, i := range reserved {
+		r := rec
+		r.ID = items[i].ID
+		if r.Type == journal.TypeAccepted {
+			r.Kind, r.Req = items[i].Meta.Kind, items[i].Meta.Req
+		}
+		recs[n] = r
+	}
+	return p.cfg.Journal.AppendBatch(recs)
 }
 
 // kind returns (creating if needed) the aggregate for one job kind.
@@ -457,11 +355,11 @@ func (p *Pool) Do(ctx context.Context, id string, fn Func) (any, error) {
 // acknowledged that a crash could lose — a full disk costs sync work
 // its replay-ability, not its availability.
 func (p *Pool) DoMeta(ctx context.Context, id string, meta Meta, fn Func) (any, error) {
-	j, err := p.submitMeta(id, meta, fn, false)
-	if err != nil {
-		return nil, err
+	r := p.submit([]BatchItem{{ID: id, Meta: meta, Fn: fn}}, false)[0]
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	return j.Wait(ctx)
+	return r.Job.Wait(ctx)
 }
 
 // Get returns the job with the given id: in flight, or finished and
@@ -638,6 +536,11 @@ func (p *Pool) observeExecLocked(kind string, took time.Duration) {
 	if agg.inflight > 0 {
 		agg.inflight--
 	}
+	agg.observe(took)
+}
+
+// observe folds one execution time into the aggregate's mean.
+func (agg *kindAgg) observe(took time.Duration) {
 	agg.finished++
 	if us := took.Microseconds(); us > 0 {
 		agg.sumMicros += float64(us)
@@ -651,11 +554,7 @@ func (p *Pool) observeExecLocked(kind string, took time.Duration) {
 func (p *Pool) ObserveExec(kind string, took time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	agg := p.kind(kind)
-	agg.finished++
-	if us := took.Microseconds(); us > 0 {
-		agg.sumMicros += float64(us)
-	}
+	p.kind(kind).observe(took)
 }
 
 // ExecMeanMicros returns the observed mean execution time of kind's
@@ -749,29 +648,29 @@ func (p *Pool) Recover(entries []journal.Record, resolve RecoverFunc) Recovery {
 	var rec Recovery
 	for _, e := range entries {
 		fn, ok, err := resolve(e.ID, e.Kind, e.Req)
+		// A record that will not run again gets a terminal record, so
+		// it stops replaying on every future boot.
+		closing := journal.Record{Type: journal.TypeDone, ID: e.ID}
 		switch {
 		case err != nil:
-			// Journal the failure so the record stops replaying on
-			// every future boot.
-			if p.cfg.Journal != nil {
-				_ = p.cfg.Journal.Append(journal.Record{
-					Type: journal.TypeFailed, ID: e.ID,
-					Err: "recovery: " + err.Error(),
-				})
-			}
+			closing.Type, closing.Err = journal.TypeFailed, "recovery: "+err.Error()
 			rec.Failed++
 		case !ok:
-			// Already satisfied; close the journal's books on it.
-			if p.cfg.Journal != nil {
-				_ = p.cfg.Journal.Append(journal.Record{Type: journal.TypeDone, ID: e.ID})
-			}
-			rec.Skipped++
+			rec.Skipped++ // already satisfied
 		default:
+			// One submit per entry, not one batch: the incomplete set
+			// can reach QueueDepth + Workers, and workers drain the
+			// queue between serial submits, where a single batch would
+			// refuse up to Workers acknowledged jobs at boot.
 			if _, err := p.SubmitMeta(e.ID, Meta{Kind: e.Kind, Req: e.Req}, fn); err != nil {
 				rec.Failed++
-				continue
+			} else {
+				rec.Requeued++
 			}
-			rec.Requeued++
+			continue
+		}
+		if p.cfg.Journal != nil {
+			_ = p.cfg.Journal.Append(closing)
 		}
 	}
 	return rec

@@ -26,10 +26,13 @@ import (
 	"starperf/internal/fsx"
 )
 
-// chaosWorkload drives one journal through a fixed lifecycle mix —
-// six jobs, four done, one failed, one left incomplete — with small
-// segments so rotation and compaction fall inside the fault window.
-// It records which appends were acknowledged.
+// chaosWorkload drives one journal through two waves of a fixed
+// lifecycle mix — per wave six jobs, four done, one failed, one left
+// incomplete — with small segments so rotation and compaction fall
+// inside the fault window. The first wave's incomplete job stays
+// pending through every compaction of the second, which rewrites it
+// together with that wave's own pending set. It records which appends
+// were acknowledged.
 type chaosWorkload struct {
 	ackAccepted  map[string]bool
 	tryAccepted  map[string]bool
@@ -44,7 +47,7 @@ func runChaosWorkload(j *Journal) *chaosWorkload {
 		tryAccepted:  make(map[string]bool),
 		ackTerminal:  make(map[string]bool),
 		tryTerminal:  make(map[string]bool),
-		expectedLive: map[string]bool{accepted(5).ID: true},
+		expectedLive: map[string]bool{accepted(5).ID: true, accepted(11).ID: true},
 	}
 	app := func(r Record, try, ack map[string]bool) {
 		try[r.ID] = true
@@ -52,16 +55,18 @@ func runChaosWorkload(j *Journal) *chaosWorkload {
 			ack[r.ID] = true
 		}
 	}
-	for i := 0; i < 6; i++ {
-		app(accepted(i), w.tryAccepted, w.ackAccepted)
+	for base := 0; base < 12; base += 6 {
+		for i := base; i < base+6; i++ {
+			app(accepted(i), w.tryAccepted, w.ackAccepted)
+		}
+		for i := base; i < base+6; i++ {
+			j.Append(Record{Type: TypeStarted, ID: accepted(i).ID})
+		}
+		for i := base; i < base+4; i++ {
+			app(Record{Type: TypeDone, ID: accepted(i).ID}, w.tryTerminal, w.ackTerminal)
+		}
+		app(Record{Type: TypeFailed, ID: accepted(base + 4).ID, Err: "chaos"}, w.tryTerminal, w.ackTerminal)
 	}
-	for i := 0; i < 6; i++ {
-		j.Append(Record{Type: TypeStarted, ID: accepted(i).ID})
-	}
-	for i := 0; i < 4; i++ {
-		app(Record{Type: TypeDone, ID: accepted(i).ID}, w.tryTerminal, w.ackTerminal)
-	}
-	app(Record{Type: TypeFailed, ID: accepted(4).ID, Err: "chaos"}, w.tryTerminal, w.ackTerminal)
 	return w
 }
 

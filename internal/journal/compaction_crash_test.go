@@ -111,10 +111,11 @@ func recoverAndRecompact(t *testing.T, label, dir string, done, uncertain int) {
 	}
 }
 
-// TestCompactionCrashExplicit measures the filesystem-op window of an
-// explicit Compact with a fault-free probe run, then replays the
-// identical workload once per op in that window with the crash aimed
-// at it.
+// TestCompactionCrashExplicit measures the filesystem-op window of two
+// back-to-back explicit Compacts with a fault-free probe run — the
+// second rewrites the pending set the first just wrote and removes
+// the segment that first one produced — then replays the identical
+// workload once per op in that window with the crash aimed at it.
 func TestCompactionCrashExplicit(t *testing.T) {
 	probe := fsx.NewFaulty(fsx.OS{}, fsx.FaultPlan{Seed: 1})
 	j, _, err := Open(Options{Dir: t.TempDir(), FS: probe})
@@ -126,10 +127,14 @@ func TestCompactionCrashExplicit(t *testing.T) {
 	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	mid := probe.Ops()
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	after := probe.Ops()
 	j.Close()
-	if after-before < 4 {
-		t.Fatalf("compaction window too small to be interesting: ops %d..%d", before, after)
+	if mid-before < 4 {
+		t.Fatalf("compaction window too small to be interesting: ops %d..%d", before, mid)
 	}
 
 	for crash := before + 1; crash <= after; crash++ {
@@ -145,6 +150,10 @@ func TestCompactionCrashExplicit(t *testing.T) {
 			if got := fa.Ops(); got != before {
 				t.Fatalf("crash run diverged from probe: %d ops before Compact, want %d", got, before)
 			}
+			firstErr := j.Compact()
+			if crash <= mid && firstErr == nil {
+				t.Fatal("a crash inside the first compaction went unreported")
+			}
 			if err := j.Compact(); err == nil {
 				t.Fatal("a crash inside the compaction window went unreported")
 			}
@@ -154,19 +163,21 @@ func TestCompactionCrashExplicit(t *testing.T) {
 	}
 }
 
-// TestCompactionCrashDuringRotation aims the crash at the compaction
-// that rotation itself triggers: the probe run finds which done-append
-// crosses SegmentBytes and the op window it spans, then each crash
-// point in that window is replayed. The rotating append's own write
-// precedes the rotation inside the same window, so that one job's
-// terminal record is allowed to land either way; everything else is
-// exact.
+// TestCompactionCrashDuringRotation aims the crash at the compactions
+// that rotation itself triggers: the probe run finds the done-appends
+// that cross SegmentBytes and the op window from the first of them to
+// the end of the last, then each crash point in that window is
+// replayed. The second rotation compacts a segment that is itself the
+// first one's compaction output. A done-append acknowledged before the
+// crash is durable (its write and fsync precede the rotation, whose
+// failure Append swallows); the first unacknowledged one may land
+// either way; everything after it must replay incomplete.
 func TestCompactionCrashDuringRotation(t *testing.T) {
-	// Sized so the eight accepts fit in the first segment and one of
-	// the done appends crosses the threshold; the probe run below
-	// verifies both, so a drift in record size fails loudly rather
-	// than silently mistargeting the window.
-	const segBytes = 1024
+	// Sized so the eight accepts fit in the first segment and the done
+	// phase crosses the threshold twice; the probe run below verifies
+	// both, so a drift in record size fails loudly rather than
+	// silently mistargeting the window.
+	const segBytes = 1000
 	open := func(dir string, fa *fsx.Faulty) *Journal {
 		t.Helper()
 		j, _, err := Open(Options{Dir: dir, FS: fa, SegmentBytes: segBytes})
@@ -176,7 +187,7 @@ func TestCompactionCrashDuringRotation(t *testing.T) {
 		return j
 	}
 
-	// Probe: find the append that first trips rotation and its window.
+	// Probe: find the rotating appends and the window they span.
 	probe := fsx.NewFaulty(fsx.OS{}, fsx.FaultPlan{Seed: 1})
 	j := open(t.TempDir(), probe)
 	for i := 0; i < compactLive; i++ {
@@ -187,21 +198,23 @@ func TestCompactionCrashDuringRotation(t *testing.T) {
 	if j.Stats().Rotations != 0 {
 		t.Fatalf("segments of %d bytes rotate during the accept phase; raise segBytes", segBytes)
 	}
-	rotator, before := -1, 0
+	first, last, before, after := -1, -1, 0, 0
 	for i := 0; i < compactDone; i++ {
-		pre := probe.Ops()
+		pre, rotations := probe.Ops(), j.Stats().Rotations
 		if err := j.Append(Record{Type: TypeDone, ID: accepted(i).ID}); err != nil {
 			t.Fatal(err)
 		}
-		if j.Stats().Rotations > 0 {
-			rotator, before = i, pre
-			break
+		if j.Stats().Rotations > rotations {
+			if first < 0 {
+				first, before = i, pre
+			}
+			last, after = i, probe.Ops()
 		}
 	}
-	after := probe.Ops()
+	rotations := j.Stats().Rotations
 	j.Close()
-	if rotator < 0 {
-		t.Fatalf("workload never rotated over %d-byte segments", segBytes)
+	if rotations < 2 {
+		t.Fatalf("workload rotated %d times over %d-byte segments, want 2", rotations, segBytes)
 	}
 
 	for crash := before + 1; crash <= after; crash++ {
@@ -215,18 +228,26 @@ func TestCompactionCrashDuringRotation(t *testing.T) {
 					t.Fatalf("pre-window accept %d failed: %v", i, err)
 				}
 			}
-			for i := 0; i < rotator; i++ {
+			for i := 0; i < first; i++ {
 				if err := j.Append(Record{Type: TypeDone, ID: accepted(i).ID}); err != nil {
 					t.Fatalf("pre-window done %d failed: %v", i, err)
 				}
 			}
-			// The rotating append: its write may be the crashed op
-			// (Append errors, rotator stays pending on disk) or the
-			// crash may land later, inside rotateLocked/compactLocked
-			// (Append swallows the rotation failure and returns nil).
-			_ = j.Append(Record{Type: TypeDone, ID: accepted(rotator).ID})
+			// Inside the window: the crashed op is either an append's
+			// own write or sync (Append errors, the record may have
+			// landed) or an op of a rotation (Append swallows the
+			// failure and returns nil); every later append fails.
+			done, uncertain := last+1, -1
+			for i := first; i <= last; i++ {
+				if err := j.Append(Record{Type: TypeDone, ID: accepted(i).ID}); err != nil && uncertain < 0 {
+					done, uncertain = i, i
+				}
+			}
 			j.Close()
-			recoverAndRecompact(t, fmt.Sprintf("crash@%d", crash), dir, rotator, rotator)
+			if !fa.Crashed() {
+				t.Fatal("crash point inside the window never fired")
+			}
+			recoverAndRecompact(t, fmt.Sprintf("crash@%d", crash), dir, done, uncertain)
 		})
 	}
 }

@@ -272,7 +272,9 @@ func TestGroupCommitTornBatchTail(t *testing.T) {
 
 // TestChaosBatchWorkloadCrashAtEveryOp reruns the standard recovery
 // invariants with the accepts submitted through AppendBatch instead of
-// serial Appends, at every crash point.
+// serial Appends, at every crash point. Like runChaosWorkload it runs
+// two waves, so the second wave's batch and compactions land on a
+// journal still holding the first wave's incomplete job.
 func TestChaosBatchWorkloadCrashAtEveryOp(t *testing.T) {
 	runBatch := func(j *Journal) *chaosWorkload {
 		w := &chaosWorkload{
@@ -280,20 +282,7 @@ func TestChaosBatchWorkloadCrashAtEveryOp(t *testing.T) {
 			tryAccepted:  make(map[string]bool),
 			ackTerminal:  make(map[string]bool),
 			tryTerminal:  make(map[string]bool),
-			expectedLive: map[string]bool{accepted(5).ID: true},
-		}
-		batch := make([]Record, 6)
-		for i := range batch {
-			batch[i] = accepted(i)
-			w.tryAccepted[batch[i].ID] = true
-		}
-		if err := j.AppendBatch(batch); err == nil {
-			for _, r := range batch {
-				w.ackAccepted[r.ID] = true
-			}
-		}
-		for i := 0; i < 6; i++ {
-			j.Append(Record{Type: TypeStarted, ID: accepted(i).ID})
+			expectedLive: map[string]bool{accepted(5).ID: true, accepted(11).ID: true},
 		}
 		term := func(r Record) {
 			w.tryTerminal[r.ID] = true
@@ -301,10 +290,25 @@ func TestChaosBatchWorkloadCrashAtEveryOp(t *testing.T) {
 				w.ackTerminal[r.ID] = true
 			}
 		}
-		for i := 0; i < 4; i++ {
-			term(Record{Type: TypeDone, ID: accepted(i).ID})
+		for base := 0; base < 12; base += 6 {
+			batch := make([]Record, 6)
+			for i := range batch {
+				batch[i] = accepted(base + i)
+				w.tryAccepted[batch[i].ID] = true
+			}
+			if err := j.AppendBatch(batch); err == nil {
+				for _, r := range batch {
+					w.ackAccepted[r.ID] = true
+				}
+			}
+			for i := base; i < base+6; i++ {
+				j.Append(Record{Type: TypeStarted, ID: accepted(i).ID})
+			}
+			for i := base; i < base+4; i++ {
+				term(Record{Type: TypeDone, ID: accepted(i).ID})
+			}
+			term(Record{Type: TypeFailed, ID: accepted(base + 4).ID, Err: "chaos"})
 		}
-		term(Record{Type: TypeFailed, ID: accepted(4).ID, Err: "chaos"})
 		return w
 	}
 	probe := fsx.NewFaulty(fsx.OS{}, fsx.FaultPlan{Seed: 3})

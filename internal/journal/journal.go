@@ -18,23 +18,25 @@
 // Rotation and compaction. When the live segment exceeds
 // SegmentBytes the journal rotates to a new one and compacts: records
 // of jobs that already reached done/failed are dropped, the still
-// incomplete ones are rewritten into the fresh segment, and the old
+// incomplete ones are rewritten into the fresh segment as one group
+// write (one write, one fsync, however many are pending), and the old
 // segments are removed. The journal's steady-state size is therefore
 // proportional to the in-flight job count, not the job history.
 //
-// Group commit. Concurrent Appends coalesce into one write and one
-// fsync: a caller encodes its record under the lock, enqueues it, and
-// the first waiter in line becomes the commit leader — it takes up to
-// GroupMaxRecords queued records, writes them as one buffer, fsyncs
-// once, and releases every caller whose records that commit made
-// durable. Records that arrive while a commit's fsync is in flight
-// simply form the next batch, so the fsync itself is the batching
-// window (the classic WAL group commit); GroupWindow can add an
-// explicit linger on top for bursty loads that need larger batches at
-// the price of single-append latency. An append is only acknowledged
-// after its commit's fsync returns, so the durability contract is
-// unchanged — a crash can tear at most the unacknowledged tail of the
-// in-flight batch, never a committed record.
+// Group commit. Append is AppendBatch of one record, and concurrent
+// appends coalesce into one write and one fsync: a caller encodes its
+// records under the lock, enqueues them, and the first waiter in line
+// becomes the commit leader — it takes up to GroupMaxRecords queued
+// records, writes them as one buffer, fsyncs once, and releases every
+// caller whose records that commit made durable. Records that arrive
+// while a commit's fsync is in flight simply form the next batch, so
+// the fsync itself is the batching window (the classic WAL group
+// commit); GroupWindow can add an explicit linger on top for bursty
+// loads that need larger batches at the price of single-append
+// latency. An append is only acknowledged after its commit's fsync
+// returns, so the durability contract is unchanged — a crash can tear
+// at most the unacknowledged tail of the in-flight batch, never a
+// committed record.
 //
 // Durability is exactly as strong as the filesystem honours fsync —
 // the chaos suite drives the package over internal/fsx fault plans
@@ -50,7 +52,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -160,10 +161,6 @@ type Recovery struct {
 	Incomplete []Record
 }
 
-// commitBins bounds the commit-latency histogram: power-of-two µs
-// buckets, same shape as the server's per-route histograms.
-const commitBins = 40
-
 // waiter is one enqueued append (or batch of appends) awaiting a
 // group commit. Everything on it is guarded by the journal's mu.
 type waiter struct {
@@ -205,11 +202,10 @@ type Journal struct {
 	noSpaceErrs uint64 // records lost to full-disk commits
 	probes      uint64 // explicit space probes issued
 
-	commits       uint64       // group commits (one write+fsync each)
-	commitRecords uint64       // records those commits made durable
-	maxBatch      int          // largest records-per-commit seen
-	commitLat     stats.Stream // commit latency in µs (exact mean/max)
-	commitHist    *stats.Histogram
+	commits       uint64        // group commits (one write+fsync each)
+	commitRecords uint64        // records those commits made durable
+	maxBatch      int           // largest records-per-commit seen
+	commitLat     stats.Latency // commit latency, same summary as the server's routes
 }
 
 // Open replays the journal in opts.Dir (creating it if missing),
@@ -223,9 +219,8 @@ func Open(opts Options) (*Journal, *Recovery, error) {
 		return nil, nil, fmt.Errorf("journal: creating %s: %w", opts.Dir, err)
 	}
 	j := &Journal{
-		opts:       opts,
-		pending:    make(map[string]Record),
-		commitHist: stats.NewHistogram(commitBins),
+		opts:    opts,
+		pending: make(map[string]Record),
 	}
 	j.cond = sync.NewCond(&j.mu)
 	rec, err := j.replay()
@@ -424,40 +419,20 @@ func (j *Journal) openSegment() error {
 	return nil
 }
 
-// Append journals one record, assigning its sequence number and —
-// unless NoSync — fsyncing before returning. Concurrent appends
-// coalesce into one group commit (see the package comment): the call
-// blocks until a commit covering this record has fsynced, so the
-// acknowledgement is exactly as durable as it ever was. The in-memory
-// lifecycle state advances even when the disk write fails, so
-// compaction and Stats stay truthful about the pool; the error (and
-// the AppendErrors counter) tells the caller durability is degraded.
+// Append journals one record: it is AppendBatch of one.
 func (j *Journal) Append(r Record) error {
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return ErrClosed
-	}
-	j.seq++
-	r.Seq = j.seq
-	j.applyLocked(r)
-	line, err := encodeRecord(r)
-	if err != nil {
-		j.appendErrors++
-		j.mu.Unlock()
-		return err
-	}
-	w := &waiter{lines: line, count: 1}
-	j.queue = append(j.queue, w)
-	j.mu.Unlock()
-	return j.commitWait(w)
+	return j.AppendBatch([]Record{r})
 }
 
-// AppendBatch journals records as one unit: every record is encoded
-// and enqueued together, so a single group commit (one write, one
-// fsync) makes the whole set durable — the journal half of a batched
-// submission. Sequence numbers are assigned in order. All records
-// share one outcome: the commit's error, or nil.
+// AppendBatch journals records as one unit, assigning sequence numbers
+// in order: they are encoded and enqueued together, so one group
+// commit (one write and, unless NoSync, one fsync) makes the whole set
+// durable, coalesced with any concurrent appends (see the package
+// comment). The call returns once that commit has, with its error or
+// nil. The in-memory lifecycle state advances even when the disk
+// write fails, so compaction and Stats stay truthful about the pool;
+// the error (and the AppendErrors counter) tells the caller durability
+// is degraded.
 func (j *Journal) AppendBatch(records []Record) error {
 	if len(records) == 0 {
 		return nil
@@ -467,27 +442,37 @@ func (j *Journal) AppendBatch(records []Record) error {
 		j.mu.Unlock()
 		return ErrClosed
 	}
-	var lines []byte
+	lines, err := j.encodeLocked(nil, records)
+	if err != nil {
+		// Unreachable for well-formed records (json.Marshal of plain
+		// structs); the batch is abandoned unwritten, state already
+		// advanced — the same advance-then-report contract a failed
+		// disk write has.
+		j.appendErrors += uint64(len(records))
+		j.mu.Unlock()
+		return err
+	}
+	w := &waiter{lines: lines, count: len(records)}
+	j.queue = append(j.queue, w)
+	j.mu.Unlock()
+	return j.commitWait(w)
+}
+
+// encodeLocked assigns each record the next sequence number, folds it
+// into the lifecycle state and appends its line to buf. Callers hold
+// j.mu.
+func (j *Journal) encodeLocked(buf []byte, records []Record) ([]byte, error) {
 	for i := range records {
 		j.seq++
 		records[i].Seq = j.seq
 		j.applyLocked(records[i])
 		line, err := encodeRecord(records[i])
 		if err != nil {
-			// Unreachable for well-formed records (json.Marshal of
-			// plain structs); the batch is abandoned unwritten, state
-			// already advanced — the same advance-then-report contract
-			// a failed disk write has.
-			j.appendErrors += uint64(len(records))
-			j.mu.Unlock()
-			return err
+			return nil, err
 		}
-		lines = append(lines, line...)
+		buf = append(buf, line...)
 	}
-	w := &waiter{lines: lines, count: len(records)}
-	j.queue = append(j.queue, w)
-	j.mu.Unlock()
-	return j.commitWait(w)
+	return buf, nil
 }
 
 // commitWait blocks until w is committed, electing the caller as
@@ -526,10 +511,7 @@ func (j *Journal) commitWait(w *waiter) error {
 		var n int
 		var err, syncErr error
 		if len(buf) > 0 {
-			n, err = j.file.Write(buf)
-			if err == nil && !j.opts.NoSync {
-				syncErr = j.file.Sync()
-			}
+			n, err, syncErr = j.writeSync(buf)
 		}
 		took := j.opts.Now().Sub(start)
 		j.mu.Lock()
@@ -539,8 +521,7 @@ func (j *Journal) commitWait(w *waiter) error {
 }
 
 // takeBatchLocked dequeues up to GroupMaxRecords records' worth of
-// waiters and renders their coalesced write buffer (prefixed with a
-// newline guard when the previous write tore). Zero-record flush
+// waiters and frames their coalesced write buffer. Zero-record flush
 // barriers ride along for free. Callers hold j.mu.
 func (j *Journal) takeBatchLocked() (batch []*waiter, buf []byte, records int) {
 	for len(j.queue) > 0 {
@@ -562,33 +543,59 @@ func (j *Journal) takeBatchLocked() (batch []*waiter, buf []byte, records int) {
 	if size == 0 {
 		return batch, nil, records
 	}
-	buf = make([]byte, 0, size+1)
-	if j.torn {
-		// Newline guard: a previously torn tail stays an isolated
-		// (checksum-rejected) line instead of merging with — and
-		// destroying — this batch's first record.
-		buf = append(buf, '\n')
-	}
+	buf = j.frameLocked(size)
 	for _, w := range batch {
 		buf = append(buf, w.lines...)
 	}
 	return batch, buf, records
 }
 
+// frameLocked starts a group write's buffer, with room for size bytes
+// of lines: empty, or a newline guard when the previous write tore,
+// so the torn tail stays an isolated (checksum-rejected) line instead
+// of merging with — and destroying — this write's first record.
+// Callers hold j.mu.
+func (j *Journal) frameLocked(size int) []byte {
+	buf := make([]byte, 0, size+1)
+	if j.torn {
+		buf = append(buf, '\n')
+	}
+	return buf
+}
+
+// writeSync is the journal's one group write: buf goes to the live
+// segment in a single write, then — unless NoSync, or the write
+// failed — one fsync. It touches no journal state, so a commit leader
+// calls it with j.mu released; settleLocked folds the outcome back.
+func (j *Journal) writeSync(buf []byte) (n int, err, syncErr error) {
+	n, err = j.file.Write(buf)
+	if err == nil && !j.opts.NoSync {
+		syncErr = j.file.Sync()
+	}
+	return n, err, syncErr
+}
+
+// settleLocked folds a writeSync outcome into the segment state — its
+// size, whether its tail may be torn, the sync count — and returns
+// the write error, else the sync error. Callers hold j.mu.
+func (j *Journal) settleLocked(n int, err, syncErr error) error {
+	j.size += int64(n)
+	j.torn = err != nil // a failed write may have torn a partial line
+	if err != nil {
+		return err
+	}
+	if syncErr == nil && !j.opts.NoSync {
+		j.syncs++
+	}
+	return syncErr
+}
+
 // finishCommitLocked folds one commit's outcome into the journal
 // state, releases the batch's waiters and hands leadership back.
 // Callers hold j.mu.
 func (j *Journal) finishCommitLocked(batch []*waiter, records, bufLen, n int, err, syncErr error, took time.Duration) {
-	j.size += int64(n)
 	if bufLen > 0 {
-		if err != nil {
-			// The write may have torn a partial line into the segment.
-			j.torn = true
-		} else {
-			j.torn = false
-			err = syncErr
-		}
-		if err != nil {
+		if err = j.settleLocked(n, err, syncErr); err != nil {
 			j.appendErrors += uint64(records)
 			// A full disk flips the journal read-only: callers that
 			// need durability (async submits) must stop acknowledging
@@ -602,20 +609,12 @@ func (j *Journal) finishCommitLocked(batch []*waiter, records, bufLen, n int, er
 			// A durable commit is proof the disk has space again.
 			j.readonly = false
 			j.appends += uint64(records)
-			if !j.opts.NoSync {
-				j.syncs++
-			}
 			j.commits++
 			j.commitRecords += uint64(records)
 			if records > j.maxBatch {
 				j.maxBatch = records
 			}
-			us := took.Microseconds()
-			if us < 0 {
-				us = 0
-			}
-			j.commitLat.Add(float64(us))
-			j.commitHist.Add(bits.Len64(uint64(us)))
+			j.commitLat.Add(took)
 		}
 	}
 	for _, w := range batch {
@@ -640,35 +639,6 @@ func (j *Journal) queuedRecordsLocked() int {
 	return n
 }
 
-// writeLocked appends one encoded line to the live segment and syncs.
-// A failed write may have torn a partial line into the segment; the
-// next write starts with a newline guard so the torn bytes stay an
-// isolated (checksum-rejected) line instead of merging with — and
-// destroying — the next acknowledged record.
-func (j *Journal) writeLocked(line []byte) error {
-	if j.torn {
-		n, err := j.file.Write([]byte("\n"))
-		j.size += int64(n)
-		if err != nil {
-			return err
-		}
-		j.torn = false
-	}
-	n, err := j.file.Write(line)
-	j.size += int64(n)
-	if err != nil {
-		j.torn = true
-		return err
-	}
-	if !j.opts.NoSync {
-		if err := j.file.Sync(); err != nil {
-			return err
-		}
-		j.syncs++
-	}
-	return nil
-}
-
 // rotateLocked closes the live segment, opens the next one and
 // compacts the history into it.
 func (j *Journal) rotateLocked() error {
@@ -682,9 +652,9 @@ func (j *Journal) rotateLocked() error {
 	return j.compactLocked()
 }
 
-// Compact rewrites the journal down to its incomplete jobs: their
-// accepted records are re-appended to the live segment and every
-// older segment is removed. Completed history is dropped — the cache
+// Compact rotates to a fresh segment and rewrites the journal down to
+// its incomplete jobs: their accepted records are re-appended to the
+// new segment and every older segment is removed. Completed history is dropped — the cache
 // holds those results; the journal only owes the jobs a crash would
 // lose.
 func (j *Journal) Compact() error {
@@ -700,30 +670,22 @@ func (j *Journal) Compact() error {
 	for j.committing {
 		j.cond.Wait()
 	}
-	if err := j.file.Close(); err != nil {
-		return err
-	}
-	if err := j.openSegment(); err != nil {
-		return err
-	}
-	return j.compactLocked()
+	return j.rotateLocked()
 }
 
 // compactLocked rewrites pending records into the (fresh) live
-// segment and removes all older segments.
+// segment as one group write — one write and one fsync however many
+// jobs are pending — and removes all older segments.
 func (j *Journal) compactLocked() error {
-	for _, r := range j.pendingLocked() {
-		j.seq++
-		r.Seq = j.seq
-		r.Type = TypeAccepted
-		line, err := encodeRecord(r)
+	if pending := j.pendingLocked(); len(pending) > 0 {
+		buf, err := j.encodeLocked(j.frameLocked(0), pending)
 		if err != nil {
 			return err
 		}
-		if err := j.writeLocked(line); err != nil {
+		if err := j.settleLocked(j.writeSync(buf)); err != nil {
 			return err
 		}
-		j.appends++
+		j.appends += uint64(len(pending))
 	}
 	// Remove old segments strictly oldest-first and STOP at the first
 	// failure, so the surviving set is always a suffix of the log. A
@@ -823,19 +785,17 @@ func (j *Journal) probeOnce() error {
 	if err != nil {
 		return fmt.Errorf("journal: probe create: %w", err)
 	}
-	if _, err := f.Write([]byte("probe\n")); err != nil {
-		f.Close()
-		j.opts.FS.Remove(name)
-		return fmt.Errorf("journal: probe write: %w", err)
+	step := "write"
+	_, err = f.Write([]byte("probe\n"))
+	if err == nil {
+		step, err = "sync", f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		j.opts.FS.Remove(name)
-		return fmt.Errorf("journal: probe sync: %w", err)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		step, err = "close", cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		j.opts.FS.Remove(name)
-		return fmt.Errorf("journal: probe close: %w", err)
+		return fmt.Errorf("journal: probe %s: %w", step, err)
 	}
 	return j.opts.FS.Remove(name)
 }
@@ -864,23 +824,12 @@ func (j *Journal) Stats() obs.JournalStats {
 	if j.commits > 0 {
 		st.FsyncsSaved = j.commitRecords - j.commits
 	}
-	if j.commitLat.N() > 0 {
-		st.CommitMeanMicros = j.commitLat.Mean()
-		st.CommitMaxMicros = uint64(j.commitLat.Max())
-		st.CommitP50Micros = commitBound(j.commitHist.Quantile(0.50))
-		st.CommitP95Micros = commitBound(j.commitHist.Quantile(0.95))
-		st.CommitP99Micros = commitBound(j.commitHist.Quantile(0.99))
-	}
+	st.CommitMeanMicros = j.commitLat.MeanMicros()
+	st.CommitMaxMicros = j.commitLat.MaxMicros()
+	st.CommitP50Micros = j.commitLat.QuantileMicros(0.50)
+	st.CommitP95Micros = j.commitLat.QuantileMicros(0.95)
+	st.CommitP99Micros = j.commitLat.QuantileMicros(0.99)
 	return st
-}
-
-// commitBound converts a commit-histogram bin index back to the upper
-// bound (in µs) of the latencies it counts.
-func commitBound(bin int) uint64 {
-	if bin <= 0 {
-		return 0
-	}
-	return 1<<uint(bin) - 1
 }
 
 // Close flushes the queued records, then syncs and closes the live

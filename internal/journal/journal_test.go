@@ -167,6 +167,39 @@ func TestExplicitCompact(t *testing.T) {
 	}
 }
 
+// TestCompactIsOneGroupWrite: compaction rewrites every pending record
+// in one write and one fsync, so its sync count does not grow with the
+// pending set — the new segment's directory entry, the data, and the
+// directory after the old segments go: three, for 4 or 8 pending.
+func TestCompactIsOneGroupWrite(t *testing.T) {
+	for _, k := range []int{4, 8} {
+		dir := t.TempDir()
+		j, _ := mustOpen(t, Options{Dir: dir})
+		for i := 0; i < k; i++ {
+			if err := j.Append(accepted(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := j.Stats()
+		if err := j.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		after := j.Stats()
+		if got := after.Syncs - before.Syncs; got != 3 {
+			t.Fatalf("compacting %d pending: %d syncs, want 3", k, got)
+		}
+		if got := after.Appends - before.Appends; got != uint64(k) {
+			t.Fatalf("compacting %d pending: %d appends, want %d", k, got, k)
+		}
+		j.Close()
+		j2, rec := mustOpen(t, Options{Dir: dir})
+		if len(rec.Incomplete) != k || rec.CorruptSkipped != 0 {
+			t.Fatalf("compacted journal replayed %d incomplete (%d corrupt), want %d", len(rec.Incomplete), rec.CorruptSkipped, k)
+		}
+		j2.Close()
+	}
+}
+
 // TestTornTailSkipped: a half-written final record (the shape a crash
 // mid-append leaves) is dropped; everything before it replays.
 func TestTornTailSkipped(t *testing.T) {

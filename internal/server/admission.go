@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"time"
 )
@@ -18,13 +19,46 @@ import (
 // job occupies a worker, and a synchronous route's HTTP latency
 // already contains queue wait, which would double-count the backlog.
 
-// estWait estimates how long a request for a job of the named kind
-// admitted now would wait before its job completes: the backlog's
-// drain time plus the kind's own expected execution time. Zero when
-// nothing has finished yet (first requests must be admitted — there
-// is nothing to estimate from) and the pool is idle.
-func (s *Server) estWait(kind string) time.Duration {
-	us := s.pool.EstWaitMicros() + s.pool.ExecMeanMicros(kind)
+// admission prices a run of submissions against one caller's
+// deadline. Job k of the run is estimated to complete after the
+// backlog's drain time, plus the mean execution times of the jobs
+// admitted before it in the run spread over the workers, plus its own
+// full mean execution time. A standalone submit is a run of one, so
+// it sheds at exactly the deadline a one-item batch does. The
+// estimate is zero while nothing has finished and the pool is idle:
+// first requests must be admitted — there is nothing to estimate
+// from.
+type admission struct {
+	s                 *Server
+	backlog, deadline time.Duration // backlog grows by each job admitted
+}
+
+// admission opens a run priced against r's deadline.
+func (s *Server) admission(r *http.Request) admission {
+	return admission{s: s, backlog: s.queueWait(), deadline: s.requestDeadline(r)}
+}
+
+// admit prices the run's next job, of the named kind, and returns nil
+// when its estimated wait fits the deadline: the job then joins the
+// backlog the run's later jobs are priced against. A job that does
+// not fit is counted as shed and answered with the returned
+// queue_full envelope, its Retry-After the estimated wait.
+func (a *admission) admit(kind string) *wireError {
+	mean := a.s.pool.ExecMeanMicros(kind)
+	if est := a.backlog + micros(mean); est > a.deadline {
+		a.s.shed.Add(1)
+		we := failure(classQueueFull,
+			fmt.Sprintf("estimated queue wait %s exceeds request deadline %s",
+				est.Round(time.Millisecond), a.deadline.Round(time.Millisecond)),
+			est)
+		return &we
+	}
+	a.backlog += micros(mean / float64(a.s.cfg.Workers))
+	return nil
+}
+
+// micros converts a µs estimate to a Duration.
+func micros(us float64) time.Duration {
 	return time.Duration(us * float64(time.Microsecond))
 }
 
@@ -48,5 +82,5 @@ func (s *Server) requestDeadline(r *http.Request) time.Duration {
 // the pool backlog's drain time at the observed per-kind execution
 // means.
 func (s *Server) queueWait() time.Duration {
-	return time.Duration(s.pool.EstWaitMicros() * float64(time.Microsecond))
+	return micros(s.pool.EstWaitMicros())
 }

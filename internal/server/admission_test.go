@@ -234,3 +234,48 @@ func TestAdmissionPricesBoundsRunTime(t *testing.T) {
 		t.Fatalf("shed body %s", body)
 	}
 }
+
+// TestBatchOfOneShedsLikeStandalone: a standalone async submit and a
+// one-item batch are the same admission run, so they shed at the same
+// deadline whatever the worker count. With four workers and a
+// simulate mean of 2s, a 1s deadline sheds both; pricing the batch
+// item at mean/Workers (0.5s) would admit it.
+func TestBatchOfOneShedsLikeStandalone(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 4})
+	s.pool.ObserveExec("simulate", 2*time.Second)
+	post := func(path, body string) (int, []byte) {
+		req, err := http.NewRequest("POST", ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(deadlineHeader, "1s")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, readBody(t, resp)
+	}
+
+	code, body := post("/v1/simulate", recoverySim)
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || code != http.StatusTooManyRequests || eb.Error.Class != "queue_full" {
+		t.Fatalf("standalone submit: %d %s, want 429 queue_full", code, body)
+	}
+
+	code, body = post("/v1/jobs:batch", batchBody(t, `{"kind":"simulate","config":`+recoverySim+`}`))
+	var br batchResponse
+	if err := json.Unmarshal(body, &br); err != nil || code != http.StatusOK || len(br.Items) != 1 {
+		t.Fatalf("batch: %d %s", code, body)
+	}
+	shed := br.Items[0].Error
+	if shed == nil || shed.Class != "queue_full" {
+		t.Fatalf("one-item batch %+v, want queue_full like its standalone submit", br.Items[0])
+	}
+	if shed.RetryAfterMS != eb.Error.RetryAfterMS {
+		t.Fatalf("retry hints differ: batch %dms, standalone %dms", shed.RetryAfterMS, eb.Error.RetryAfterMS)
+	}
+	if got := s.shed.Load(); got != 2 {
+		t.Fatalf("shed counter %d, want 2", got)
+	}
+}

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"time"
 
 	"starperf/internal/jobs"
 )
@@ -128,30 +127,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		local = s.clusterBatch(r, pending, out)
 	}
 
-	// ONE admission decision for the whole local set, priced at batch
-	// cost: the backlog's drain time plus each admitted item's own
-	// expected execution time, accumulated in request order against
-	// the caller's deadline. Items past the budget get the queue_full
-	// entry a standalone submit would have gotten, with the Retry-After
-	// the backlog at that point implies; cheaper later items may still
-	// fit — acceptance is per item, not prefix-only.
-	deadline := s.requestDeadline(r)
-	est := s.queueWait()
-	workers := float64(s.cfg.Workers)
+	// ONE admission run for the whole local set, priced at batch cost
+	// in request order against the caller's deadline (see admission):
+	// each item waits behind the backlog and the items admitted before
+	// it. Items past the budget get the queue_full entry a standalone
+	// submit would have gotten, with the Retry-After the backlog at
+	// that point implies; cheaper later items may still fit —
+	// acceptance is per item, not prefix-only.
+	adm := s.admission(r)
 	admitted := make([]parsedItem, 0, len(local))
 	for _, p := range local {
-		cost := time.Duration(s.pool.ExecMeanMicros(p.meta.Kind) / workers * float64(time.Microsecond))
-		if est+cost > deadline {
-			s.shed.Add(1)
+		if shed := adm.admit(p.meta.Kind); shed != nil {
 			s.batchShed.Add(1)
-			we := failure(classQueueFull,
-				fmt.Sprintf("estimated queue wait %s exceeds request deadline %s",
-					(est+cost).Round(time.Millisecond), deadline.Round(time.Millisecond)),
-				est+cost)
-			out[p.idx] = batchItemResult{Error: &we}
+			out[p.idx] = batchItemResult{Error: shed}
 			continue
 		}
-		est += cost
 		admitted = append(admitted, p)
 	}
 

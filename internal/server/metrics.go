@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -10,16 +9,11 @@ import (
 	"starperf/internal/stats"
 )
 
-// latencyBins bounds the power-of-two microsecond histogram:
-// bin i covers [2^(i-1), 2^i) µs, so 40 bins reach ~6 days.
-const latencyBins = 40
-
 // routeAgg accumulates one route's request statistics.
 type routeAgg struct {
 	count  uint64
 	errors uint64
-	lat    stats.Stream     // exact running mean/max, in µs
-	hist   *stats.Histogram // power-of-two µs buckets, for quantiles
+	lat    stats.Latency
 }
 
 // metrics tracks per-route latency histograms and error counts for
@@ -35,32 +29,18 @@ func newMetrics() *metrics {
 
 // observe records one finished request.
 func (m *metrics) observe(route string, status int, d time.Duration) {
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
-	}
 	m.mu.Lock()
 	agg := m.routes[route]
 	if agg == nil {
-		agg = &routeAgg{hist: stats.NewHistogram(latencyBins)}
+		agg = &routeAgg{}
 		m.routes[route] = agg
 	}
 	agg.count++
 	if status >= 400 {
 		agg.errors++
 	}
-	agg.lat.Add(float64(us))
-	agg.hist.Add(bits.Len64(uint64(us)))
+	agg.lat.Add(d)
 	m.mu.Unlock()
-}
-
-// bucketBound converts a histogram bin index back to the upper bound
-// (in µs) of the latencies it counts.
-func bucketBound(bin int) uint64 {
-	if bin <= 0 {
-		return 0
-	}
-	return 1<<uint(bin) - 1
 }
 
 // report snapshots every route, sorted by route for deterministic
@@ -76,19 +56,16 @@ func (m *metrics) report() []obs.RouteStats {
 	out := make([]obs.RouteStats, 0, len(names))
 	for _, name := range names {
 		agg := m.routes[name]
-		rs := obs.RouteStats{
+		out = append(out, obs.RouteStats{
 			Route:      name,
 			Count:      agg.count,
 			Errors:     agg.errors,
-			MeanMicros: agg.lat.Mean(),
-			MaxMicros:  uint64(agg.lat.Max()),
-		}
-		if agg.hist.Total() > 0 {
-			rs.P50Micros = bucketBound(agg.hist.Quantile(0.50))
-			rs.P95Micros = bucketBound(agg.hist.Quantile(0.95))
-			rs.P99Micros = bucketBound(agg.hist.Quantile(0.99))
-		}
-		out = append(out, rs)
+			MeanMicros: agg.lat.MeanMicros(),
+			MaxMicros:  agg.lat.MaxMicros(),
+			P50Micros:  agg.lat.QuantileMicros(0.50),
+			P95Micros:  agg.lat.QuantileMicros(0.95),
+			P99Micros:  agg.lat.QuantileMicros(0.99),
+		})
 	}
 	return out
 }

@@ -289,12 +289,9 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 // poison the sample.
 func (s *Server) guard(k *jobKind, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if est, deadline := s.estWait(k.name), s.requestDeadline(r); est > deadline {
-			s.shed.Add(1)
-			reply(w, http.StatusTooManyRequests, failure(classQueueFull,
-				fmt.Sprintf("estimated queue wait %s exceeds request deadline %s",
-					est.Round(time.Millisecond), deadline.Round(time.Millisecond)),
-				est))
+		adm := s.admission(r)
+		if shed := adm.admit(k.name); shed != nil {
+			reply(w, http.StatusTooManyRequests, *shed)
 			return
 		}
 		ok, wait := s.breakers.allow(k.route)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func almostEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -291,5 +292,31 @@ func TestMSEREdgeCases(t *testing.T) {
 	}
 	if _, ok := MSER(xs); ok {
 		t.Fatal("ramp series accepted as stationary")
+	}
+}
+
+func TestLatencyPow2Quantiles(t *testing.T) {
+	var l Latency
+	if l.MeanMicros() != 0 || l.MaxMicros() != 0 || l.QuantileMicros(0.5) != 0 {
+		t.Fatal("zero value not empty")
+	}
+	// 0 µs lands in bin 0 (bound 0), 5 µs in [4,8), 100 µs in [64,128).
+	for _, us := range []int64{0, 5, 5, 100} {
+		l.Add(time.Duration(us) * time.Microsecond)
+	}
+	l.Add(-time.Second) // clamped to 0
+	if got := l.MeanMicros(); !almostEq(got, 22, 1e-12) {
+		t.Fatalf("mean %v, want 22", got)
+	}
+	if l.MaxMicros() != 100 {
+		t.Fatalf("max %d, want 100", l.MaxMicros())
+	}
+	for _, c := range []struct {
+		p    float64
+		want uint64
+	}{{0.2, 0}, {0.4, 0}, {0.6, 7}, {0.8, 7}, {0.99, 127}} {
+		if got := l.QuantileMicros(c.p); got != c.want {
+			t.Fatalf("q%.2f = %d, want %d", c.p, got, c.want)
+		}
 	}
 }
