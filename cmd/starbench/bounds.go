@@ -1,134 +1,27 @@
 package main
 
 import (
-	"fmt"
-	"os"
-	"testing"
-
 	"starperf/internal/bounds"
 	"starperf/internal/hypercube"
 	"starperf/internal/routing"
 	"starperf/internal/stargraph"
-	"starperf/internal/topology"
 	"starperf/internal/torus"
 )
 
 // The bounds suite: cost of one worst-case delay-bound evaluation
 // (internal/bounds.Evaluate) across topology sizes — the quadratic
 // load enumeration dominates, so the flows column is the natural
-// x-axis. Written to BENCH_bounds.json in the same machine-shaped,
-// timestamp-free format as the other suites.
+// x-axis.
 
-// boundsBench is one evaluation workload.
-type boundsBench struct {
-	Name string
-	Cfg  bounds.Config
-}
-
-func boundsBenches() ([]boundsBench, error) {
-	mk := func(name string, top topology.Topology, kind routing.Kind, v, m int, rate float64) boundsBench {
-		return boundsBench{Name: name, Cfg: bounds.Config{
-			Top: top, Kind: kind, V: v, MsgLen: m, Rate: rate,
-		}}
-	}
-	s4, err := stargraph.New(4)
-	if err != nil {
-		return nil, err
-	}
-	s5, err := stargraph.New(5)
-	if err != nil {
-		return nil, err
-	}
-	q6, err := hypercube.New(6)
-	if err != nil {
-		return nil, err
-	}
-	t82, err := torus.New(8, 2)
-	if err != nil {
-		return nil, err
-	}
-	return []boundsBench{
-		mk("star_s4", s4, routing.EnhancedNbc, 6, 32, 0.002),
-		mk("star_s5", s5, routing.EnhancedNbc, 8, 32, 0.0005),
-		mk("cube_q6", q6, routing.EnhancedNbc, 5, 16, 0.002),
-		mk("torus_8x2", t82, routing.Nbc, 6, 16, 0.002),
-	}, nil
-}
-
-// runBoundsSuite measures the bounds benchmarks and writes the JSON
-// report to out ("-" for stdout).
-func runBoundsSuite(out string) {
-	benches, err := boundsBenches()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "starbench: %v\n", err)
-		os.Exit(1)
-	}
-	type boundsRow struct {
-		name        string
-		flows       int
-		channels    int
-		iterations  int
-		nsPerOp     int64
-		nsPerFlow   float64
-		allocsPerOp int64
-		bytesPerOp  int64
-	}
-	rows := make([]boundsRow, 0, len(benches))
-	for _, bb := range benches {
-		res, err := bounds.Evaluate(bb.Cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "starbench: %s: %v\n", bb.Name, err)
-			os.Exit(1)
-		}
-		cfg := bb.Cfg
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bounds.Evaluate(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if r.N == 0 {
-			fmt.Fprintf(os.Stderr, "starbench: %s ran zero iterations\n", bb.Name)
-			os.Exit(1)
-		}
-		rows = append(rows, boundsRow{
-			name:        bb.Name,
-			flows:       res.Flows,
-			channels:    res.Channels,
-			iterations:  res.Iterations,
-			nsPerOp:     r.NsPerOp(),
-			nsPerFlow:   float64(r.NsPerOp()) / float64(res.Flows),
-			allocsPerOp: r.AllocsPerOp(),
-			bytesPerOp:  r.AllocedBytesPerOp(),
-		})
-		fmt.Fprintf(os.Stderr, "starbench: %-10s %12d ns/op %8.1f ns/flow %6d flows %8d allocs/op\n",
-			bb.Name, r.NsPerOp(), float64(r.NsPerOp())/float64(res.Flows), res.Flows, r.AllocsPerOp())
-	}
-
-	w := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "starbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	fmt.Fprintln(w, "{")
-	fmt.Fprintln(w, `  "workload": "one worst-case delay-bound evaluation per topology (quadratic flow enumeration + fixed-point composition)",`)
-	fmt.Fprintln(w, `  "command": "go run ./cmd/starbench -suite bounds -out BENCH_bounds.json",`)
-	fmt.Fprintln(w, `  "variants": [`)
-	for i, r := range rows {
-		comma := ","
-		if i == len(rows)-1 {
-			comma = ""
-		}
-		fmt.Fprintf(w, "    {\"name\": %q, \"flows\": %d, \"channels\": %d, \"iterations\": %d, \"ns_per_op\": %d, \"ns_per_flow\": %.1f, \"allocs_per_op\": %d, \"bytes_per_op\": %d}%s\n",
-			r.name, r.flows, r.channels, r.iterations, r.nsPerOp, r.nsPerFlow, r.allocsPerOp, r.bytesPerOp, comma)
-	}
-	fmt.Fprintln(w, "  ]")
-	fmt.Fprintln(w, "}")
+// boundsBenches evaluates each workload once, for its flows,
+// channels and iterations, and returns the timed loops.
+func boundsBenches() ([]bench, error) {
+	return evaluated([]named[bounds.Config]{
+		{"star_s4", bounds.Config{Top: stargraph.MustNew(4), Kind: routing.EnhancedNbc, V: 6, MsgLen: 32, Rate: 0.002}},
+		{"star_s5", bounds.Config{Top: stargraph.MustNew(5), Kind: routing.EnhancedNbc, V: 8, MsgLen: 32, Rate: 0.0005}},
+		{"cube_q6", bounds.Config{Top: hypercube.MustNew(6), Kind: routing.EnhancedNbc, V: 5, MsgLen: 16, Rate: 0.002}},
+		{"torus_8x2", bounds.Config{Top: torus.MustNew(8, 2), Kind: routing.Nbc, V: 6, MsgLen: 16, Rate: 0.002}},
+	}, bounds.Evaluate, func(name string, r *bounds.Result) variant {
+		return variant{Name: name, Flows: r.Flows, Channels: r.Channels, Iterations: r.Iterations}
+	})
 }

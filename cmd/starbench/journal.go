@@ -17,245 +17,130 @@ import (
 // appends (64 concurrent appenders sharing fsyncs, and the explicit
 // AppendBatch API — both reported per record so they read directly
 // against append_fsync), and cold-start replay of a populated log.
-// Written to BENCH_journal.json in the same machine-shaped,
-// timestamp-free format as the other suites. CI's bench-journal gate
-// holds append_fsync_batch64 to ≥5× append_fsync per record.
 
-// journalRecord is a representative accepted record: a content hash
-// id plus a small canonical request body.
-func journalRecord(i int) journal.Record {
-	return journal.Record{
-		Type: journal.TypeAccepted,
-		ID:   fmt.Sprintf("sha256:%064x", i),
-		Kind: "simulate",
-		Req:  []byte(fmt.Sprintf(`{"msg_len":8,"rate":0.002,"seed":%d,"topo":{"kind":"star","n":3},"v":4}`, i)),
-	}
-}
-
-// journalOp appends one lifecycle record: even iterations accept job
-// i/2, odd iterations complete it. Alternating keeps the pending set
+// lifecycleRecord is record i of the accept/done stream: even i
+// accepts job i/2 — a content hash id plus a small canonical request
+// body — and odd i completes it. Alternating keeps the pending set
 // bounded the way a live pool does — an append-only stream of unique
 // accepted records would make every post-rotation compaction rewrite
 // the whole history, measuring a pathology instead of the WAL.
-func journalOp(j *journal.Journal, i int) error {
-	if i%2 == 0 {
-		return j.Append(journalRecord(i / 2))
+func lifecycleRecord(i int) journal.Record {
+	id := fmt.Sprintf("sha256:%064x", i/2)
+	if i%2 == 1 {
+		return journal.Record{Type: journal.TypeDone, ID: id}
 	}
-	return j.Append(journal.Record{Type: journal.TypeDone, ID: fmt.Sprintf("sha256:%064x", i/2)})
+	return journal.Record{
+		Type: journal.TypeAccepted,
+		ID:   id,
+		Kind: "simulate",
+		Req:  []byte(fmt.Sprintf(`{"msg_len":8,"rate":0.002,"seed":%d,"topo":{"kind":"star","n":3},"v":4}`, i/2)),
+	}
 }
 
-type journalBench struct {
-	Name string
-	Run  func(b *testing.B)
+// withJournal runs body against a fresh journal in a temp dir, with
+// the timer reset after setup.
+func withJournal(b *testing.B, noSync bool, body func(j *journal.Journal, dir string)) {
+	dir := b.TempDir()
+	j, _, err := journal.Open(journal.Options{Dir: dir, NoSync: noSync})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	b.ResetTimer()
+	body(j, dir)
 }
 
-func journalBenches() []journalBench {
-	return []journalBench{
-		{"append_fsync", func(b *testing.B) {
-			dir, err := os.MkdirTemp("", "starbench-journal-*")
-			if err != nil {
+// appendEach appends the first b.N lifecycle records one at a time.
+func appendEach(b *testing.B, noSync bool) {
+	withJournal(b, noSync, func(j *journal.Journal, _ string) {
+		for i := 0; i < b.N; i++ {
+			if err := j.Append(lifecycleRecord(i)); err != nil {
 				b.Fatal(err)
 			}
-			defer os.RemoveAll(dir)
-			j, _, err := journal.Open(journal.Options{Dir: dir})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer j.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := journalOp(j, i); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"append_nosync", func(b *testing.B) {
-			dir, err := os.MkdirTemp("", "starbench-journal-*")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			j, _, err := journal.Open(journal.Options{Dir: dir, NoSync: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer j.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := journalOp(j, i); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"append_fsync_batch64", func(b *testing.B) {
+		}
+	})
+}
+
+func journalBenches() ([]bench, error) {
+	return []bench{
+		{variant{Name: "append_fsync"}, func(b *testing.B) { appendEach(b, false) }},
+		{variant{Name: "append_nosync"}, func(b *testing.B) { appendEach(b, true) }},
+		{variant{Name: "append_fsync_batch64"}, func(b *testing.B) {
 			// 64 concurrent appenders against one durable journal: the
 			// group committer coalesces their records into shared
 			// write+fsync units, so the per-record cost (ns/op — b.N
 			// counts records, not commits) amortises the sync across
-			// the batch. The ISSUE 8 acceptance bar is ≥10× the serial
-			// append_fsync figure.
-			dir, err := os.MkdirTemp("", "starbench-journal-*")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			j, _, err := journal.Open(journal.Options{Dir: dir})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer j.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for g := 0; g < 64; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= b.N {
-							return
+			// the batch. CI's bench-journal gate requires ≥5× the
+			// serial append_fsync figure.
+			withJournal(b, false, func(j *journal.Journal, _ string) {
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				for g := 0; g < 64; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := int(next.Add(1)) - 1; i < b.N; i = int(next.Add(1)) - 1 {
+							if err := j.Append(lifecycleRecord(i)); err != nil {
+								b.Error(err)
+								return
+							}
 						}
-						if err := journalOp(j, i); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
+					}()
+				}
+				wg.Wait()
+			})
 		}},
-		{"appendbatch_fsync_64", func(b *testing.B) {
+		{variant{Name: "appendbatch_fsync_64"}, func(b *testing.B) {
 			// The explicit batch API: one AppendBatch call per 64
 			// records — the journal half of POST /v1/jobs:batch — so
 			// one fsync covers the whole set by construction. Reported
 			// per record (b.N counts records) like the variants above.
-			dir, err := os.MkdirTemp("", "starbench-journal-*")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			j, _, err := journal.Open(journal.Options{Dir: dir})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer j.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			recs := make([]journal.Record, 0, 64)
-			flush := func() {
-				if len(recs) == 0 {
-					return
-				}
-				if err := j.AppendBatch(recs); err != nil {
-					b.Fatal(err)
-				}
-				recs = recs[:0]
-			}
-			for i := 0; i < b.N; i++ {
-				if i%2 == 0 {
-					recs = append(recs, journalRecord(i/2))
-				} else {
-					recs = append(recs, journal.Record{Type: journal.TypeDone, ID: fmt.Sprintf("sha256:%064x", i/2)})
-				}
-				if len(recs) == 64 {
-					flush()
-				}
-			}
-			flush()
-		}},
-		{"replay_1k_records", func(b *testing.B) {
-			dir, err := os.MkdirTemp("", "starbench-journal-*")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			j, _, err := journal.Open(journal.Options{Dir: dir, NoSync: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 1000; i++ {
-				if err := j.Append(journalRecord(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			j.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				jr, rec, err := journal.Open(journal.Options{Dir: dir, NoSync: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rec.Records < 1000 {
-					b.Fatalf("replayed %d records, want ≥1000", rec.Records)
-				}
-				jr.Close()
-				// Every Open leaves a fresh (empty) live segment; drop
-				// them so each iteration replays the same directory.
-				b.StopTimer()
-				ents, err := os.ReadDir(dir)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, e := range ents {
-					if fi, err := e.Info(); err == nil && fi.Size() == 0 {
-						os.Remove(filepath.Join(dir, e.Name()))
+			withJournal(b, false, func(j *journal.Journal, _ string) {
+				recs := make([]journal.Record, 0, 64)
+				for i := 0; i < b.N; i++ {
+					recs = append(recs, lifecycleRecord(i))
+					if len(recs) == 64 || i == b.N-1 {
+						if err := j.AppendBatch(recs); err != nil {
+							b.Fatal(err)
+						}
+						recs = recs[:0]
 					}
 				}
-				b.StartTimer()
-			}
+			})
 		}},
-	}
-}
-
-// runJournalSuite measures the journal benchmarks and writes the JSON
-// report to out ("-" for stdout).
-func runJournalSuite(out string) {
-	type jRow struct {
-		name        string
-		nsPerOp     int64
-		allocsPerOp int64
-		bytesPerOp  int64
-	}
-	benches := journalBenches()
-	rows := make([]jRow, 0, len(benches))
-	for _, jb := range benches {
-		r := testing.Benchmark(jb.Run)
-		if r.N == 0 {
-			fmt.Fprintf(os.Stderr, "starbench: %s ran zero iterations\n", jb.Name)
-			os.Exit(1)
-		}
-		rows = append(rows, jRow{jb.Name, r.NsPerOp(), r.AllocsPerOp(), r.AllocedBytesPerOp()})
-		fmt.Fprintf(os.Stderr, "starbench: %-18s %12d ns/op %8d allocs/op\n",
-			jb.Name, r.NsPerOp(), r.AllocsPerOp())
-	}
-
-	w := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "starbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	fmt.Fprintln(w, "{")
-	fmt.Fprintln(w, `  "workload": "durable job journal: fsynced append, unsynced append, group-committed appends (64 concurrent appenders / 64-record AppendBatch, per record), cold replay of 1k records",`)
-	fmt.Fprintln(w, `  "command": "go run ./cmd/starbench -suite journal -out BENCH_journal.json",`)
-	fmt.Fprintln(w, `  "variants": [`)
-	for i, r := range rows {
-		comma := ","
-		if i == len(rows)-1 {
-			comma = ""
-		}
-		fmt.Fprintf(w, "    {\"name\": %q, \"ns_per_op\": %d, \"allocs_per_op\": %d, \"bytes_per_op\": %d}%s\n",
-			r.name, r.nsPerOp, r.allocsPerOp, r.bytesPerOp, comma)
-	}
-	fmt.Fprintln(w, "  ]")
-	fmt.Fprintln(w, "}")
+		{variant{Name: "replay_1k_records"}, func(b *testing.B) {
+			withJournal(b, true, func(j *journal.Journal, dir string) {
+				for i := 0; i < 1000; i++ {
+					if err := j.Append(lifecycleRecord(2 * i)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				j.Close()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					jr, rec, err := journal.Open(journal.Options{Dir: dir, NoSync: true})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if rec.Records < 1000 {
+						b.Fatalf("replayed %d records, want ≥1000", rec.Records)
+					}
+					jr.Close()
+					// Every Open leaves a fresh (empty) live segment; drop
+					// them so each iteration replays the same directory.
+					b.StopTimer()
+					ents, err := os.ReadDir(dir)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, e := range ents {
+						if fi, err := e.Info(); err == nil && fi.Size() == 0 {
+							os.Remove(filepath.Join(dir, e.Name()))
+						}
+					}
+					b.StartTimer()
+				}
+			})
+		}},
+	}, nil
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 	"testing"
 
 	"starperf/internal/cache"
@@ -12,8 +11,7 @@ import (
 
 // The serve suite: microbenchmarks of the serving layer's hot paths —
 // content hashing (every request pays it), the two-tier cache, and
-// the job pool's dispatch round trip. Written to BENCH_serve.json in
-// the same machine-shaped, timestamp-free format as the sim suite.
+// the job pool's dispatch round trip.
 
 // serveRequest is a representative predict request body for the
 // hashing benchmark (shape matches internal/server's wire schema).
@@ -27,13 +25,7 @@ func serveRequest(i int) map[string]any {
 	}
 }
 
-// serveBench measures one serving-layer operation.
-type serveBench struct {
-	Name string
-	Run  func(b *testing.B)
-}
-
-func serveBenches() ([]serveBench, error) {
+func serveBenches() ([]bench, error) {
 	memCache, err := cache.New(cache.Config{})
 	if err != nil {
 		return nil, err
@@ -49,17 +41,15 @@ func serveBenches() ([]serveBench, error) {
 	hot.Put("sha256:hot", val)
 	pool := jobs.NewPool(jobs.PoolConfig{Workers: 4, QueueDepth: 64})
 
-	return []serveBench{
-		{"hash_predict", func(b *testing.B) {
-			b.ReportAllocs()
+	return []bench{
+		{variant{Name: "hash_predict"}, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := jobs.Hash("predict", serveRequest(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
-		{"cache_put_get_1k", func(b *testing.B) {
-			b.ReportAllocs()
+		{variant{Name: "cache_put_get_1k"}, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				key := fmt.Sprintf("sha256:%032x", i%128)
 				memCache.Put(key, val)
@@ -68,16 +58,14 @@ func serveBenches() ([]serveBench, error) {
 				}
 			}
 		}},
-		{"cache_hit_1k", func(b *testing.B) {
-			b.ReportAllocs()
+		{variant{Name: "cache_hit_1k"}, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, ok := hot.Get("sha256:hot"); !ok {
 					b.Fatal("hot entry missing")
 				}
 			}
 		}},
-		{"pool_do_roundtrip", func(b *testing.B) {
-			b.ReportAllocs()
+		{variant{Name: "pool_do_roundtrip"}, func(b *testing.B) {
 			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
 				if _, err := pool.Do(ctx, "bench", func(context.Context) (any, error) {
@@ -88,56 +76,4 @@ func serveBenches() ([]serveBench, error) {
 			}
 		}},
 	}, nil
-}
-
-// runServeSuite measures the serve benchmarks and writes the JSON
-// report to out ("-" for stdout).
-func runServeSuite(out string) {
-	benches, err := serveBenches()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "starbench: %v\n", err)
-		os.Exit(1)
-	}
-	type serveRow struct {
-		name        string
-		nsPerOp     int64
-		allocsPerOp int64
-		bytesPerOp  int64
-	}
-	rows := make([]serveRow, 0, len(benches))
-	for _, sb := range benches {
-		r := testing.Benchmark(sb.Run)
-		if r.N == 0 {
-			fmt.Fprintf(os.Stderr, "starbench: %s ran zero iterations\n", sb.Name)
-			os.Exit(1)
-		}
-		rows = append(rows, serveRow{sb.Name, r.NsPerOp(), r.AllocsPerOp(), r.AllocedBytesPerOp()})
-		fmt.Fprintf(os.Stderr, "starbench: %-18s %12d ns/op %8d allocs/op\n",
-			sb.Name, r.NsPerOp(), r.AllocsPerOp())
-	}
-
-	w := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "starbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	fmt.Fprintln(w, "{")
-	fmt.Fprintln(w, `  "workload": "serving-layer hot paths: canonical content hash, two-tier cache, 4-worker pool dispatch",`)
-	fmt.Fprintln(w, `  "command": "go run ./cmd/starbench -suite serve -out BENCH_serve.json",`)
-	fmt.Fprintln(w, `  "variants": [`)
-	for i, r := range rows {
-		comma := ","
-		if i == len(rows)-1 {
-			comma = ""
-		}
-		fmt.Fprintf(w, "    {\"name\": %q, \"ns_per_op\": %d, \"allocs_per_op\": %d, \"bytes_per_op\": %d}%s\n",
-			r.name, r.nsPerOp, r.allocsPerOp, r.bytesPerOp, comma)
-	}
-	fmt.Fprintln(w, "  ]")
-	fmt.Fprintln(w, "}")
 }

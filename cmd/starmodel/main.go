@@ -32,18 +32,6 @@ import (
 	"starperf/internal/torus"
 )
 
-func parseKind(s string) (routing.Kind, error) {
-	switch s {
-	case "enbc", "enhanced-nbc":
-		return routing.EnhancedNbc, nil
-	case "nbc":
-		return routing.Nbc, nil
-	case "nhop":
-		return routing.NHop, nil
-	}
-	return 0, fmt.Errorf("unknown routing kind %q", s)
-}
-
 func parseBlocking(s string) (model.BlockingModel, error) {
 	switch s {
 	case "window":
@@ -73,7 +61,7 @@ func main() {
 	classes := flag.Bool("classes", false, "print the per-class latency decomposition at -rate")
 	flag.Parse()
 
-	kind, err := parseKind(*kindS)
+	kind, err := routing.ParseKind(*kindS)
 	if err != nil {
 		fail(err)
 	}

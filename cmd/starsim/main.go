@@ -108,16 +108,9 @@ func main() {
 		top = g
 	}
 
-	var kind routing.Kind
-	switch *kindS {
-	case "enbc":
-		kind = routing.EnhancedNbc
-	case "nbc":
-		kind = routing.Nbc
-	case "nhop":
-		kind = routing.NHop
-	default:
-		fail(fmt.Errorf("unknown kind %q", *kindS))
+	kind, err := routing.ParseKind(*kindS)
+	if err != nil {
+		fail(err)
 	}
 	var policy routing.Policy
 	switch *policyS {

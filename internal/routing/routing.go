@@ -65,6 +65,22 @@ func (k Kind) String() string {
 	}
 }
 
+// ParseKind maps an algorithm's spelling to its Kind: "nhop", "nbc",
+// and "enbc" or "enhanced-nbc" for EnhancedNbc. The empty string also
+// names EnhancedNbc, the algorithm the paper models, so an omitted
+// routing field means the paper's scheme.
+func ParseKind(s string) (Kind, error) {
+	switch s {
+	case "", "enbc", "enhanced-nbc":
+		return EnhancedNbc, nil
+	case "nbc":
+		return Nbc, nil
+	case "nhop":
+		return NHop, nil
+	}
+	return 0, cfgerr.Errorf("routing: unknown routing %q (want nhop, nbc or enbc)", s)
+}
+
 // Spec is a routing algorithm resolved against a topology and a
 // virtual-channel budget. Virtual channels 0..V1-1 are class a
 // (fully adaptive); V1..V1+V2-1 are class b (escape), with class-b

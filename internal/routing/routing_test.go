@@ -1,10 +1,13 @@
 package routing
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"starperf/internal/cfgerr"
 	"starperf/internal/stargraph"
 	"starperf/internal/topology"
 )
@@ -223,5 +226,17 @@ func TestKindPolicyStrings(t *testing.T) {
 	}
 	if Kind(99).String() == "" || Policy(99).String() == "" {
 		t.Fatal("unknown enum String empty")
+	}
+}
+
+func TestParseKind(t *testing.T) {
+	for s, want := range map[string]Kind{"": EnhancedNbc, "enbc": EnhancedNbc, "enhanced-nbc": EnhancedNbc, "nbc": Nbc, "nhop": NHop} {
+		if got, err := ParseKind(s); err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	_, err := ParseKind("Nbc")
+	if !errors.Is(err, cfgerr.ErrInvalid) || !strings.Contains(err.Error(), "(want nhop, nbc or enbc)") {
+		t.Errorf("ParseKind(Nbc) error = %v, want an invalid-config error with the spelling hint", err)
 	}
 }

@@ -96,7 +96,16 @@ func TestJournaledServerRecoversInterruptedJob(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(s1.Handler())
 	gate := make(chan struct{})
-	defer close(gate)
+	// The "crashed" s1 still owns a live worker. Once the gate opens it
+	// runs the simulate job and writes into its cache dir, so shut it
+	// down before the TempDirs go (cleanups run LIFO, after the body).
+	t.Cleanup(func() {
+		close(gate)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s1.Close(ctx) // shutting the crashed server down is not under test
+		_ = j1.Close()
+	})
 	if _, err := s1.Pool().Submit("sha256:wedge", func(ctx context.Context) (any, error) {
 		select {
 		case <-gate:

@@ -74,21 +74,6 @@ func (t TopoSpec) paths() (model.PathStructure, error) {
 	}
 }
 
-// parseRouting maps the wire spelling to a routing.Kind; empty means
-// the paper's EnhancedNbc.
-func parseRouting(s string) (routing.Kind, error) {
-	switch s {
-	case "", "enbc", "enhanced-nbc":
-		return routing.EnhancedNbc, nil
-	case "nbc":
-		return routing.Nbc, nil
-	case "nhop":
-		return routing.NHop, nil
-	default:
-		return 0, cfgerr.Errorf("server: unknown routing %q (want nhop, nbc or enbc)", s)
-	}
-}
-
 // routed builds the topology and the routing spec for v virtual
 // channels on it: the shared validation of the kinds that route
 // messages.
@@ -97,7 +82,7 @@ func (t TopoSpec) routed(routingName string, v int) (topology.Topology, routing.
 	if err != nil {
 		return nil, routing.Spec{}, err
 	}
-	kind, err := parseRouting(routingName)
+	kind, err := routing.ParseKind(routingName)
 	if err != nil {
 		return nil, routing.Spec{}, err
 	}
@@ -133,7 +118,7 @@ func (r PredictRequest) prepare() (runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, err := parseRouting(r.Routing)
+	kind, err := routing.ParseKind(r.Routing)
 	if err != nil {
 		return nil, err
 	}
