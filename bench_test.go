@@ -12,7 +12,6 @@ package starperf
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"starperf/internal/experiments"
@@ -59,7 +58,7 @@ func reportPanel(b *testing.B, p *experiments.Panel) {
 func BenchmarkFigure1a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, err := experiments.Figure1Panel(experiments.Figure1Config{
-			Panel: 'a', Points: 6, Workers: runtime.NumCPU(), Sim: benchOpts(),
+			Panel: 'a', Points: 6, Sim: benchOpts(),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -72,7 +71,7 @@ func BenchmarkFigure1a(b *testing.B) {
 func BenchmarkFigure1b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, err := experiments.Figure1Panel(experiments.Figure1Config{
-			Panel: 'b', Points: 6, Workers: runtime.NumCPU(), Sim: benchOpts(),
+			Panel: 'b', Points: 6, Sim: benchOpts(),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -85,7 +84,7 @@ func BenchmarkFigure1b(b *testing.B) {
 func BenchmarkFigure1c(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p, err := experiments.Figure1Panel(experiments.Figure1Config{
-			Panel: 'c', Points: 6, Workers: runtime.NumCPU(), Sim: benchOpts(),
+			Panel: 'c', Points: 6, Sim: benchOpts(),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -248,7 +247,7 @@ func BenchmarkThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.ThroughputSweep(experiments.ThroughputConfig{
 			Top: g, Kind: routing.EnhancedNbc, V: 6, MsgLen: 32,
-			Points: 6, MaxRate: 0.03, Workers: runtime.NumCPU(), Sim: opts,
+			Points: 6, MaxRate: 0.03, Sim: opts,
 		})
 		if err != nil {
 			b.Fatal(err)

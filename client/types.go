@@ -114,7 +114,10 @@ type SweepRequest struct {
 	Seeds   []uint64 `json:"seeds,omitempty"`
 	Warmup  int64    `json:"warmup,omitempty"`
 	Measure int64    `json:"measure,omitempty"`
-	Workers int      `json:"workers,omitempty"`
+	// Workers bounds how many of the sweep's simulations run at once:
+	// 0..64, where 0 selects 1 (serial). Any value produces the same
+	// panel; the server rejects larger values as invalid_config.
+	Workers int `json:"workers,omitempty"`
 }
 
 // SweepResult is the sweep job's result body.

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"math"
-
 	"starperf/internal/model"
 	"starperf/internal/routing"
 	"starperf/internal/stargraph"
@@ -16,26 +14,21 @@ import (
 // the class structure entirely (it is exact for the implemented
 // algorithm). Returns one row per rate with the three predictions.
 func AblationMixture(v, msgLen, points int) ([]MixtureRow, error) {
-	sp, err := model.NewStarPaths(5)
+	base, err := starModel(5)
 	if err != nil {
 		return nil, err
 	}
-	g := stargraph.MustNew(5)
-	maxRate := 0.015
+	base.Kind, base.V, base.MsgLen = routing.EnhancedNbc, v, msgLen
 	var rows []MixtureRow
-	for _, rate := range ratesUpTo(maxRate, points) {
+	for _, rate := range ratesUpTo(0.015, points) {
 		row := MixtureRow{Rate: rate}
 		for i, b := range []model.BlockingModel{
 			model.Window, model.PaperInsidePower, model.PaperOutsidePower,
 		} {
-			r, err := model.Evaluate(model.Config{
-				Paths: sp, Top: g, Kind: routing.EnhancedNbc,
-				V: v, MsgLen: msgLen, Rate: rate, Blocking: b,
-			})
-			if err != nil {
-				row.Latency[i] = math.NaN()
-			} else {
-				row.Latency[i] = r.Latency
+			c := base
+			c.Blocking = b
+			if row.Latency[i], _, err = modelAt(c, rate); err != nil {
+				return nil, err
 			}
 		}
 		rows = append(rows, row)
@@ -82,7 +75,10 @@ func AblationSelection(v, msgLen, points int, opts SimOptions) (*Panel, error) {
 // in simulation at equal total VC budget, plus the model's prediction
 // for each.
 func AblationAlgorithms(vTotal, msgLen, points int, opts SimOptions) (*Panel, error) {
-	g := stargraph.MustNew(5)
+	base, err := starModel(5)
+	if err != nil {
+		return nil, err
+	}
 	p := &Panel{
 		Title:  "Ablation A3: routing algorithms (S5, equal VC budget)",
 		XLabel: "traffic generation rate (messages/node/cycle)",
@@ -92,10 +88,10 @@ func AblationAlgorithms(vTotal, msgLen, points int, opts SimOptions) (*Panel, er
 		for _, r := range ratesUpTo(0.015, points) {
 			s.Points = append(s.Points, Point{Rate: r})
 		}
-		if err := runSweep(g, []*Series{&s}, opts, nil); err != nil {
+		if err := runSweep(base.Top, []*Series{&s}, opts, nil); err != nil {
 			return nil, err
 		}
-		if err := fillModel(5, &s, model.Window); err != nil {
+		if err := fillModel(&s, base); err != nil {
 			return nil, err
 		}
 		p.Series = append(p.Series, s)
@@ -108,25 +104,21 @@ func AblationAlgorithms(vTotal, msgLen, points int, opts SimOptions) (*Panel, er
 // approximation σ² = (S̄−M)²: it evaluates the model under the
 // paper's, the exponential and the deterministic variance choices.
 func AblationVariance(v, msgLen, points int) ([]VarianceRow, error) {
-	sp, err := model.NewStarPaths(5)
+	base, err := starModel(5)
 	if err != nil {
 		return nil, err
 	}
-	g := stargraph.MustNew(5)
+	base.Kind, base.V, base.MsgLen = routing.EnhancedNbc, v, msgLen
 	var rows []VarianceRow
 	for _, rate := range ratesUpTo(0.015, points) {
 		row := VarianceRow{Rate: rate}
 		for i, vm := range []model.VarianceModel{
 			model.PaperVariance, model.ExponentialVariance, model.DeterministicVariance,
 		} {
-			r, err := model.Evaluate(model.Config{
-				Paths: sp, Top: g, Kind: routing.EnhancedNbc,
-				V: v, MsgLen: msgLen, Rate: rate, Variance: vm,
-			})
-			if err != nil {
-				row.Latency[i] = math.NaN()
-			} else {
-				row.Latency[i] = r.Latency
+			c := base
+			c.Variance = vm
+			if row.Latency[i], _, err = modelAt(c, rate); err != nil {
+				return nil, err
 			}
 		}
 		rows = append(rows, row)

@@ -8,9 +8,7 @@ import (
 	"starperf/internal/bounds"
 	"starperf/internal/cfgerr"
 	"starperf/internal/desim"
-	"starperf/internal/model"
 	"starperf/internal/routing"
-	"starperf/internal/stargraph"
 )
 
 // BoundRow is one operating point of the bound-vs-observation figure:
@@ -68,14 +66,12 @@ func BoundsFigure(cfg BoundsFigureConfig) ([]BoundRow, error) {
 		return nil, cfgerr.Errorf("experiments: bounds figure points %d outside 1..64", cfg.Points)
 	}
 	opts := cfg.Sim.withDefaults()
-	top, err := stargraph.New(cfg.N)
+	mbase, err := starModel(cfg.N)
 	if err != nil {
 		return nil, err
 	}
-	paths, err := model.NewStarPaths(cfg.N)
-	if err != nil {
-		return nil, err
-	}
+	top := mbase.Top
+	mbase.Kind, mbase.V, mbase.MsgLen = routing.EnhancedNbc, cfg.V, cfg.MsgLen
 	spec, err := routing.New(routing.EnhancedNbc, top, cfg.V)
 	if err != nil {
 		return nil, err
@@ -88,44 +84,40 @@ func BoundsFigure(cfg BoundsFigureConfig) ([]BoundRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]BoundRow, 0, cfg.Points)
-	for _, rate := range ratesUpTo(0.9*capRate, cfg.Points) {
+	rates := ratesUpTo(0.9*capRate, cfg.Points)
+	rows := make([]BoundRow, len(rates))
+	cfgs := make([]desim.Config, len(rates))
+	for i, rate := range rates {
 		bcfg := base
 		bcfg.Rate = rate
 		bres, err := bounds.Evaluate(bcfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: bound at rate %g: %w", rate, err)
 		}
-		row := BoundRow{Rate: rate, Bound: bres.WorstCase}
-		mres, err := model.Evaluate(model.Config{
-			Paths: paths, Top: top, Kind: routing.EnhancedNbc,
-			V: cfg.V, MsgLen: cfg.MsgLen, Rate: rate,
-		})
-		switch {
-		case err == nil:
-			row.ModelMean = mres.Latency
-		case errors.Is(err, model.ErrSaturated):
-			row.ModelSaturated = true
-		default:
+		mean, sat, err := modelAt(mbase, rate)
+		if err != nil {
 			return nil, err
 		}
-		sres, err := desim.Run(desim.Config{
+		if sat {
+			mean = 0 // the figure's CSV reads 0, not NaN, past saturation
+		}
+		rows[i] = BoundRow{Rate: rate, Bound: bres.WorstCase, ModelMean: mean, ModelSaturated: sat}
+		cfgs[i] = desim.Config{
 			Top: top, Spec: spec, Policy: opts.Policy,
 			Rate: rate, MsgLen: cfg.MsgLen, BufCap: opts.BufCap,
 			Seed:         opts.Seeds[0],
 			WarmupCycles: opts.Warmup, MeasureCycles: opts.Measure,
 			DrainCycles: opts.Drain,
-		})
-		if err != nil {
-			return nil, err
 		}
-		if sres.Aborted {
-			return nil, fmt.Errorf("experiments: simulation aborted at rate %g: %s", rate, sres.AbortReason)
-		}
-		row.SimMean = sres.Latency.Mean()
-		row.SimP999 = sres.LatencyHist.Quantile(0.999)
-		row.SimMax = sres.Latency.Max()
-		rows = append(rows, row)
+	}
+	results, errs := simulate(cfgs, opts)
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	for i, sres := range results {
+		rows[i].SimMean = sres.Latency.Mean()
+		rows[i].SimP999 = sres.LatencyHist.Quantile(0.999)
+		rows[i].SimMax = sres.Latency.Max()
 	}
 	return rows, nil
 }

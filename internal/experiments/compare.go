@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"starperf/internal/hypercube"
 	"starperf/internal/model"
 	"starperf/internal/routing"
-	"starperf/internal/stargraph"
 )
 
 // StarVsHypercube runs the paper's stated future work: compare the
@@ -20,20 +18,18 @@ func StarVsHypercube(msgLen, v, points int, opts SimOptions) (*Panel, error) {
 	if points <= 0 {
 		points = 8
 	}
-	star := stargraph.MustNew(5)
-	cube := hypercube.MustNew(7)
-	p := &Panel{
-		Title:  fmt.Sprintf("Star S5 vs Hypercube Q7 (M=%d, V=%d, Enhanced-Nbc)", msgLen, v),
-		XLabel: "traffic generation rate (messages/node/cycle)",
-	}
-
-	starPaths, err := model.NewStarPaths(5)
+	starBase, err := starModel(5)
 	if err != nil {
 		return nil, err
 	}
 	cubePaths, err := model.NewCubePaths(7)
 	if err != nil {
 		return nil, err
+	}
+	star, cube := starBase.Top, hypercube.MustNew(7)
+	p := &Panel{
+		Title:  fmt.Sprintf("Star S5 vs Hypercube Q7 (M=%d, V=%d, Enhanced-Nbc)", msgLen, v),
+		XLabel: "traffic generation rate (messages/node/cycle)",
 	}
 
 	// capacity-proportional sweeps: λg_max ≈ degree/(d̄·M)
@@ -54,29 +50,11 @@ func StarVsHypercube(msgLen, v, points int, opts SimOptions) (*Panel, error) {
 	if err := runSweep(cube, []*Series{&q7}, opts, nil); err != nil {
 		return nil, err
 	}
-	for i := range star5.Points {
-		r, err := model.Evaluate(model.Config{
-			Paths: starPaths, Top: star, Kind: routing.EnhancedNbc,
-			V: v, MsgLen: msgLen, Rate: star5.Points[i].Rate,
-		})
-		if err == nil {
-			star5.Points[i].Model = r.Latency
-		} else {
-			star5.Points[i].Model = math.NaN()
-			star5.Points[i].ModelSaturated = true
-		}
+	if err := fillModel(&star5, starBase); err != nil {
+		return nil, err
 	}
-	for i := range q7.Points {
-		r, err := model.Evaluate(model.Config{
-			Paths: cubePaths, Top: cube, Kind: routing.EnhancedNbc,
-			V: v, MsgLen: msgLen, Rate: q7.Points[i].Rate,
-		})
-		if err == nil {
-			q7.Points[i].Model = r.Latency
-		} else {
-			q7.Points[i].Model = math.NaN()
-			q7.Points[i].ModelSaturated = true
-		}
+	if err := fillModel(&q7, model.Config{Paths: cubePaths, Top: cube}); err != nil {
+		return nil, err
 	}
 	p.Series = []Series{star5, q7}
 	return p, nil

@@ -3,20 +3,21 @@
 // simulation latency curves for S5 with V = 6, 9, 12 and M = 32, 64),
 // the broader validation grid the paper's §5 alludes to, the
 // star-vs-hypercube comparison of the paper's future-work section,
-// and the ablations called out in DESIGN.md. Simulation points run in
-// parallel across a worker pool; every run is deterministic given its
-// seed list.
+// and the ablations called out in DESIGN.md. Every simulation runs
+// through one bounded fan-out (simulate) and every model curve
+// through one filler (fillModel/modelAt); every run is deterministic
+// given its seed list.
 package experiments
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"starperf/internal/desim"
-	"starperf/internal/jobs"
 	"starperf/internal/model"
 	"starperf/internal/obs"
 	"starperf/internal/routing"
@@ -40,12 +41,12 @@ type SimOptions struct {
 	// Workers bounds simulation parallelism (default NumCPU).
 	Workers int
 	// PointTimeout, when positive, is the wall-clock budget of one
-	// (point, seed) simulation. A run past the budget is marked
-	// failed (Point.Failed) and its goroutine left to finish in the
-	// background (every run is cycle-bounded by the drain limit, so
-	// it terminates). The budget makes which points are marked
-	// timing-dependent, so leave it zero when byte-reproducible panel
-	// output matters.
+	// simulation. A run past the budget fails — Point.Failed in the
+	// latency sweeps, an error from the row-shaped experiments — and
+	// its goroutine is left to finish in the background (every run is
+	// cycle-bounded by the drain limit, so it terminates). The budget
+	// makes which runs fail timing-dependent, so leave it zero when
+	// byte-reproducible output matters.
 	PointTimeout time.Duration
 	// MaxMsgAge arms the simulator's over-age watchdog per run (see
 	// desim.Config.MaxMsgAge); aborted runs get one retry at an
@@ -72,7 +73,7 @@ func (o SimOptions) withDefaults() SimOptions {
 	if len(o.Seeds) == 0 {
 		o.Seeds = []uint64{1, 2, 3}
 	}
-	if o.Workers == 0 {
+	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
 	}
 	return o
@@ -122,134 +123,104 @@ type Panel struct {
 	Series []Series
 }
 
-// simJob is one (series, point, seed) simulation unit.
-type simJob struct {
-	series, point, seed int
-	cfg                 desim.Config
-}
-
 // runSweep fills the Sim fields of every point of every series by
-// running all (point × seed) simulations on a bounded jobs.Pool —
-// the same engine the serving layer uses. Results are gathered into
-// an index-addressed slice and seeds are pure functions of position,
-// so the output is byte-identical for any worker count.
-func runSweep(top topology.Topology, panels []*Series, opts SimOptions, pattern traffic.Pattern) error {
+// running all (point × seed) simulations through simulate. Seeds are
+// pure functions of position, so the output is byte-identical for any
+// worker count.
+func runSweep(top topology.Topology, series []*Series, opts SimOptions, pattern traffic.Pattern) error {
 	opts = opts.withDefaults()
-	var units []simJob
-	var collectors []*obs.Collector // parallel to units; nil when unobserved
-	for si, s := range panels {
+	var cfgs []desim.Config
+	var cols []*obs.Collector // parallel to cfgs; nil when unobserved
+	for si, s := range series {
 		spec, err := routing.New(s.Kind, top, s.V)
 		if err != nil {
 			return err
 		}
 		for pi, p := range s.Points {
 			for ki, seed := range opts.Seeds {
+				cfg := desim.Config{
+					Top:           top,
+					Spec:          spec,
+					Policy:        opts.Policy,
+					Pattern:       pattern,
+					Rate:          p.Rate,
+					MsgLen:        s.MsgLen,
+					BufCap:        opts.BufCap,
+					Seed:          seed*1_000_003 + uint64(si*131+pi*17+1),
+					WarmupCycles:  opts.Warmup,
+					MeasureCycles: opts.Measure,
+					DrainCycles:   opts.Drain,
+					MaxMsgAge:     opts.MaxMsgAge,
+				}
 				var col *obs.Collector
 				if opts.Observe != nil && ki == 0 {
 					col = obs.New(*opts.Observe)
+					// assigned only when set: a nil *obs.Collector
+					// stored in the field would make the interface non-nil
+					cfg.Observer = col
 				}
-				collectors = append(collectors, col)
-				units = append(units, simJob{
-					series: si, point: pi, seed: ki,
-					cfg: desim.Config{
-						Top:           top,
-						Spec:          spec,
-						Policy:        opts.Policy,
-						Pattern:       pattern,
-						Rate:          p.Rate,
-						MsgLen:        s.MsgLen,
-						BufCap:        opts.BufCap,
-						Seed:          seed*1_000_003 + uint64(si*131+pi*17+1),
-						WarmupCycles:  opts.Warmup,
-						MeasureCycles: opts.Measure,
-						DrainCycles:   opts.Drain,
-						MaxMsgAge:     opts.MaxMsgAge,
-					},
-				})
-				if col != nil {
-					// assigned outside the literal: a nil *obs.Collector
-					// stored directly would make the interface non-nil
-					units[len(units)-1].cfg.Observer = col
-				}
+				cfgs = append(cfgs, cfg)
+				cols = append(cols, col)
 			}
 		}
 	}
-	type outcome struct {
-		job simJob
-		res *desim.Result
-		err error
-	}
-	pool := jobs.NewPool(jobs.PoolConfig{Workers: opts.Workers, QueueDepth: len(units)})
-	defer pool.Shutdown(context.Background())
-	handles := make([]*jobs.Job, len(units))
-	for i := range units {
-		i := i
-		h, err := pool.Submit(fmt.Sprintf("point/%d", i), func(ctx context.Context) (any, error) {
-			return runPoint(units[i].cfg, opts.PointTimeout)
-		})
-		if err != nil {
-			return err
-		}
-		handles[i] = h
-	}
-	results := make([]outcome, len(units))
-	for i, h := range handles {
-		v, jerr := h.Wait(context.Background())
-		oc := outcome{job: units[i], err: jerr}
-		if jerr == nil {
-			oc.res = v.(*desim.Result)
-		}
-		results[i] = oc
-	}
+	results, errs := simulate(cfgs, opts)
 
-	// aggregate per point over seeds; failed replications mark the
-	// point instead of failing the whole sweep
-	type agg struct {
-		lat    []float64
-		sat    bool
-		seen   int
-		errMsg string
-	}
-	aggs := make(map[[2]int]*agg)
-	for i, oc := range results {
-		key := [2]int{oc.job.series, oc.job.point}
-		a := aggs[key]
-		if a == nil {
-			a = &agg{}
-			aggs[key] = a
-		}
-		if oc.err != nil {
-			if a.errMsg == "" {
-				a.errMsg = fmt.Sprintf("seed %d: %v", oc.job.seed, oc.err)
+	// aggregate per point over its seeds, which are adjacent in cfgs;
+	// failed replications mark the point instead of failing the sweep
+	i := 0
+	for _, s := range series {
+		for pi := range s.Points {
+			p := &s.Points[pi]
+			var st stats.Stream
+			for ki := range opts.Seeds {
+				res, err, col := results[i], errs[i], cols[i]
+				i++
+				if err != nil {
+					if !p.Failed {
+						p.Failed = true
+						p.Err = fmt.Sprintf("seed %d: %v", ki, err)
+					}
+					continue
+				}
+				st.Add(res.Latency.Mean())
+				p.SimSaturated = p.SimSaturated || res.Saturated()
+				if col != nil {
+					sum := col.Summary()
+					p.Obs = &sum
+				}
 			}
-			continue
-		}
-		a.lat = append(a.lat, oc.res.Latency.Mean())
-		a.sat = a.sat || oc.res.Saturated()
-		a.seen++
-		if col := collectors[i]; col != nil {
-			s := col.Summary()
-			panels[oc.job.series].Points[oc.job.point].Obs = &s
-		}
-	}
-	for key, a := range aggs {
-		p := &panels[key[0]].Points[key[1]]
-		var st stats.Stream
-		for _, l := range a.lat {
-			st.Add(l)
-		}
-		p.Sim = st.Mean()
-		if st.N() == 0 {
-			p.Sim = math.NaN()
-		}
-		p.SimSaturated = a.sat
-		p.Failed = a.errMsg != ""
-		p.Err = a.errMsg
-		if st.N() >= 2 {
-			p.SimHW = 1.96 * st.StdDev() / math.Sqrt(float64(st.N()))
+			p.Sim = st.Mean()
+			if st.N() == 0 {
+				p.Sim = math.NaN()
+			}
+			if st.N() >= 2 {
+				p.SimHW = 1.96 * st.StdDev() / math.Sqrt(float64(st.N()))
+			}
 		}
 	}
 	return nil
+}
+
+// simulate is the harness's one fan-out: it runs every config through
+// runPoint with at most opts.Workers runs in flight. Results and
+// errors are index-addressed to cfgs, so callers whose seeds are pure
+// functions of position get output independent of the worker count.
+func simulate(cfgs []desim.Config, opts SimOptions) ([]*desim.Result, []error) {
+	sem := make(chan struct{}, opts.withDefaults().Workers)
+	results := make([]*desim.Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i := range cfgs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer func() { <-sem; wg.Done() }()
+			results[i], errs[i] = runPoint(cfgs[i], opts.PointTimeout)
+		}(i)
+	}
+	wg.Wait()
+	return results, errs
 }
 
 // drainEscalation multiplies DrainCycles on the single retry granted
@@ -317,30 +288,49 @@ func runRecovered(cfg desim.Config, wall time.Duration) (*desim.Result, error) {
 	}
 }
 
-// fillModel fills the Model fields of a star-graph series.
-func fillModel(n int, s *Series, blocking model.BlockingModel) error {
+// starModel is the base model configuration of S_n (paths and
+// topology); callers set the routing, V, M and rate fields on it.
+func starModel(n int) (model.Config, error) {
 	sp, err := model.NewStarPaths(n)
 	if err != nil {
-		return err
+		return model.Config{}, err
 	}
 	g, err := stargraph.New(n)
 	if err != nil {
-		return err
+		return model.Config{}, err
 	}
+	return model.Config{Paths: sp, Top: g}, nil
+}
+
+// fillModel fills the Model fields of every point of s, evaluating
+// base with the series' algorithm, V and M at each point's rate.
+func fillModel(s *Series, base model.Config) error {
+	base.Kind, base.V, base.MsgLen = s.Kind, s.V, s.MsgLen
 	for i := range s.Points {
-		r, err := model.Evaluate(model.Config{
-			Paths: sp, Top: g, Kind: s.Kind, V: s.V,
-			MsgLen: s.MsgLen, Rate: s.Points[i].Rate, Blocking: blocking,
-		})
-		switch {
-		case err == nil:
-			s.Points[i].Model = r.Latency
-		default:
-			s.Points[i].Model = math.NaN()
-			s.Points[i].ModelSaturated = true
+		p := &s.Points[i]
+		var err error
+		if p.Model, p.ModelSaturated, err = modelAt(base, p.Rate); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// modelAt is the harness's one model evaluation: the latency base
+// predicts at rate, or NaN and saturated past the model's saturation
+// point. Any other error — an invalid configuration — is returned
+// rather than drawn as saturation.
+func modelAt(base model.Config, rate float64) (latency float64, saturated bool, err error) {
+	base.Rate = rate
+	r, err := model.Evaluate(base)
+	switch {
+	case err == nil:
+		return r.Latency, false, nil
+	case errors.Is(err, model.ErrSaturated):
+		return math.NaN(), true, nil
+	default:
+		return 0, false, err
+	}
 }
 
 // ratesUpTo returns count evenly spaced rates from step to max.
@@ -363,10 +353,11 @@ func StarPanel(n, v int, msgLens []int, maxRate float64, points int, opts SimOpt
 	if len(msgLens) == 0 {
 		msgLens = []int{32}
 	}
-	g, err := stargraph.New(n)
+	base, err := starModel(n)
 	if err != nil {
 		return nil, err
 	}
+	g := base.Top
 	if maxRate <= 0 {
 		longest := msgLens[0]
 		for _, m := range msgLens {
@@ -396,8 +387,8 @@ func StarPanel(n, v int, msgLens []int, maxRate float64, points int, opts SimOpt
 	if err := runSweep(g, refs, opts, nil); err != nil {
 		return nil, err
 	}
-	for i := range p.Series {
-		if err := fillModel(n, &p.Series[i], model.Window); err != nil {
+	for _, s := range refs {
+		if err := fillModel(s, base); err != nil {
 			return nil, err
 		}
 	}
@@ -412,14 +403,11 @@ func StarPanel(n, v int, msgLens []int, maxRate float64, points int, opts SimOpt
 func ValidationGrid(opts SimOptions) ([]GridRow, error) {
 	var rows []GridRow
 	for _, n := range []int{4, 5, 6} {
-		g, err := stargraph.New(n)
+		base, err := starModel(n)
 		if err != nil {
 			return nil, err
 		}
-		sp, err := model.NewStarPaths(n)
-		if err != nil {
-			return nil, err
-		}
+		g := base.Top
 		// scale operating points to each network's capacity
 		cap5 := float64(g.Degree()) / (g.AvgDistance() * 32)
 		for _, m := range []int{16, 32, 64} {
@@ -429,23 +417,17 @@ func ValidationGrid(opts SimOptions) ([]GridRow, error) {
 				}
 				for _, frac := range []float64{0.15, 0.3} {
 					rate := cap5 * frac * 32 / float64(m)
-					row := GridRow{N: n, V: v, MsgLen: m, Rate: rate}
-					r, err := model.Evaluate(model.Config{
-						Paths: sp, Top: g, Kind: routing.EnhancedNbc,
-						V: v, MsgLen: m, Rate: rate,
-					})
-					if err == nil {
-						row.Model = r.Latency
-					} else {
-						row.Model = math.NaN()
-					}
-					sr := Series{Kind: routing.EnhancedNbc, V: v, MsgLen: m,
+					s := Series{Kind: routing.EnhancedNbc, V: v, MsgLen: m,
 						Points: []Point{{Rate: rate}}}
-					if err := runSweep(g, []*Series{&sr}, opts, nil); err != nil {
+					if err := runSweep(g, []*Series{&s}, opts, nil); err != nil {
 						return nil, err
 					}
-					row.Sim = sr.Points[0].Sim
-					row.SimSaturated = sr.Points[0].SimSaturated
+					if err := fillModel(&s, base); err != nil {
+						return nil, err
+					}
+					pt := s.Points[0]
+					row := GridRow{N: n, V: v, MsgLen: m, Rate: rate,
+						Model: pt.Model, Sim: pt.Sim, SimSaturated: pt.SimSaturated}
 					if !math.IsNaN(row.Model) && row.Sim > 0 {
 						row.ErrPct = 100 * (row.Model - row.Sim) / row.Sim
 					} else {

@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
+	"starperf/internal/cfgerr"
 	"starperf/internal/routing"
 )
 
@@ -20,7 +21,7 @@ func TestFigure1PanelA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute soak under -race")
 	}
-	p, err := Figure1Panel(Figure1Config{Panel: 'a', Points: 5, Workers: runtime.NumCPU(), Sim: fastOpts()})
+	p, err := Figure1Panel(Figure1Config{Panel: 'a', Points: 5, Sim: fastOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestShapeChecksOnRealPanel(t *testing.T) {
 	}
 	opts := fastOpts()
 	opts.Seeds = []uint64{3, 4, 5}
-	p, err := Figure1Panel(Figure1Config{Panel: 'a', Points: 6, Workers: runtime.NumCPU(), Sim: opts})
+	p, err := Figure1Panel(Figure1Config{Panel: 'a', Points: 6, Sim: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,6 +287,19 @@ func TestAblationVariance(t *testing.T) {
 	RenderVariance(&buf, rows)
 	if !strings.Contains(buf.String(), "exponential") {
 		t.Fatal("rendering broken")
+	}
+}
+
+// TestAblationsRejectInvalidConfig pins the model filler's error
+// rule: only model.ErrSaturated marks a point saturated, so a
+// zero-length message is reported as an invalid configuration instead
+// of a table of "saturated" cells.
+func TestAblationsRejectInvalidConfig(t *testing.T) {
+	if _, err := AblationMixture(6, 0, 3); !errors.Is(err, cfgerr.ErrInvalid) {
+		t.Fatalf("AblationMixture with M=0: %v, want cfgerr.ErrInvalid", err)
+	}
+	if _, err := AblationVariance(6, 0, 3); !errors.Is(err, cfgerr.ErrInvalid) {
+		t.Fatalf("AblationVariance with M=0: %v, want cfgerr.ErrInvalid", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -35,22 +36,27 @@ func LevelUsage(v, msgLen int, rate float64, opts SimOptions) ([]LevelUsageRow, 
 	if err != nil {
 		return nil, err
 	}
-	var rows []LevelUsageRow
-	for _, kind := range []routing.Kind{routing.NHop, routing.Nbc, routing.EnhancedNbc} {
+	kinds := []routing.Kind{routing.NHop, routing.Nbc, routing.EnhancedNbc}
+	cfgs := make([]desim.Config, len(kinds))
+	for i, kind := range kinds {
 		spec, err := routing.New(kind, g, v)
 		if err != nil {
 			return nil, err
 		}
-		res, err := desim.Run(desim.Config{
+		cfgs[i] = desim.Config{
 			Top: g, Spec: spec, Rate: rate, MsgLen: msgLen,
 			Seed:         opts.Seeds[0],
 			WarmupCycles: opts.Warmup, MeasureCycles: opts.Measure,
 			DrainCycles: opts.Drain,
-		})
-		if err != nil {
-			return nil, err
 		}
-		row := LevelUsageRow{Kind: kind, Share: make([]float64, spec.V2)}
+	}
+	results, errs := simulate(cfgs, opts)
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	rows := make([]LevelUsageRow, len(kinds))
+	for i, res := range results {
+		row := LevelUsageRow{Kind: kinds[i], Share: make([]float64, cfgs[i].Spec.V2)}
 		var total float64
 		for _, c := range res.ClassBLevelUse {
 			total += float64(c)
@@ -68,7 +74,7 @@ func LevelUsage(v, msgLen int, rate float64, opts SimOptions) ([]LevelUsageRow, 
 		if all := float64(res.ClassAUse + res.ClassBUse); all > 0 {
 			row.ClassAShare = float64(res.ClassAUse) / all
 		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	return rows, nil
 }

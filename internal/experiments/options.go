@@ -1,23 +1,19 @@
 package experiments
 
 import (
-	"context"
+	"errors"
 	"fmt"
 
 	"starperf/internal/cfgerr"
 	"starperf/internal/desim"
-	"starperf/internal/jobs"
 	"starperf/internal/routing"
 	"starperf/internal/topology"
 )
 
-// The config-struct entry points of the package — the only entry
-// points since PR 10 retired the positional Figure1/ThroughputCurve
-// shims. The structs match how Simulate/Predict already take their
-// parameters and leave room to grow (observability, new knobs)
-// without another signature break. Note the parallelism default
-// changed with the shims' removal: these default to serial (Workers
-// 1); callers that want the old NumCPU behaviour say so explicitly.
+// The config-struct entry points of the package. The structs match
+// how Simulate/Predict already take their parameters and leave room
+// to grow (observability, new knobs) without another signature
+// break. Parallelism is Sim.Workers, as everywhere in the package.
 
 // Figure1Config parameterises Figure1Panel.
 type Figure1Config struct {
@@ -26,15 +22,9 @@ type Figure1Config struct {
 	Panel byte
 	// Points is the number of samples per curve (default 10).
 	Points int
-	// Workers bounds point-level parallelism (default 1 — serial).
-	// Any value produces a byte-identical panel: points are indexed,
-	// seeds are pure functions of position, and the sweep runs on the
-	// deterministic internal/jobs pool, so scheduling order cannot
-	// leak into the output. Setting Sim.Workers directly still works;
-	// Workers takes precedence when both are set.
-	Workers int
-	// Sim tunes the simulation side, including SimOptions.Observe for
-	// per-point metrics sidecars.
+	// Sim tunes the simulation side, including Sim.Workers (any value
+	// produces a byte-identical panel) and Sim.Observe for per-point
+	// metrics sidecars.
 	Sim SimOptions
 }
 
@@ -57,27 +47,12 @@ func Figure1Panel(cfg Figure1Config) (*Panel, error) {
 	default:
 		return nil, cfgerr.Errorf("experiments: unknown Figure 1 panel %q", cfg.Panel)
 	}
-	sim := cfg.Sim
-	sim.Workers = resolveWorkers(cfg.Workers, sim.Workers)
-	p, err := StarPanel(5, v, []int{32, 64}, maxRate, cfg.Points, sim)
+	p, err := StarPanel(5, v, []int{32, 64}, maxRate, cfg.Points, cfg.Sim)
 	if err != nil {
 		return nil, err
 	}
 	p.Title = fmt.Sprintf("Figure 1(%c): 5-star, V=%d", cfg.Panel, v)
 	return p, nil
-}
-
-// resolveWorkers merges the config-struct Workers knob with the older
-// SimOptions.Workers one: the struct knob wins, then the options one,
-// then the serial default.
-func resolveWorkers(cfgWorkers, simWorkers int) int {
-	if cfgWorkers > 0 {
-		return cfgWorkers
-	}
-	if simWorkers > 0 {
-		return simWorkers
-	}
-	return 1
 }
 
 // ThroughputConfig parameterises ThroughputSweep.
@@ -93,19 +68,16 @@ type ThroughputConfig struct {
 	// evenly from MaxRate/Points up to MaxRate (required positive).
 	Points  int
 	MaxRate float64
-	// Workers bounds point-level parallelism (default 1 — serial;
-	// any value produces identical rows). Takes precedence over
-	// Sim.Workers.
-	Workers int
-	// Sim tunes the simulation side.
+	// Sim tunes the simulation side; any Sim.Workers produces
+	// identical rows.
 	Sim SimOptions
 }
 
 // ThroughputSweep sweeps offered load past saturation and records
 // accepted throughput — the standard companion plot to latency curves
-// (the plateau height is the network's saturation throughput). Points
-// run on a bounded jobs.Pool sized by Workers; rows are indexed by
-// operating point, so the output is independent of scheduling order.
+// (the plateau height is the network's saturation throughput). Rows
+// are indexed by operating point, so the output is independent of
+// scheduling order.
 func ThroughputSweep(cfg ThroughputConfig) ([]ThroughputRow, error) {
 	if cfg.Top == nil {
 		return nil, cfgerr.New("experiments: ThroughputConfig.Top is required")
@@ -116,40 +88,28 @@ func ThroughputSweep(cfg ThroughputConfig) ([]ThroughputRow, error) {
 	if cfg.Points <= 0 {
 		cfg.Points = 10
 	}
-	opts := cfg.Sim
-	opts.Workers = resolveWorkers(cfg.Workers, opts.Workers)
-	opts = opts.withDefaults()
+	opts := cfg.Sim.withDefaults()
 	spec, err := routing.New(cfg.Kind, cfg.Top, cfg.V)
 	if err != nil {
 		return nil, err
 	}
 	rates := ratesUpTo(cfg.MaxRate, cfg.Points)
-	pool := jobs.NewPool(jobs.PoolConfig{Workers: opts.Workers, QueueDepth: len(rates)})
-	defer pool.Shutdown(context.Background())
-	handles := make([]*jobs.Job, len(rates))
+	cfgs := make([]desim.Config, len(rates))
 	for i, rate := range rates {
-		i, rate := i, rate
-		h, err := pool.Submit(fmt.Sprintf("tput/%d", i), func(ctx context.Context) (any, error) {
-			return desim.Run(desim.Config{
-				Top: cfg.Top, Spec: spec, Policy: opts.Policy,
-				Rate: rate, MsgLen: cfg.MsgLen, BufCap: opts.BufCap,
-				Seed:         opts.Seeds[0]*7919 + uint64(i),
-				WarmupCycles: opts.Warmup, MeasureCycles: opts.Measure,
-				DrainCycles: opts.Drain,
-			})
-		})
-		if err != nil {
-			return nil, err
+		cfgs[i] = desim.Config{
+			Top: cfg.Top, Spec: spec, Policy: opts.Policy,
+			Rate: rate, MsgLen: cfg.MsgLen, BufCap: opts.BufCap,
+			Seed:         opts.Seeds[0]*7919 + uint64(i),
+			WarmupCycles: opts.Warmup, MeasureCycles: opts.Measure,
+			DrainCycles: opts.Drain,
 		}
-		handles[i] = h
+	}
+	results, errs := simulate(cfgs, opts)
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	rows := make([]ThroughputRow, len(rates))
-	for i, h := range handles {
-		v, err := h.Wait(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		res := v.(*desim.Result)
+	for i, res := range results {
 		rows[i] = ThroughputRow{
 			Offered: rates[i],
 			Accepted: float64(res.DeliveredInWindow) /

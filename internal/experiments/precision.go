@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"starperf/internal/desim"
 	"starperf/internal/stats"
@@ -50,31 +50,21 @@ func RunUntilPrecision(cfg desim.Config, relTarget float64, minReps, maxReps, wo
 				batch = maxReps - res.Replications
 			}
 		}
-		outs := make([]*desim.Result, batch)
-		errs := make([]error, batch)
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i := 0; i < batch; i++ {
-			wg.Add(1)
-			go func(i int, seed uint64) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				c := cfg
-				c.Seed = seed * 0x9e3779b9
-				outs[i], errs[i] = desim.Run(c)
-			}(i, next+uint64(i))
+		cfgs := make([]desim.Config, batch)
+		for i := range cfgs {
+			cfgs[i] = cfg
+			cfgs[i].Seed = (next + uint64(i)) * 0x9e3779b9
 		}
-		wg.Wait()
 		next += uint64(batch)
-		for i := 0; i < batch; i++ {
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-			if outs[i].Saturated() {
+		outs, errs := simulate(cfgs, SimOptions{Workers: workers})
+		if err := errors.Join(errs...); err != nil {
+			return nil, err
+		}
+		for _, out := range outs {
+			if out.Saturated() {
 				res.Saturated = true
 			}
-			st.Add(outs[i].Latency.Mean())
+			st.Add(out.Latency.Mean())
 			res.Replications++
 		}
 		res.Mean = st.Mean()

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"math"
-	"sync"
+	"errors"
 
 	"starperf/internal/desim"
 	"starperf/internal/model"
 	"starperf/internal/routing"
-	"starperf/internal/stargraph"
 )
 
 // SwitchingComparison (X7) contrasts wormhole switching with virtual
@@ -20,15 +18,12 @@ func SwitchingComparison(v, msgLen, points int, opts SimOptions) (*Panel, error)
 		points = 8
 	}
 	opts = opts.withDefaults()
-	g, err := stargraph.New(5)
+	base, err := starModel(5)
 	if err != nil {
 		return nil, err
 	}
+	g := base.Top
 	spec, err := routing.New(routing.EnhancedNbc, g, v)
-	if err != nil {
-		return nil, err
-	}
-	sp, err := model.NewStarPaths(5)
 	if err != nil {
 		return nil, err
 	}
@@ -39,57 +34,36 @@ func SwitchingComparison(v, msgLen, points int, opts SimOptions) (*Panel, error)
 		Title:  "X7: wormhole vs virtual cut-through (S5, Enhanced-Nbc)",
 		XLabel: "traffic generation rate (messages/node/cycle)",
 	}
+	var cfgs []desim.Config
 	for _, mode := range []model.SwitchingMode{model.Wormhole, model.CutThrough} {
 		s := Series{Name: mode.String(), V: v, MsgLen: msgLen, Kind: routing.EnhancedNbc}
-		for _, r := range ratesUpTo(maxRate, points) {
+		for i, r := range ratesUpTo(maxRate, points) {
 			s.Points = append(s.Points, Point{Rate: r})
-		}
-		// simulation side, parallel over points
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, opts.Workers)
-		errs := make([]error, len(s.Points))
-		for i := range s.Points {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				cfg := desim.Config{
-					Top: g, Spec: spec, Rate: s.Points[i].Rate, MsgLen: msgLen,
-					CutThrough:   mode == model.CutThrough,
-					Seed:         opts.Seeds[0]*31 + uint64(i),
-					WarmupCycles: opts.Warmup, MeasureCycles: opts.Measure,
-					DrainCycles: opts.Drain,
-				}
-				res, err := desim.Run(cfg)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				s.Points[i].Sim = res.Latency.Mean()
-				s.Points[i].SimSaturated = res.Saturated()
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		// model side
-		for i := range s.Points {
-			r, err := model.Evaluate(model.Config{
-				Paths: sp, Top: g, Kind: routing.EnhancedNbc,
-				V: v, MsgLen: msgLen, Rate: s.Points[i].Rate, Switching: mode,
+			cfgs = append(cfgs, desim.Config{
+				Top: g, Spec: spec, Rate: r, MsgLen: msgLen,
+				CutThrough:   mode == model.CutThrough,
+				Seed:         opts.Seeds[0]*31 + uint64(i),
+				WarmupCycles: opts.Warmup, MeasureCycles: opts.Measure,
+				DrainCycles: opts.Drain,
 			})
-			if err != nil {
-				s.Points[i].Model = math.NaN()
-				s.Points[i].ModelSaturated = true
-			} else {
-				s.Points[i].Model = r.Latency
-			}
+		}
+		mbase := base
+		mbase.Switching = mode
+		if err := fillModel(&s, mbase); err != nil {
+			return nil, err
 		}
 		p.Series = append(p.Series, s)
+	}
+	results, errs := simulate(cfgs, opts)
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	for si := range p.Series {
+		for i := range p.Series[si].Points {
+			res := results[si*points+i]
+			p.Series[si].Points[i].Sim = res.Latency.Mean()
+			p.Series[si].Points[i].SimSaturated = res.Saturated()
+		}
 	}
 	return p, nil
 }

@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"starperf/internal/desim"
 	"starperf/internal/routing"
@@ -32,43 +32,31 @@ func TailLatency(top topology.Topology, kind routing.Kind, v, msgLen, points int
 		return nil, err
 	}
 	rates := ratesUpTo(maxRate, points)
-	rows := make([]TailRow, len(rates))
-	errs := make([]error, len(rates))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opts.Workers)
+	cfgs := make([]desim.Config, len(rates))
 	for i, rate := range rates {
-		wg.Add(1)
-		go func(i int, rate float64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := desim.Run(desim.Config{
-				Top: top, Spec: spec, Policy: opts.Policy,
-				Rate: rate, MsgLen: msgLen, BufCap: opts.BufCap,
-				Seed:         opts.Seeds[0]*104729 + uint64(i),
-				WarmupCycles: opts.Warmup, MeasureCycles: opts.Measure,
-				DrainCycles: opts.Drain,
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rows[i] = TailRow{
-				Rate:           rate,
-				Mean:           res.Latency.Mean(),
-				P50:            res.LatencyHist.Quantile(0.50),
-				P95:            res.LatencyHist.Quantile(0.95),
-				P99:            res.LatencyHist.Quantile(0.99),
-				Max:            res.Latency.Max(),
-				Saturated:      res.Saturated(),
-				SamplesDropped: res.LatencyHist.Clamped,
-			}
-		}(i, rate)
+		cfgs[i] = desim.Config{
+			Top: top, Spec: spec, Policy: opts.Policy,
+			Rate: rate, MsgLen: msgLen, BufCap: opts.BufCap,
+			Seed:         opts.Seeds[0]*104729 + uint64(i),
+			WarmupCycles: opts.Warmup, MeasureCycles: opts.Measure,
+			DrainCycles: opts.Drain,
+		}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	results, errs := simulate(cfgs, opts)
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	rows := make([]TailRow, len(rates))
+	for i, res := range results {
+		rows[i] = TailRow{
+			Rate:           rates[i],
+			Mean:           res.Latency.Mean(),
+			P50:            res.LatencyHist.Quantile(0.50),
+			P95:            res.LatencyHist.Quantile(0.95),
+			P99:            res.LatencyHist.Quantile(0.99),
+			Max:            res.Latency.Max(),
+			Saturated:      res.Saturated(),
+			SamplesDropped: res.LatencyHist.Clamped,
 		}
 	}
 	return rows, nil

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -18,7 +17,7 @@ func TestThroughputCurve(t *testing.T) {
 	// (n−1)/(d̄·M) ≈ 0.074 msg/node/cycle; sweep well past it.
 	rows, err := ThroughputSweep(ThroughputConfig{
 		Top: g, Kind: routing.EnhancedNbc, V: 5, MsgLen: 16,
-		Points: 6, MaxRate: 0.12, Workers: runtime.NumCPU(), Sim: opts,
+		Points: 6, MaxRate: 0.12, Sim: opts,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,75 +1,73 @@
 package experiments
 
 import (
-	"bytes"
+	"fmt"
 	"testing"
 
 	"starperf/internal/routing"
 	"starperf/internal/stargraph"
 )
 
-// renderedPanel runs one small Figure 1(a) panel at the given worker
-// count and returns its CSV bytes.
-func renderedPanel(t *testing.T, workers int) []byte {
-	t.Helper()
-	p, err := Figure1Panel(Figure1Config{
-		Panel:   'a',
-		Points:  3,
-		Workers: workers,
-		Sim:     SimOptions{Warmup: 1000, Measure: 4000, Drain: 40000, Seeds: []uint64{7}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	RenderPanelCSV(&buf, p)
-	return buf.Bytes()
-}
-
-// TestFigure1PanelByteIdenticalAcrossWorkers is the determinism
-// contract of the jobs.Pool rewire: a parallel sweep must reproduce
-// the serial panel byte for byte — seeds are pure functions of
-// position and results are index-addressed, so scheduling order
-// cannot leak into the output.
-func TestFigure1PanelByteIdenticalAcrossWorkers(t *testing.T) {
+// TestIdenticalAcrossWorkers is the determinism contract of the one
+// simulation runner: every entry point that simulates must reproduce
+// its serial output exactly at a higher worker count — seeds are pure
+// functions of position and results are index-addressed, so
+// scheduling order cannot leak into the output.
+func TestIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the panel twice")
+		t.Skip("runs every simulating entry point twice")
 	}
-	serial := renderedPanel(t, 1)
-	parallel := renderedPanel(t, 4)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("Workers:4 panel differs from serial:\n--- serial\n%s--- workers=4\n%s", serial, parallel)
-	}
-	if len(serial) < 50 {
-		t.Fatalf("implausibly small panel: %q", serial)
-	}
-}
-
-// TestThroughputSweepIdenticalAcrossWorkers pins the same property
-// for the throughput harness.
-func TestThroughputSweepIdenticalAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the sweep twice")
-	}
-	g := stargraph.MustNew(4)
-	run := func(workers int) []ThroughputRow {
-		rows, err := ThroughputSweep(ThroughputConfig{
-			Top: g, Kind: routing.EnhancedNbc, V: 4, MsgLen: 16,
-			Points: 4, MaxRate: 0.04, Workers: workers,
-			Sim: SimOptions{Warmup: 1000, Measure: 4000, Drain: 40000, Seeds: []uint64{5}},
+	s4, s5 := stargraph.MustNew(4), stargraph.MustNew(5)
+	tiny := SimOptions{Warmup: 500, Measure: 2000, Drain: 20000, Seeds: []uint64{7, 8}}
+	for _, tc := range []struct {
+		name string
+		run  func(opts SimOptions) (any, error)
+	}{
+		{"Figure1Panel", func(o SimOptions) (any, error) {
+			return Figure1Panel(Figure1Config{Panel: 'a', Points: 3, Sim: o})
+		}},
+		{"ThroughputSweep", func(o SimOptions) (any, error) {
+			return ThroughputSweep(ThroughputConfig{
+				Top: s4, Kind: routing.EnhancedNbc, V: 4, MsgLen: 16,
+				Points: 4, MaxRate: 0.04, Sim: o,
+			})
+		}},
+		{"TailLatency", func(o SimOptions) (any, error) {
+			return TailLatency(s5, routing.EnhancedNbc, 6, 32, 3, 0.014, o)
+		}},
+		{"SwitchingComparison", func(o SimOptions) (any, error) {
+			return SwitchingComparison(6, 32, 3, o)
+		}},
+		{"LevelUsage", func(o SimOptions) (any, error) {
+			return LevelUsage(6, 32, 0.008, o)
+		}},
+		{"BoundsFigure", func(o SimOptions) (any, error) {
+			return BoundsFigure(BoundsFigureConfig{Points: 3, Sim: o})
+		}},
+		{"StarVsHypercube", func(o SimOptions) (any, error) {
+			return StarVsHypercube(32, 6, 3, o)
+		}},
+		{"AblationSelection", func(o SimOptions) (any, error) {
+			return AblationSelection(6, 32, 3, o)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			render := func(workers int) string {
+				o := tiny
+				o.Workers = workers
+				out, err := tc.run(o)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				// %#v spells every float exactly (shortest round-trip
+				// form) and NaN as NaN, so equal strings mean deep-equal
+				// outputs with NaN matching NaN
+				return fmt.Sprintf("%#v", out)
+			}
+			serial, parallel := render(1), render(4)
+			if serial != parallel {
+				t.Fatalf("workers=4 output differs from serial:\n--- serial\n%s\n--- workers=4\n%s", serial, parallel)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	serial, parallel := run(1), run(4)
-	if len(serial) != 4 {
-		t.Fatalf("%d rows, want 4", len(serial))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("row %d differs: serial %+v, workers=4 %+v", i, serial[i], parallel[i])
-		}
 	}
 }

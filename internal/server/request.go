@@ -354,9 +354,8 @@ type SimulateResult struct {
 }
 
 // SweepRequest is POST /v1/sweep: one panel of the paper's Figure 1
-// (model and simulation curves), served asynchronously. The points
-// run through the same jobs.Pool machinery the panel job itself runs
-// on — a nested, independent pool sized by Workers.
+// (model and simulation curves), served asynchronously as one job
+// whose simulations run at most Workers at a time.
 type SweepRequest struct {
 	// Panel is "a", "b" or "c".
 	Panel  string   `json:"panel"`
@@ -365,8 +364,8 @@ type SweepRequest struct {
 	// Warmup and Measure are the per-run cycle windows.
 	Warmup  int64 `json:"warmup,omitempty"`
 	Measure int64 `json:"measure,omitempty"`
-	// Workers bounds the sweep's own point parallelism (default 1 —
-	// serial; any value produces byte-identical panels).
+	// Workers bounds the sweep's own simulation parallelism, 0..64
+	// (default 1 — serial; any value produces byte-identical panels).
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -405,15 +404,18 @@ func (r SweepRequest) prepare() (runner, error) {
 	if len(r.Seeds) > 16 {
 		return nil, cfgerr.Errorf("server: %d sweep seeds, at most 16", len(r.Seeds))
 	}
+	if r.Workers < 0 || r.Workers > 64 {
+		return nil, cfgerr.Errorf("server: sweep workers %d outside 1..64", r.Workers)
+	}
 	return func() (any, error) {
 		p, err := experiments.Figure1Panel(experiments.Figure1Config{
-			Panel:   r.Panel[0],
-			Points:  r.Points,
-			Workers: r.Workers,
+			Panel:  r.Panel[0],
+			Points: r.Points,
 			Sim: experiments.SimOptions{
 				Seeds:   r.Seeds,
 				Warmup:  r.Warmup,
 				Measure: r.Measure,
+				Workers: r.Workers,
 			},
 		})
 		if err != nil {

@@ -263,6 +263,19 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsTooManyWorkers bounds the sweep's own parallelism
+// the way points and seeds are bounded: a request may not make the
+// node start an arbitrary number of simulations at once.
+func TestSweepRejectsTooManyWorkers(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp := postJSON(t, ts.URL+"/v1/sweep",
+		`{"panel":"a","points":1,"seeds":[1],"warmup":300,"measure":1000,"workers":65}`)
+	body := readBody(t, resp)
+	if resp.StatusCode != 400 || !bytes.Contains(body, []byte("invalid_config")) {
+		t.Fatalf("65-worker sweep: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestSingleflightOverHTTP is the serving layer's dedup guarantee:
 // concurrent identical requests share one computation, observed
 // through the pool's dedup counter, and every caller reads the same
