@@ -31,7 +31,7 @@ type suite struct {
 }
 
 var suites = []suite{
-	{"sim", "S4 EnhancedNbc V=4 rate=0.02 M=8 warmup=1000 measure=5000 seed=12345", simBenches},
+	{"sim", "S4 EnhancedNbc V=4 rate=0.02 M=8 warmup=1000 measure=5000 seed=12345; jobs_async: the jobs-async simulate job, S4 EnhancedNbc V=6 rate=0.005 M=32 BufCap=2 warmup=1000 measure=4000 drain=20000 seed=401", simBenches},
 	{"serve", "serving-layer hot paths: canonical content hash, two-tier cache, 4-worker pool dispatch", serveBenches},
 	{"journal", "durable job journal: fsynced append, unsynced append, group-committed appends (64 concurrent appenders / 64-record AppendBatch, per record), cold replay of 1k records", journalBenches},
 	{"bounds", "one worst-case delay-bound evaluation per topology (quadratic flow enumeration + fixed-point composition)", boundsBenches},

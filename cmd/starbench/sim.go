@@ -11,7 +11,8 @@ import (
 // the observability layer on a fixed S_4 workload (the same
 // EnhancedNbc/V=4/rate 0.02 configuration the determinism test pins),
 // with no observer, an enabled collector, the full collector with
-// tracing, and the built-in 64-entry trace.
+// tracing, and the built-in 64-entry trace; and the cost of the
+// /v1/simulate job the jobs-async end-to-end workload submits.
 
 // benchConfig mirrors bench_obs_test.go: the fixed S_4 workload.
 func benchConfig() desim.Config {
@@ -28,8 +29,25 @@ func benchConfig() desim.Config {
 	}
 }
 
-// simBenches runs each observer setting once, to count the cycles a
-// run simulates, and returns the timed loops.
+// jobsAsyncConfig mirrors bench_obs_test.go: the jobs-async simulate
+// job at one fixed seed.
+func jobsAsyncConfig() desim.Config {
+	s4 := stargraph.MustNew(4)
+	return desim.Config{
+		Top:           s4,
+		Spec:          routing.MustNew(routing.EnhancedNbc, s4, 6),
+		Rate:          0.005,
+		MsgLen:        32,
+		BufCap:        2,
+		Seed:          401,
+		WarmupCycles:  1000,
+		MeasureCycles: 4000,
+		DrainCycles:   20000,
+	}
+}
+
+// simBenches runs each configuration once, to count the cycles a run
+// simulates, and returns the timed loops.
 func simBenches() ([]bench, error) {
 	counters, full, traced := benchConfig(), benchConfig(), benchConfig()
 	counters.Observer = obs.New(obs.Options{TraceCap: -1})
@@ -37,5 +55,6 @@ func simBenches() ([]bench, error) {
 	traced.TraceCap = 64
 	return evaluated([]named[desim.Config]{
 		{"off", benchConfig()}, {"counters", counters}, {"full", full}, {"trace64", traced},
+		{"jobs_async", jobsAsyncConfig()},
 	}, desim.Run, func(name string, r *desim.Result) variant { return variant{Name: name, cycles: r.Cycles} })
 }

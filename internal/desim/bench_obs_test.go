@@ -36,6 +36,25 @@ func benchConfig() desim.Config {
 	}
 }
 
+// jobsAsyncConfig is the /v1/simulate job the jobs-async end-to-end
+// workload submits (perfbench draws a fresh seed per job): S_4
+// EnhancedNbc, V=6, M=32, rate 0.005, BufCap 2, 1000 warm-up, 4000
+// measured and at most 20000 drain cycles — about 5k cycles a run.
+func jobsAsyncConfig(seed uint64) desim.Config {
+	s4 := stargraph.MustNew(4)
+	return desim.Config{
+		Top:           s4,
+		Spec:          routing.MustNew(routing.EnhancedNbc, s4, 6),
+		Rate:          0.005,
+		MsgLen:        32,
+		BufCap:        2,
+		Seed:          seed,
+		WarmupCycles:  1000,
+		MeasureCycles: 4000,
+		DrainCycles:   20000,
+	}
+}
+
 func runBench(b *testing.B, cfg desim.Config) {
 	b.Helper()
 	b.ReportAllocs()
@@ -80,4 +99,11 @@ func BenchmarkSimTracer(b *testing.B) {
 		cfg.TraceCap = 64
 		runBench(b, cfg)
 	})
+}
+
+// BenchmarkSimJobsAsync is the compute behind one jobs-async job, so
+// the end-to-end workload's simulator share has its own ns/cycle and
+// allocs figure.
+func BenchmarkSimJobsAsync(b *testing.B) {
+	runBench(b, jobsAsyncConfig(401))
 }

@@ -35,6 +35,10 @@ import (
 	"starperf/internal/traffic"
 )
 
+// MaxVCs bounds the virtual channels per physical channel: the
+// transfer loop keeps each channel's owned VCs in one 64-bit mask.
+const MaxVCs = 64
+
 // Config fully describes one simulation run.
 type Config struct {
 	// Top is the network topology.
@@ -113,7 +117,11 @@ type Config struct {
 	Observer Observer
 }
 
-func (c *Config) validate() error {
+// Validate reports the first configuration error Run would reject the
+// Config with before simulating, classified as a cfgerr; callers that
+// accept configurations from users (the HTTP server) check it up
+// front. Run validates again, so calling it is optional.
+func (c *Config) Validate() error {
 	switch {
 	case c.Top == nil:
 		return cfgerr.New("desim: nil topology")
@@ -121,6 +129,9 @@ func (c *Config) validate() error {
 		return cfgerr.Errorf("desim: topology %q has no nodes", c.Top.Name())
 	case c.Spec.V() <= 0:
 		return cfgerr.New("desim: routing spec has no virtual channels")
+	case c.Spec.V() > MaxVCs:
+		return cfgerr.Errorf("desim: %d virtual channels per physical channel, at most %d supported",
+			c.Spec.V(), MaxVCs)
 	case c.Rate < 0:
 		return cfgerr.Errorf("desim: negative rate %v", c.Rate)
 	case c.MsgLen <= 0:
@@ -311,31 +322,38 @@ type network struct {
 	pattern traffic.Pattern
 
 	// per-VC state, indexed channel*v + vc
-	owner   []*message
-	prev    []int32
-	buf     []int16
-	sent    []int16
-	drained []int16
+	owner []*message
+	vcs   []vcState
 
-	rr []uint8 // per-channel round-robin pointer
+	// Per-channel tables: kind replaces the slot div/mod on the flit
+	// path, rr is the round-robin pointer, and ownMask has bit vc set
+	// while VC vc is owned (hence V ≤ MaxVCs), so the transfer loop
+	// visits only owned VCs.
+	kind    []chanKind
+	rr      []uint8
+	ownMask []uint64
 
 	queueHead, queueTail []*message
 	queueLen             []int
 	totalQueued          int
 
-	arrivals []traffic.Arrivals
-	rng      *traffic.RNG
+	// arrivals are the per-node processes; nextArrival caches their
+	// earliest pending arrival, so idle cycles skip the poll.
+	arrivals    []traffic.Arrivals
+	nextArrival float64
+	rng         *traffic.RNG
 
 	routePending []*message
-	decisions    []int32
+	moves        []transfer
 	grantCount   []uint32 // per network channel, after warm-up
 	chanExists   []bool   // per channel; false for mesh borders and failed links
 
 	// Transient-fault state (nil/false on fault-free topologies, so
 	// the hot loops keep their fast paths). flapOfChan maps a channel
-	// to its flap window in flapWindows (−1: never flaps); checkReach
-	// enables the per-message injection reachability check; nodeUp is
-	// the per-node liveness mask.
+	// to its flap window in flapWindows (−1: never flaps, and every
+	// injection and ejection channel); checkReach enables the
+	// per-message injection reachability check; nodeUp is the per-node
+	// liveness mask.
 	flapOfChan  []int32
 	flapWindows []flapWindow
 	checkReach  bool
@@ -374,9 +392,37 @@ type network struct {
 	sampleCountdown int
 }
 
+// vcState is the flit bookkeeping of one virtual channel, packed so
+// the transfer loop reads one record per VC. prev is the upstream VC
+// of the same message (−1 for an injection VC or a free VC); buf
+// counts the flits buffered at the downstream router, sent the flits
+// forwarded over the channel, and drained the flits that left its
+// buffer onwards; length caches the owner's message length, so the
+// transfer loop dereferences no message.
+type vcState struct {
+	prev                       int32
+	buf, sent, drained, length int16
+}
+
+// chanKind classifies a physical channel by its slot.
+type chanKind uint8
+
+const (
+	netChan chanKind = iota
+	ejectChan
+	injectChan
+)
+
+// transfer is one flit move decided at the start of a cycle.
+type transfer struct {
+	gvc   int32
+	eject bool
+}
+
+// pair is one free eligible (dimension, vc) candidate of a header
+// allocation.
 type pair struct {
-	gvc int32
-	vc  int
+	dim, vc int
 }
 
 // flapWindow is the resolved per-channel form of a transient link
@@ -390,21 +436,4 @@ type flapWindow struct {
 // slot deg+1 the injection channel.
 func (nw *network) chanIdx(node, slot int) int32 { return int32(node*nw.slots + slot) }
 
-func (nw *network) isEjection(ch int32) bool { return int(ch)%nw.slots == nw.deg }
-
 func (nw *network) nodeOfChan(ch int32) int { return int(ch) / nw.slots }
-
-// downstreamNode returns the node whose router receives flits sent on
-// ch (the node itself for injection channels, -1 for ejection).
-func (nw *network) downstreamNode(ch int32) int {
-	node := int(ch) / nw.slots
-	slot := int(ch) % nw.slots
-	switch {
-	case slot < nw.deg:
-		return nw.top.Neighbor(node, slot)
-	case slot == nw.deg:
-		return -1
-	default:
-		return node
-	}
-}

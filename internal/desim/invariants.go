@@ -38,11 +38,11 @@ func (nw *network) checkInvariants() error {
 		for vc := 0; vc < nw.v; vc++ {
 			gvc := int32(ch*nw.v + vc)
 			m := nw.owner[gvc]
-			sent, drained, buf := nw.sent[gvc], nw.drained[gvc], nw.buf[gvc]
+			sent, drained, buf := nw.vcs[gvc].sent, nw.vcs[gvc].drained, nw.vcs[gvc].buf
 			if m == nil {
-				if sent != 0 || drained != 0 || buf != 0 || nw.prev[gvc] != -1 {
+				if sent != 0 || drained != 0 || buf != 0 || nw.vcs[gvc].prev != -1 {
 					return invariantErrf("free VC %d not reset (sent=%d drained=%d buf=%d prev=%d)",
-						gvc, sent, drained, buf, nw.prev[gvc])
+						gvc, sent, drained, buf, nw.vcs[gvc].prev)
 				}
 				continue
 			}
@@ -64,24 +64,36 @@ func (nw *network) checkInvariants() error {
 					return invariantErrf("VC %d buffer out of range (%d)", gvc, buf)
 				}
 			}
-			if p := nw.prev[gvc]; p >= 0 && sent < m.length {
+			if p := nw.vcs[gvc].prev; p >= 0 && sent < m.length {
 				if nw.owner[p] != m {
 					return invariantErrf("VC %d upstream %d owned by a different message", gvc, p)
 				}
 			}
 		}
 	}
-	// active-channel bookkeeping must match ownership exactly
+	// active-channel bookkeeping and the owned-VC masks must match
+	// ownership exactly
 	for ch := 0; ch < numChans; ch++ {
 		busy := int16(0)
+		var mask uint64
 		for vc := 0; vc < nw.v; vc++ {
-			if nw.owner[ch*nw.v+vc] != nil {
+			gvc := ch*nw.v + vc
+			if m := nw.owner[gvc]; m != nil {
 				busy++
+				mask |= 1 << uint(vc)
+				if nw.vcs[gvc].length != m.length {
+					return invariantErrf("VC %d caches length %d, owner has %d",
+						gvc, nw.vcs[gvc].length, m.length)
+				}
 			}
 		}
 		if busy != nw.busyVCs[ch] {
 			return invariantErrf("channel %d busy count %d, owners say %d",
 				ch, nw.busyVCs[ch], busy)
+		}
+		if mask != nw.ownMask[ch] {
+			return invariantErrf("channel %d owned mask %#x, owners say %#x",
+				ch, nw.ownMask[ch], mask)
 		}
 		pos := nw.activePos[ch]
 		switch {

@@ -68,7 +68,7 @@ func findBusyNetworkVC(nw *network) int32 {
 		}
 		for vc := 0; vc < nw.v; vc++ {
 			gvc := int32(ch*nw.v + vc)
-			if nw.owner[gvc] != nil && nw.sent[gvc] > nw.drained[gvc] {
+			if nw.owner[gvc] != nil && nw.vcs[gvc].sent > nw.vcs[gvc].drained {
 				return gvc
 			}
 		}
@@ -82,7 +82,7 @@ func TestInvariantDetectsFlitLeak(t *testing.T) {
 		if gvc < 0 {
 			t.Skip("no busy VC at chosen cycle")
 		}
-		nw.buf[gvc]++ // conjure a flit from nowhere
+		nw.vcs[gvc].buf++ // conjure a flit from nowhere
 	}, "flit leak")
 }
 
@@ -92,8 +92,8 @@ func TestInvariantDetectsCounterDisorder(t *testing.T) {
 		if gvc < 0 {
 			t.Skip("no busy VC at chosen cycle")
 		}
-		nw.drained[gvc] = nw.sent[gvc] + 1
-		nw.buf[gvc] = -1
+		nw.vcs[gvc].drained = nw.vcs[gvc].sent + 1
+		nw.vcs[gvc].buf = -1
 	}, "counters out of order")
 }
 
@@ -101,11 +101,28 @@ func TestInvariantDetectsDirtyFreeVC(t *testing.T) {
 	corrupt(t, func(nw *network) {
 		for gvc := range nw.owner {
 			if nw.owner[gvc] == nil {
-				nw.sent[gvc] = 3
+				nw.vcs[gvc].sent = 3
 				return
 			}
 		}
 	}, "not reset")
+}
+
+func TestInvariantDetectsStaleOwnedMask(t *testing.T) {
+	corrupt(t, func(nw *network) {
+		nw.ownMask[nw.active[0]] ^= 1 // the transfer loop would skip or invent a VC
+	}, "owned mask")
+}
+
+func TestInvariantDetectsStaleCachedLength(t *testing.T) {
+	corrupt(t, func(nw *network) {
+		for gvc, m := range nw.owner {
+			if m != nil {
+				nw.vcs[gvc].length++
+				return
+			}
+		}
+	}, "caches length")
 }
 
 func TestInvariantDetectsQueueMismatch(t *testing.T) {
@@ -121,11 +138,11 @@ func TestInvariantDetectsForeignUpstream(t *testing.T) {
 			for vc := 0; vc < nw.v; vc++ {
 				gvc := int32(ch*nw.v + vc)
 				m := nw.owner[gvc]
-				if m == nil || nw.prev[gvc] < 0 || nw.sent[gvc] >= nw.msgLen {
+				if m == nil || nw.vcs[gvc].prev < 0 || nw.vcs[gvc].sent >= nw.msgLen {
 					continue
 				}
 				other := &message{}
-				nw.owner[nw.prev[gvc]] = other
+				nw.owner[nw.vcs[gvc].prev] = other
 				return
 			}
 		}

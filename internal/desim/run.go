@@ -3,6 +3,7 @@ package desim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"starperf/internal/cfgerr"
 	"starperf/internal/routing"
@@ -41,7 +42,7 @@ func Run(cfg Config) (*Result, error) {
 }
 
 func newNetwork(cfg Config) (*network, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.BufCap == 0 {
@@ -80,11 +81,10 @@ func newNetwork(cfg Config) (*network, error) {
 		msgLen:       int16(cfg.MsgLen),
 		pattern:      cfg.Pattern,
 		owner:        make([]*message, numVC),
-		prev:         make([]int32, numVC),
-		buf:          make([]int16, numVC),
-		sent:         make([]int16, numVC),
-		drained:      make([]int16, numVC),
+		vcs:          make([]vcState, numVC),
+		kind:         make([]chanKind, n*slots),
 		rr:           make([]uint8, n*slots),
+		ownMask:      make([]uint64, n*slots),
 		queueHead:    make([]*message, n),
 		queueTail:    make([]*message, n),
 		queueLen:     make([]int, n),
@@ -97,8 +97,8 @@ func newNetwork(cfg Config) (*network, error) {
 		measureStart: cfg.WarmupCycles,
 		measureEnd:   cfg.WarmupCycles + cfg.MeasureCycles,
 	}
-	for i := range nw.prev {
-		nw.prev[i] = -1
+	for i := range nw.vcs {
+		nw.vcs[i].prev = -1
 	}
 	if nw.pattern == nil {
 		nw.pattern = traffic.Uniform{N: n}
@@ -129,6 +129,12 @@ func newNetwork(cfg Config) (*network, error) {
 		for slot := 0; slot < slots; slot++ {
 			ch := int(nw.chanIdx(node, slot))
 			nw.chanExists[ch] = slot >= deg || topology.HasChannel(top, node, slot)
+			switch {
+			case slot == deg:
+				nw.kind[ch] = ejectChan
+			case slot > deg:
+				nw.kind[ch] = injectChan
+			}
 		}
 	}
 	if err := nw.wireFaults(); err != nil {
@@ -309,7 +315,7 @@ func (nw *network) finish() {
 	// per-channel balance over existing network channels only
 	var st stats.Stream
 	for ch, c := range nw.grantCount {
-		if ch%nw.slots < nw.deg && nw.chanExists[ch] {
+		if nw.kind[ch] == netChan && nw.chanExists[ch] {
 			st.Add(float64(c))
 		}
 	}
@@ -332,11 +338,16 @@ func (nw *network) newMessage() *message {
 	return &message{}
 }
 
+// doArrivals moves every arrival due by this cycle into its node's
+// source queue, visiting the nodes in index order. Cycles before the
+// cached earliest pending arrival return at once; NextArrival is a
+// pure getter, so skipping those polls changes nothing.
 func (nw *network) doArrivals() error {
-	if nw.arrivals == nil {
+	now := float64(nw.cycle)
+	if nw.arrivals == nil || now < nw.nextArrival {
 		return nil
 	}
-	now := float64(nw.cycle)
+	next := math.Inf(1)
 	for node, p := range nw.arrivals {
 		if p == nil { // failed node: generates no traffic
 			continue
@@ -376,7 +387,9 @@ func (nw *network) doArrivals() error {
 			}
 			nw.pushQueue(node, m)
 		}
+		next = math.Min(next, p.NextArrival())
 	}
+	nw.nextArrival = next
 	return nil
 }
 
@@ -427,25 +440,16 @@ func (nw *network) doInjection() int {
 			continue
 		}
 		ch := nw.chanIdx(node, nw.deg+1)
-		gvc := int32(-1)
-		base := int(ch) * nw.v
-		for vc := 0; vc < nw.v; vc++ {
-			if nw.owner[base+vc] == nil {
-				gvc = int32(base + vc)
-				break
-			}
-		}
-		if gvc < 0 {
+		vc := nw.lowestFree(ch)
+		if vc < 0 {
 			continue
 		}
 		nw.popQueue(node)
 		m.injCycle = nw.cycle
-		m.headVC = gvc
 		m.curNode = int32(node)
 		m.st = routing.InitialState()
-		nw.owner[gvc] = m
-		nw.prev[gvc] = -1
-		nw.markBusy(gvc)
+		gvc := nw.occupy(m, ch, vc, -1)
+		m.headVC = gvc
 		if m.measured {
 			nw.res.QueueTime.Add(float64(nw.cycle - m.genCycle))
 		}
@@ -478,7 +482,7 @@ func (nw *network) doRouting() int {
 	out := pend[:0]
 	for _, m := range pend {
 		hv := m.headVC
-		if nw.drained[hv] != 0 || nw.buf[hv] == 0 {
+		if nw.vcs[hv].drained != 0 || nw.vcs[hv].buf == 0 {
 			// head flit not (yet) buffered at the router
 			out = append(out, m)
 			continue
@@ -517,23 +521,19 @@ func (nw *network) allocate(m *message) bool {
 	if node == m.dst {
 		// ejection channel: all V virtual channels are eligible
 		ch := nw.chanIdx(node, nw.deg)
-		base := int(ch) * nw.v
-		for vc := 0; vc < nw.v; vc++ {
-			gvc := int32(base + vc)
-			if nw.owner[gvc] == nil {
-				wait := int64(0)
-				if m.waitStart >= 0 {
-					wait = nw.cycle - m.waitStart
-					m.waitStart = -1
-				}
-				nw.grantVC(m, gvc)
-				m.routing = false
-				if nw.wantEvents {
-					nw.traceEvent(Event{Cycle: nw.cycle, Kind: EvGrant, Msg: m.id,
-						Node: int32(node), VC: gvc, Hop: int32(m.hops), Wait: int32(wait)})
-				}
-				return true
+		if vc := nw.lowestFree(ch); vc >= 0 {
+			wait := int64(0)
+			if m.waitStart >= 0 {
+				wait = nw.cycle - m.waitStart
+				m.waitStart = -1
 			}
+			gvc := nw.grantVC(m, ch, vc)
+			m.routing = false
+			if nw.wantEvents {
+				nw.traceEvent(Event{Cycle: nw.cycle, Kind: EvGrant, Msg: m.id,
+					Node: int32(node), VC: gvc, Hop: int32(m.hops), Wait: int32(wait)})
+			}
+			return true
 		}
 		// Every ejection VC is occupied. One EvBlock per blocking
 		// episode (first failed attempt), mirroring the network hops;
@@ -578,11 +578,10 @@ func (nw *network) allocate(m *message) bool {
 		dRem := nw.top.Distance(node, m.dst) - 1
 		elig := nw.spec.EligibleVCs(m.st, hopNeg, nextColor, dRem, nw.eligBuf[:0])
 		for _, dim := range dims {
-			base := int(nw.chanIdx(node, dim)) * nw.v
+			owned := nw.ownMask[nw.chanIdx(node, dim)]
 			for _, vc := range elig {
-				gvc := int32(base + vc)
-				if nw.owner[gvc] == nil {
-					pairs = append(pairs, pair{gvc: gvc, vc: vc})
+				if owned&(1<<uint(vc)) == 0 {
+					pairs = append(pairs, pair{dim: dim, vc: vc})
 				}
 			}
 		}
@@ -608,11 +607,10 @@ func (nw *network) allocate(m *message) bool {
 				continue
 			}
 			elig := nw.spec.MisrouteVCs(m.st, hopNeg, nextColor, dRem, nw.eligBuf[:0])
-			base := int(ch) * nw.v
+			owned := nw.ownMask[ch]
 			for _, vc := range elig {
-				gvc := int32(base + vc)
-				if nw.owner[gvc] == nil {
-					pairs = append(pairs, pair{gvc: gvc, vc: vc})
+				if owned&(1<<uint(vc)) == 0 {
+					pairs = append(pairs, pair{dim: dim, vc: vc})
 				}
 			}
 		}
@@ -653,16 +651,16 @@ func (nw *network) allocate(m *message) bool {
 	hop := int32(m.hops)
 	m.waitStart = -1
 	m.st = nw.spec.Advance(m.st, hopNeg, vc)
-	m.curNode = int32(nw.downstreamNode(chosen.gvc / int32(nw.v)))
+	m.curNode = int32(nw.top.Neighbor(node, chosen.dim))
+	ch := nw.chanIdx(node, chosen.dim)
 	if nw.cycle >= nw.measureStart {
-		nw.grantCount[chosen.gvc/int32(nw.v)]++
+		nw.grantCount[ch]++
 	}
-	nw.grantVC(m, chosen.gvc)
+	gvc := nw.grantVC(m, ch, vc)
 	m.hops++
 	if nw.wantEvents {
 		nw.traceEvent(Event{Cycle: nw.cycle, Kind: EvGrant, Msg: m.id,
-			Node: int32(nw.nodeOfChan(chosen.gvc / int32(nw.v))), VC: chosen.gvc,
-			Hop: hop, Wait: int32(wait), Misroute: misroute})
+			Node: int32(node), VC: gvc, Hop: hop, Wait: int32(wait), Misroute: misroute})
 	}
 	return true
 }
@@ -717,97 +715,112 @@ func (nw *network) choose(pairs []pair) pair {
 	}
 }
 
-// grantVC records that m now owns gvc, linked after its previous
-// head channel. Event emission stays with the callers in allocate,
-// which know the hop index and accumulated wait.
-func (nw *network) grantVC(m *message, gvc int32) {
-	nw.owner[gvc] = m
-	nw.prev[gvc] = m.headVC
+// grantVC records that m now owns virtual channel vc of channel ch,
+// linked after its previous head channel, and returns the global VC
+// index. Event emission stays with the callers in allocate, which
+// know the hop index and accumulated wait.
+func (nw *network) grantVC(m *message, ch int32, vc int) int32 {
+	gvc := nw.occupy(m, ch, vc, m.headVC)
 	m.headVC = gvc
 	nw.grantCycle[gvc] = nw.cycle
-	nw.markBusy(gvc)
+	return gvc
 }
 
-// markBusy accounts a newly owned VC, activating its channel when it
-// was idle.
-func (nw *network) markBusy(gvc int32) {
-	ch := gvc / int32(nw.v)
+// occupy hands virtual channel vc of channel ch to m, linked after
+// the upstream VC prev (−1 for an injection VC), activating the
+// channel when it was idle, and returns the global VC index.
+func (nw *network) occupy(m *message, ch int32, vc int, prev int32) int32 {
+	gvc := ch*int32(nw.v) + int32(vc)
+	nw.owner[gvc] = m
+	nw.vcs[gvc] = vcState{prev: prev, length: m.length}
+	nw.ownMask[ch] |= 1 << uint(vc)
 	nw.busyVCs[ch]++
 	if nw.busyVCs[ch] == 1 {
 		nw.activePos[ch] = int32(len(nw.active))
 		nw.active = append(nw.active, ch)
 	}
+	return gvc
+}
+
+// lowestFree returns the lowest-numbered free VC of channel ch, or −1
+// when all are owned.
+func (nw *network) lowestFree(ch int32) int {
+	vc := bits.TrailingZeros64(^nw.ownMask[ch])
+	if vc >= nw.v {
+		return -1
+	}
+	return vc
 }
 
 // doTransfers performs the per-cycle flit movement. Decisions are
 // taken against the cycle-start state (two-phase update), so a flit
 // advances at most one channel per cycle; with the default 2-flit
 // buffers a wormhole streams at full channel rate.
+//
+// Each active channel moves at most one flit, from the first VC in
+// round-robin order from rr that is ready: it still has flits to send,
+// its upstream buffer holds one, and its own buffer has room (ejection
+// channels deliver at once). Only owned VCs are visited: rotating
+// ownMask right by rr puts the owned VCs at or above rr first and
+// those below it last, in the order a scan of all V slots would meet
+// them.
 func (nw *network) doTransfers() int {
-	nw.decisions = nw.decisions[:0]
-	for _, ch32 := range nw.active {
-		ch := int(ch32)
-		if nw.flapOfChan != nil && ch%nw.slots < nw.deg && !nw.linkUpChan(ch32) {
+	moves := nw.moves[:0]
+	vcs := nw.vcs
+	for _, ch := range nw.active {
+		if nw.flapOfChan != nil && !nw.linkUpChan(ch) {
 			continue // link transiently down: flits hold their buffers
 		}
-		base := ch * nw.v
+		eject := nw.kind[ch] == ejectChan
 		start := int(nw.rr[ch])
-		eject := ch%nw.slots == nw.deg
-		for k := 0; k < nw.v; k++ {
-			vc := start + k
-			if vc >= nw.v {
-				vc -= nw.v
-			}
-			gvc := int32(base + vc)
-			m := nw.owner[gvc]
-			if m == nil || nw.sent[gvc] >= m.length {
+		base := int(ch) * nw.v
+		for owned := bits.RotateLeft64(nw.ownMask[ch], -start); owned != 0; owned &= owned - 1 {
+			vc := (bits.TrailingZeros64(owned) + start) & 63
+			vs := &vcs[base+vc]
+			if vs.sent >= vs.length || vs.prev >= 0 && vcs[vs.prev].buf == 0 ||
+				!eject && vs.buf >= nw.bufCap {
 				continue
 			}
-			if p := nw.prev[gvc]; p >= 0 && nw.buf[p] == 0 {
-				continue
+			moves = append(moves, transfer{gvc: int32(base + vc), eject: eject})
+			if vc++; vc == nw.v {
+				vc = 0
 			}
-			if !eject && nw.buf[gvc] >= nw.bufCap {
-				continue
-			}
-			nw.decisions = append(nw.decisions, gvc)
-			nw.rr[ch] = uint8((vc + 1) % nw.v)
+			nw.rr[ch] = uint8(vc)
 			break
 		}
 	}
-	for _, gvc := range nw.decisions {
-		m := nw.owner[gvc]
-		nw.sent[gvc]++
-		if p := nw.prev[gvc]; p >= 0 {
-			nw.buf[p]--
-			nw.drained[p]++
-			if nw.drained[p] == m.length {
+	nw.moves = moves
+	for _, mv := range moves {
+		vs := &vcs[mv.gvc]
+		vs.sent++
+		if p := vs.prev; p >= 0 {
+			up := &vcs[p]
+			up.buf--
+			up.drained++
+			if up.drained == up.length {
 				nw.freeVC(p)
 			}
 		}
-		if nw.isEjection(gvc / int32(nw.v)) {
-			if nw.sent[gvc] == m.length {
-				nw.deliver(m, gvc)
-			}
-		} else {
-			nw.buf[gvc]++
+		if !mv.eject {
+			vs.buf++
+		} else if vs.sent == vs.length {
+			nw.deliver(nw.owner[mv.gvc], mv.gvc)
 		}
 	}
-	return len(nw.decisions)
+	return len(moves)
 }
 
 func (nw *network) freeVC(gvc int32) {
+	ch := gvc / int32(nw.v)
 	// record the holding time of network channels granted inside the
-	// measurement window (slot < deg excludes ejection/injection)
-	if ch := gvc / int32(nw.v); int(ch)%nw.slots < nw.deg &&
+	// measurement window (ejection/injection channels excluded)
+	if nw.kind[ch] == netChan &&
 		nw.grantCycle[gvc] >= nw.measureStart && nw.grantCycle[gvc] < nw.measureEnd {
 		nw.res.VCHolding.Add(float64(nw.cycle + 1 - nw.grantCycle[gvc]))
 	}
 	nw.owner[gvc] = nil
-	nw.prev[gvc] = -1
-	nw.buf[gvc] = 0
-	nw.sent[gvc] = 0
-	nw.drained[gvc] = 0
-	ch := gvc / int32(nw.v)
+	nw.vcs[gvc] = vcState{prev: -1}
+	nw.ownMask[ch] &^= 1 << uint(gvc-ch*int32(nw.v))
 	nw.busyVCs[ch]--
 	if nw.busyVCs[ch] == 0 {
 		// swap-remove from the active set

@@ -49,6 +49,8 @@ func TestConfigValidate(t *testing.T) {
 		{"nil topology", func(c *Config) { c.Top = nil }, "nil topology"},
 		{"zero-node topology", func(c *Config) { c.Top = emptyTop{} }, `topology "empty" has no nodes`},
 		{"no VCs", func(c *Config) { c.Spec = routing.Spec{} }, "no virtual channels"},
+		{"too many VCs", func(c *Config) { c.Spec = routing.MustNew(routing.NHop, top, MaxVCs+1) },
+			"65 virtual channels per physical channel, at most 64"},
 		{"negative rate", func(c *Config) { c.Rate = -0.1 }, "negative rate"},
 		{"zero message length", func(c *Config) { c.MsgLen = 0 }, "message length 0"},
 		{"oversize message", func(c *Config) { c.MsgLen = 1 << 15 }, "too large"},
@@ -72,5 +74,29 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestMaxVCsRuns drives the widest supported channel, whose owned-VC
+// mask uses all 64 bits, under the structural self-checks.
+func TestMaxVCsRuns(t *testing.T) {
+	top := hypercube.MustNew(3)
+	res, err := Run(Config{
+		Top:           top,
+		Spec:          routing.MustNew(routing.EnhancedNbc, top, MaxVCs),
+		Rate:          0.05,
+		MsgLen:        16,
+		Seed:          3,
+		WarmupCycles:  500,
+		MeasureCycles: 3000,
+		Paranoid:      true,
+		ParanoidEvery: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Deadlocked || !res.Drained || res.MeasuredDelivered == 0 {
+		t.Fatalf("V=%d run unhealthy: deadlocked=%v drained=%v delivered=%d",
+			MaxVCs, res.Deadlocked, res.Drained, res.MeasuredDelivered)
 	}
 }

@@ -73,7 +73,7 @@ func (nw *network) stallTrace() []Event {
 		return nil
 	}
 	var chain []int32 // head channel first, injection channel last
-	for gvc := m.headVC; gvc >= 0; gvc = nw.prev[gvc] {
+	for gvc := m.headVC; gvc >= 0; gvc = nw.vcs[gvc].prev {
 		chain = append(chain, gvc)
 	}
 	ev := make([]Event, 0, len(chain)+1)

@@ -42,15 +42,12 @@ func wireRingDeadlock(t *testing.T, cfg Config) *network {
 		m.measured = true
 		m.routing = true
 		m.st = routing.State{NegHops: 0, Level: vcOf[i]}
-		gvc := nw.chanIdx(node, dims[i])*int32(nw.v) + int32(vcOf[i])
+		gvc := nw.occupy(m, nw.chanIdx(node, dims[i]), vcOf[i], -1)
 		m.headVC = gvc
 		m.curNode = int32(next)
-		nw.owner[gvc] = m
-		nw.prev[gvc] = -1
-		nw.buf[gvc] = m.length  // head flit buffered at the router
-		nw.sent[gvc] = m.length // nothing left to send on this channel
+		nw.vcs[gvc].buf = m.length  // head flit buffered at the router
+		nw.vcs[gvc].sent = m.length // nothing left to send on this channel
 		nw.grantCycle[gvc] = 0
-		nw.markBusy(gvc)
 		nw.res.Generated++
 		nw.measuredInFly++
 		nw.routePending = append(nw.routePending, m)

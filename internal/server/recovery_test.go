@@ -334,9 +334,18 @@ func cacheCfgDir(dir string) cache.Config {
 // done on the strength of a file the poll would then 404.
 func TestAsyncResubmitRecomputesCorruptCacheEntry(t *testing.T) {
 	cdir := t.TempDir()
-	_, ts1 := newTestServer(t, Config{Workers: 1, Cache: cacheCfgDir(cdir)})
+	s1, ts1 := newTestServer(t, Config{Workers: 1, Cache: cacheCfgDir(cdir)})
 	id, want := submitKind(t, ts1.URL, simulateKind, recoverySim)
 	ts1.Close()
+	// The poll can read the result from the memory tier before the
+	// disk write lands; corrupting the file any earlier would be
+	// undone by that write.
+	for deadline := time.Now().Add(10 * time.Second); s1.Cache().Stats().DiskWrites == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("cache entry never written to disk")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	entry := filepath.Join(cdir, strings.TrimPrefix(id, "sha256:")+".json")
 	if err := os.WriteFile(entry, []byte("starperf-cache v2 garbage\nnot the payload"), 0o644); err != nil {

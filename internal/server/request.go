@@ -298,19 +298,24 @@ func (r SimulateRequest) withDefaults() SimulateRequest {
 func (r SimulateRequest) hash() (string, error) { return jobs.Hash(simulateKind.name, r) }
 
 // prepare builds the topology and the routing spec the simulator runs
-// on.
+// on, and checks the simulator configuration, so a request the
+// simulator would reject is a 400 rather than a failed job.
 func (r SimulateRequest) prepare() (runner, error) {
 	top, spec, err := r.Topo.routed(r.Routing, r.V)
 	if err != nil {
 		return nil, err
 	}
+	cfg := desim.Config{
+		Top: top, Spec: spec,
+		Rate: r.Rate, MsgLen: r.MsgLen, BufCap: r.BufCap, Seed: r.Seed,
+		WarmupCycles: r.Warmup, MeasureCycles: r.Measure, DrainCycles: r.Drain,
+		MaxMsgAge: r.MaxMsgAge,
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	return func() (any, error) {
-		res, err := desim.Run(desim.Config{
-			Top: top, Spec: spec,
-			Rate: r.Rate, MsgLen: r.MsgLen, BufCap: r.BufCap, Seed: r.Seed,
-			WarmupCycles: r.Warmup, MeasureCycles: r.Measure, DrainCycles: r.Drain,
-			MaxMsgAge: r.MaxMsgAge,
-		})
+		res, err := desim.Run(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -263,6 +263,20 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsTooManyVCs: the simulator keeps one 64-bit
+// owned-VC mask per channel, so a simulate request above 64 virtual
+// channels is a 400 invalid_config at submission, not a failed job.
+func TestSimulateRejectsTooManyVCs(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp := postJSON(t, ts.URL+"/v1/simulate",
+		`{"topo":{"kind":"star","n":4},"v":65,"msg_len":16,"rate":0.01,"warmup":500,"measure":2000}`)
+	body := readBody(t, resp)
+	if resp.StatusCode != 400 || !bytes.Contains(body, []byte("invalid_config")) ||
+		!bytes.Contains(body, []byte("at most 64")) {
+		t.Fatalf("65-VC simulate: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestSweepRejectsTooManyWorkers bounds the sweep's own parallelism
 // the way points and seeds are bounded: a request may not make the
 // node start an arbitrary number of simulations at once.

@@ -1,8 +1,11 @@
 package stargraph
 
 import (
+	"slices"
 	"sync"
 	"testing"
+
+	"starperf/internal/perm"
 )
 
 // fuzzGraphs caches one Graph per n so fuzz executions do not rebuild
@@ -53,13 +56,17 @@ func bfsDistance(g *Graph, from, to int) int {
 // FuzzDistance cross-checks the closed-form cycle-structure distance
 // (DistanceToIdentity, the basis of the paper's eq. 2 averages)
 // against a BFS oracle on arbitrary node pairs of S_2..S_6, together
-// with the metric properties the routing layer relies on.
+// with the metric properties the routing layer relies on, and checks
+// the allocation-free Distance and ProfitableDims against their
+// Compose-based reference.
 func FuzzDistance(f *testing.F) {
 	f.Add(uint8(4), uint64(0), uint64(1))
 	f.Add(uint8(5), uint64(17), uint64(101))
 	f.Add(uint8(6), uint64(719), uint64(0))
 	f.Add(uint8(2), uint64(1), uint64(1))
 	f.Add(uint8(3), uint64(5), uint64(2))
+	f.Add(uint8(5), uint64(119), uint64(64))
+	f.Add(uint8(6), uint64(331), uint64(502))
 	f.Fuzz(func(t *testing.T, n uint8, a, b uint64) {
 		nn := 2 + int(n%5) // S_2 .. S_6 (720 nodes max: BFS stays fast)
 		g := fuzzGraph(nn)
@@ -80,6 +87,22 @@ func FuzzDistance(f *testing.F) {
 		}
 		if (closed == 0) != (na == nb) {
 			t.Fatalf("S_%d: zero distance for distinct nodes %d, %d", nn, na, nb)
+		}
+		// The stack-composed relative permutation must agree with
+		// Permutation.Compose, for distances and profitable moves.
+		var ref perm.Permutation
+		if na != nb {
+			ref = g.inverses[nb].Compose(g.perms[na])
+			if d := DistanceToIdentity(ref); d != closed {
+				t.Fatalf("S_%d: Distance(%d,%d) = %d, Compose reference %d", nn, na, nb, closed, d)
+			}
+		}
+		dims := g.ProfitableDims(na, nb, nil)
+		if want := ProfitableOfRelative(ref, nil); !slices.Equal(dims, want) {
+			t.Fatalf("S_%d: ProfitableDims(%d,%d) = %v, Compose reference %v", nn, na, nb, dims, want)
+		}
+		if len(dims) == 0 != (na == nb) {
+			t.Fatalf("S_%d: %d profitable moves from %d to %d", nn, len(dims), na, nb)
 		}
 		// Distance to the identity must match the precomputed table.
 		if d0 := g.Distance(na, 0); d0 != g.DistanceToID(na) {

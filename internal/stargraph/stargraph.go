@@ -129,8 +129,20 @@ func (g *Graph) Distance(a, b int) int {
 	if b == 0 {
 		return int(g.distID[a])
 	}
-	rel := g.inverses[b].Compose(g.perms[a])
-	return DistanceToIdentity(rel)
+	var rel [perm.MaxN]uint8
+	return DistanceToIdentity(g.relative(&rel, b, a))
+}
+
+// relative returns the relative permutation dst⁻¹∘cur, composed into
+// the caller's array: the allocation-free form of
+// g.inverses[dst].Compose(g.perms[cur]) for the per-hop routing calls.
+func (g *Graph) relative(rel *[perm.MaxN]uint8, dst, cur int) perm.Permutation {
+	inv, p := g.inverses[dst], g.perms[cur]
+	q := perm.Permutation(rel[:g.n])
+	for i, s := range p {
+		q[i] = inv[s-1]
+	}
+	return q
 }
 
 // DistanceToID returns the precomputed distance from a node to the
@@ -163,8 +175,8 @@ func (g *Graph) ProfitableDims(cur, dst int, buf []int) []int {
 	if cur == dst {
 		return buf
 	}
-	rel := g.inverses[dst].Compose(g.perms[cur])
-	return profitableOf(rel, buf)
+	var rel [perm.MaxN]uint8
+	return profitableOf(g.relative(&rel, dst, cur), buf)
 }
 
 // profitableOf computes profitable generator dimensions (0-based dim =

@@ -297,6 +297,28 @@ func TestProfitableOfRelative(t *testing.T) {
 	}
 }
 
+// TestRoutingHelpersAllocationFree: the simulator calls ProfitableDims
+// and Distance on every header allocation attempt and the bounds
+// engine once per flow hop, so neither may allocate (the relative
+// permutation is composed on the stack).
+func TestRoutingHelpersAllocationFree(t *testing.T) {
+	g := MustNew(6)
+	buf := make([]int, 0, g.Degree())
+	i := 0
+	if a := testing.AllocsPerRun(200, func() {
+		i++
+		buf = g.ProfitableDims(i%g.N(), (i*7919+1)%g.N(), buf[:0])
+	}); a != 0 {
+		t.Errorf("ProfitableDims: %v allocs per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(200, func() {
+		i++
+		_ = g.Distance(i%g.N(), (i*7919+1)%g.N())
+	}); a != 0 {
+		t.Errorf("Distance: %v allocs per call, want 0", a)
+	}
+}
+
 func BenchmarkProfitableDims(b *testing.B) {
 	g := MustNew(7)
 	buf := make([]int, 0, 8)

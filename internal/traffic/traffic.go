@@ -229,7 +229,8 @@ func (u UniformLen) Variance() float64 {
 // adds burstiness.
 type Arrivals interface {
 	// NextArrival returns the time of the next arrival without
-	// consuming it.
+	// consuming it. It must be a pure getter: the simulator caches
+	// the earliest over all nodes and polls no node before then.
 	NextArrival() float64
 	// Pop consumes and returns the next arrival time.
 	Pop() float64
