@@ -190,7 +190,9 @@ type (
 var ErrSaturated = model.ErrSaturated
 
 // NewStarPaths, NewCubePaths and NewTorusPaths build the per-topology
-// path structures consumed by ModelConfig.
+// path structures consumed by ModelConfig. Path structures are
+// immutable and safe for concurrent use; NewStarPaths builds each S_n
+// once and returns the shared instance on every later call.
 func NewStarPaths(n int) (*model.StarPaths, error) { return model.NewStarPaths(n) }
 
 // NewCubePaths builds the hypercube path structure.

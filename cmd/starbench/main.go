@@ -6,6 +6,7 @@
 //	go run ./cmd/starbench -suite serve -out BENCH_serve.json      # content hash, two-tier cache, pool dispatch
 //	go run ./cmd/starbench -suite journal -out BENCH_journal.json  # fsynced, unsynced, group-committed append; replay
 //	go run ./cmd/starbench -suite bounds -out BENCH_bounds.json    # delay-bound evaluation cost per flow
+//	go run ./cmd/starbench -suite predict -out BENCH_predict.json  # model miss: evaluation and fresh /v1/predict
 //
 // -out - writes to stdout; without -out a suite writes
 // BENCH_<suite>.json. Every suite is a row of the suites table and
@@ -35,6 +36,7 @@ var suites = []suite{
 	{"serve", "serving-layer hot paths: canonical content hash, two-tier cache, 4-worker pool dispatch", serveBenches},
 	{"journal", "durable job journal: fsynced append, unsynced append, group-committed appends (64 concurrent appenders / 64-record AppendBatch, per record), cold replay of 1k records", journalBenches},
 	{"bounds", "one worst-case delay-bound evaluation per topology (quadratic flow enumeration + fixed-point composition)", boundsBenches},
+	{"predict", "model miss: one model evaluation, S5 EnhancedNbc V=6 M=32 rate=0.01 and S7 V=8 M=32 rate=0.002; predict_miss_s5: one S5 V=6 M=32 /v1/predict through the server handler (1 worker), rate 0.004 + i·1e-9 so every request misses the cache", predictBenches},
 }
 
 // bench is one benchmark of a suite: the variant it fills in (its
@@ -110,7 +112,7 @@ func (s suite) command() string {
 }
 
 // suiteNames lists the table for help text and errors:
-// "sim, serve, journal or bounds".
+// "sim, serve, journal, bounds or predict".
 func suiteNames() string {
 	names := make([]string, len(suites))
 	for i, s := range suites {

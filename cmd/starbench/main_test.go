@@ -81,7 +81,7 @@ func TestUnknownSuiteNamesEverySuite(t *testing.T) {
 	if err == nil {
 		t.Fatal("lookup(nope) succeeded")
 	}
-	for _, name := range []string{`"nope"`, "sim", "serve", "journal", "bounds"} {
+	for _, name := range []string{`"nope"`, "sim", "serve", "journal", "bounds", "predict"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not name %s", err, name)
 		}

@@ -14,7 +14,7 @@ import (
 // the class structure entirely (it is exact for the implemented
 // algorithm). Returns one row per rate with the three predictions.
 func AblationMixture(v, msgLen, points int) ([]MixtureRow, error) {
-	base, err := starModel(5)
+	base, _, err := starModel(5)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func AblationSelection(v, msgLen, points int, opts SimOptions) (*Panel, error) {
 // in simulation at equal total VC budget, plus the model's prediction
 // for each.
 func AblationAlgorithms(vTotal, msgLen, points int, opts SimOptions) (*Panel, error) {
-	base, err := starModel(5)
+	base, g, err := starModel(5)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func AblationAlgorithms(vTotal, msgLen, points int, opts SimOptions) (*Panel, er
 		for _, r := range ratesUpTo(0.015, points) {
 			s.Points = append(s.Points, Point{Rate: r})
 		}
-		if err := runSweep(base.Top, []*Series{&s}, opts, nil); err != nil {
+		if err := runSweep(g, []*Series{&s}, opts, nil); err != nil {
 			return nil, err
 		}
 		if err := fillModel(&s, base); err != nil {
@@ -104,7 +104,7 @@ func AblationAlgorithms(vTotal, msgLen, points int, opts SimOptions) (*Panel, er
 // approximation σ² = (S̄−M)²: it evaluates the model under the
 // paper's, the exponential and the deterministic variance choices.
 func AblationVariance(v, msgLen, points int) ([]VarianceRow, error) {
-	base, err := starModel(5)
+	base, _, err := starModel(5)
 	if err != nil {
 		return nil, err
 	}

@@ -66,11 +66,10 @@ func BoundsFigure(cfg BoundsFigureConfig) ([]BoundRow, error) {
 		return nil, cfgerr.Errorf("experiments: bounds figure points %d outside 1..64", cfg.Points)
 	}
 	opts := cfg.Sim.withDefaults()
-	mbase, err := starModel(cfg.N)
+	mbase, top, err := starModel(cfg.N)
 	if err != nil {
 		return nil, err
 	}
-	top := mbase.Top
 	mbase.Kind, mbase.V, mbase.MsgLen = routing.EnhancedNbc, cfg.V, cfg.MsgLen
 	spec, err := routing.New(routing.EnhancedNbc, top, cfg.V)
 	if err != nil {

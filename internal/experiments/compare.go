@@ -18,7 +18,7 @@ func StarVsHypercube(msgLen, v, points int, opts SimOptions) (*Panel, error) {
 	if points <= 0 {
 		points = 8
 	}
-	starBase, err := starModel(5)
+	starBase, star, err := starModel(5)
 	if err != nil {
 		return nil, err
 	}
@@ -26,7 +26,7 @@ func StarVsHypercube(msgLen, v, points int, opts SimOptions) (*Panel, error) {
 	if err != nil {
 		return nil, err
 	}
-	star, cube := starBase.Top, hypercube.MustNew(7)
+	cube := hypercube.MustNew(7)
 	p := &Panel{
 		Title:  fmt.Sprintf("Star S5 vs Hypercube Q7 (M=%d, V=%d, Enhanced-Nbc)", msgLen, v),
 		XLabel: "traffic generation rate (messages/node/cycle)",

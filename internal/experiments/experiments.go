@@ -289,17 +289,18 @@ func runRecovered(cfg desim.Config, wall time.Duration) (*desim.Result, error) {
 }
 
 // starModel is the base model configuration of S_n (paths and
-// topology); callers set the routing, V, M and rate fields on it.
-func starModel(n int) (model.Config, error) {
+// topology) and the graph the simulations run on; callers set the
+// routing, V, M and rate fields on the configuration.
+func starModel(n int) (model.Config, *stargraph.Graph, error) {
 	sp, err := model.NewStarPaths(n)
 	if err != nil {
-		return model.Config{}, err
+		return model.Config{}, nil, err
 	}
 	g, err := stargraph.New(n)
 	if err != nil {
-		return model.Config{}, err
+		return model.Config{}, nil, err
 	}
-	return model.Config{Paths: sp, Top: g}, nil
+	return model.Config{Paths: sp, Top: g}, g, nil
 }
 
 // fillModel fills the Model fields of every point of s, evaluating
@@ -353,11 +354,10 @@ func StarPanel(n, v int, msgLens []int, maxRate float64, points int, opts SimOpt
 	if len(msgLens) == 0 {
 		msgLens = []int{32}
 	}
-	base, err := starModel(n)
+	base, g, err := starModel(n)
 	if err != nil {
 		return nil, err
 	}
-	g := base.Top
 	if maxRate <= 0 {
 		longest := msgLens[0]
 		for _, m := range msgLens {
@@ -403,11 +403,10 @@ func StarPanel(n, v int, msgLens []int, maxRate float64, points int, opts SimOpt
 func ValidationGrid(opts SimOptions) ([]GridRow, error) {
 	var rows []GridRow
 	for _, n := range []int{4, 5, 6} {
-		base, err := starModel(n)
+		base, g, err := starModel(n)
 		if err != nil {
 			return nil, err
 		}
-		g := base.Top
 		// scale operating points to each network's capacity
 		cap5 := float64(g.Degree()) / (g.AvgDistance() * 32)
 		for _, m := range []int{16, 32, 64} {

@@ -18,11 +18,10 @@ func SwitchingComparison(v, msgLen, points int, opts SimOptions) (*Panel, error)
 		points = 8
 	}
 	opts = opts.withDefaults()
-	base, err := starModel(5)
+	base, g, err := starModel(5)
 	if err != nil {
 		return nil, err
 	}
-	g := base.Top
 	spec, err := routing.New(routing.EnhancedNbc, g, v)
 	if err != nil {
 		return nil, err

@@ -47,24 +47,36 @@ func (b BlockingModel) String() string {
 }
 
 // blockingState carries the per-iteration quantities the hop
-// evaluator needs: the busy-count distribution of a physical
-// channel's VCs and the class-a usage probability estimate.
+// evaluator needs: the all-busy probability of every eligible-set
+// size under the current virtual-channel occupancy, and the class-a
+// usage probability estimate. One blockingState serves every
+// iteration of an evaluation; update refills it.
 type blockingState struct {
 	spec routing.Spec
-	occ  []float64 // P_v, v = 0..V
-	pvc0 float64   // P(message used a class-a VC on its previous hop)
 	mode BlockingModel
+	// allBusy[k] = queueing.AllBusyProb(occ, k), k = 0..V: eligible
+	// counts lie in that range, so hops read the table instead of
+	// recomputing the hypergeometric sum
+	allBusy []float64
+	pvc0    float64 // P(message used a class-a VC on its previous hop)
 }
 
-func newBlockingState(spec routing.Spec, occ []float64, mode BlockingModel) *blockingState {
-	bs := &blockingState{spec: spec, occ: occ, mode: mode}
-	if spec.V1 > 0 {
+func newBlockingState(spec routing.Spec, mode BlockingModel) *blockingState {
+	return &blockingState{spec: spec, mode: mode, allBusy: make([]float64, spec.V()+1)}
+}
+
+// update fills the table from occ, the P_v distribution (v = 0..V)
+// of the current iterate.
+func (bs *blockingState) update(occ []float64) {
+	for k := range bs.allBusy {
+		bs.allBusy[k] = queueing.AllBusyProb(occ, k)
+	}
+	if bs.spec.V1 > 0 {
 		// Under the prefer-class-a policy a message acquires class a
 		// whenever not all V1 adaptive VCs of the chosen channel are
 		// busy.
-		bs.pvc0 = 1 - queueing.AllBusyProb(occ, spec.V1)
+		bs.pvc0 = 1 - bs.allBusy[bs.spec.V1]
 	}
-	return bs
 }
 
 // eligibleCount returns the number of virtual channels a message at
@@ -111,8 +123,8 @@ func (bs *blockingState) Eval(hop Hop) float64 {
 		// selection). The B−/B+ halves of eq. 8 arise from the two
 		// source colours, which the solver already averages over, so
 		// here the hop's own sign decides which of the two applies.
-		pa := queueing.AllBusyProb(bs.occ, bs.eligibleCount(0, hop))
-		pb := queueing.AllBusyProb(bs.occ, bs.eligibleCount(hop.NegTaken, hop))
+		pa := bs.allBusy[bs.eligibleCount(0, hop)]
+		pb := bs.allBusy[bs.eligibleCount(hop.NegTaken, hop)]
 		f := float64(hop.F)
 		if bs.mode == PaperInsidePower {
 			mix := bs.pvc0*pa + (1-bs.pvc0)*pb
@@ -120,7 +132,7 @@ func (bs *blockingState) Eval(hop Hop) float64 {
 		}
 		return bs.pvc0*math.Pow(pa, f) + (1-bs.pvc0)*math.Pow(pb, f)
 	default: // Window
-		p := queueing.AllBusyProb(bs.occ, bs.eligibleCount(hop.NegTaken, hop))
+		p := bs.allBusy[bs.eligibleCount(hop.NegTaken, hop)]
 		return math.Pow(p, float64(hop.F))
 	}
 }

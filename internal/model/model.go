@@ -39,8 +39,9 @@ type Config struct {
 	// NewStarPaths or NewCubePaths).
 	Paths PathStructure
 	// Top supplies degree/diameter/average distance; it must be the
-	// same network Paths was built for.
-	Top topology.Topology
+	// same network Paths was built for. Any topology.Topology will
+	// do; stargraph.NewShape gives S_n's without building the graph.
+	Top topology.Shape
 	// Kind is the routing algorithm (default EnhancedNbc).
 	Kind routing.Kind
 	// V is the number of virtual channels per physical channel.
@@ -277,6 +278,14 @@ func Evaluate(cfg Config) (*Result, error) {
 
 	s := m + dbar + inj // zero-load starting point
 	res := &Result{ChannelRate: lambdaC}
+	bs := newBlockingState(spec, cfg.Blocking)
+	eval := bs.Eval
+	if cfg.SingleOutput {
+		eval = func(h Hop) float64 {
+			h.F = 1
+			return bs.Eval(h)
+		}
+	}
 
 	for iter := 1; iter <= maxIter; iter++ {
 		res.Iterations = iter
@@ -308,14 +317,7 @@ func Evaluate(cfg Config) (*Result, error) {
 		if err != nil {
 			return res, fmt.Errorf("%w: %v", ErrSaturated, err)
 		}
-		bs := newBlockingState(spec, occ, cfg.Blocking)
-		eval := bs.Eval
-		if cfg.SingleOutput {
-			eval = func(h Hop) float64 {
-				h.F = 1
-				return bs.Eval(h)
-			}
-		}
+		bs.update(occ)
 
 		// eqs. 4–7: average network latency over destination classes
 		// and the two source colours.
@@ -376,14 +378,14 @@ func Evaluate(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// EvaluateStar is a convenience wrapper: it builds S_n structures and
-// evaluates the model for the paper's setting.
+// EvaluateStar is a convenience wrapper: it evaluates the model on
+// S_n's path structure and closed-form shape for the paper's setting.
 func EvaluateStar(n, v, msgLen int, rate float64, kind routing.Kind, blocking BlockingModel) (*Result, error) {
 	sp, err := NewStarPaths(n)
 	if err != nil {
 		return nil, err
 	}
-	g, err := stargraph.New(n)
+	g, err := stargraph.NewShape(n)
 	if err != nil {
 		return nil, err
 	}

@@ -239,7 +239,8 @@ func TestEligibleCountBounds(t *testing.T) {
 	g := stargraph.MustNew(5)
 	spec := routing.MustNew(routing.EnhancedNbc, g, 6)
 	occ := queueing.VCOccupancy(0.01, 40, 6)
-	bs := newBlockingState(spec, occ, Window)
+	bs := newBlockingState(spec, Window)
+	bs.update(occ)
 	for d := 1; d <= 6; d++ {
 		for lvl := 0; lvl <= 3; lvl++ {
 			for _, neg := range []bool{true, false} {
@@ -260,7 +261,8 @@ func TestEvalBlockingBounds(t *testing.T) {
 	g := stargraph.MustNew(5)
 	spec := routing.MustNew(routing.EnhancedNbc, g, 6)
 	for _, mode := range []BlockingModel{Window, PaperInsidePower, PaperOutsidePower} {
-		bs := newBlockingState(spec, queueing.VCOccupancy(0.02, 50, 6), mode)
+		bs := newBlockingState(spec, mode)
+		bs.update(queueing.VCOccupancy(0.02, 50, 6))
 		for f := 0; f <= 4; f++ {
 			for d := 1; d <= 6; d++ {
 				p := bs.Eval(Hop{F: f, D: d, NegTaken: 1, HopNeg: d%2 == 0})

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"sync"
 
 	"starperf/internal/cfgerr"
 	"starperf/internal/hypercube"
@@ -34,7 +35,7 @@ type HopEvaluator func(h Hop) float64
 type PathStructure interface {
 	// Classes returns the destination classes with their distance h
 	// and population; Σ count = N−1 (the identity/self class is
-	// excluded).
+	// excluded). The slice is shared; callers must not modify it.
 	Classes() []PathClass
 	// BlockSum returns E[Σ_k P_block(hop k)] for a message to class
 	// idx from a source of colour c0, averaging uniformly over the
@@ -63,102 +64,201 @@ func negsAfter(c0, j int) int { return topology.RequiredNegativeHops(c0, j) }
 // c0 ⊕ (k−1 mod 2) and negative hops leave colour-1 nodes.
 func hopNegAt(c0, k int) bool { return (c0+(k-1))&1 == 1 }
 
+// pathDP is the minimal-path dynamic program StarPaths and TorusPaths
+// share, flattened at construction: each state of the topology's
+// transition system (a cycle type, or a torus offset vector) has a
+// dense id, and ids ascend with distance, so every transition goes
+// from a state to one with a smaller id. Per state it stores the
+// adaptivity degree, the distance, the minimal-path count and the
+// transitions as (to, weight) pairs, the weight being the share
+// mult·paths(to)/paths(state) of the state's minimal paths that take
+// the move. Per class it stores the reachable non-terminal states in
+// ascending id order, children before parents. A pathDP is immutable
+// after construction and safe for concurrent use.
+type pathDP struct {
+	classes []PathClass
+	root    []int32 // class -> state
+	fanout  []int32 // state -> F
+	dist    []int32 // state -> D
+	paths   []float64
+	// the transitions of state s are (trTo[i], trW[i]) for i in
+	// trOff[s]..trOff[s+1]-1, in the order their terms are summed
+	trOff []int32
+	trTo  []int32
+	trW   []float64
+	// the reachable non-terminal states of class c are
+	// reach[reachOff[c]:reachOff[c+1]]
+	reachOff []int32
+	reach    []int32
+}
+
+// addState appends a state with its transitions, which must lead to
+// states already added; a state without transitions is terminal (one
+// minimal path, of length zero). The path count and the weights are
+// summed in the given transition order.
+func (dp *pathDP) addState(fanout, dist int, to []int32, mult []int) {
+	if len(dp.trOff) == 0 {
+		dp.trOff = append(dp.trOff, 0)
+	}
+	total := 1.0
+	if len(to) > 0 {
+		total = 0
+		for i, t := range to {
+			total += float64(mult[i]) * dp.paths[t]
+		}
+	}
+	for i, t := range to {
+		dp.trTo = append(dp.trTo, t)
+		dp.trW = append(dp.trW, float64(mult[i])*dp.paths[t]/total)
+	}
+	dp.fanout = append(dp.fanout, int32(fanout))
+	dp.dist = append(dp.dist, int32(dist))
+	dp.paths = append(dp.paths, total)
+	dp.trOff = append(dp.trOff, int32(len(dp.trTo)))
+}
+
+// addClass appends a destination class rooted at state root, listing
+// the states its minimal paths visit.
+func (dp *pathDP) addClass(c PathClass, root int32, seen []bool) {
+	clear(seen)
+	stack := []int32{root}
+	seen[root] = true
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, t := range dp.trTo[dp.trOff[s]:dp.trOff[s+1]] {
+			if !seen[t] {
+				seen[t] = true
+				stack = append(stack, t)
+			}
+		}
+	}
+	if len(dp.reachOff) == 0 {
+		dp.reachOff = append(dp.reachOff, 0)
+	}
+	for s, ok := range seen {
+		if ok && dp.dist[s] > 0 {
+			dp.reach = append(dp.reach, int32(s))
+		}
+	}
+	dp.reachOff = append(dp.reachOff, int32(len(dp.reach)))
+	dp.root = append(dp.root, root)
+	dp.classes = append(dp.classes, c)
+}
+
+// Classes implements PathStructure.
+func (dp *pathDP) Classes() []PathClass { return dp.classes }
+
+// NumPaths returns the number of minimal paths to a destination of
+// class idx (used by tests and by cmd/starinfo).
+func (dp *pathDP) NumPaths(idx int) float64 { return dp.paths[dp.root[idx]] }
+
+// BlockSum implements PathStructure: the expected blocking sum of a
+// state is its own hop's blocking probability plus the path-weighted
+// sums of its successors, solved for each reachable state in
+// ascending distance. The per-state values live in a stack buffer
+// sized to the transition system (S_7 fits 32 states, S_12 and the
+// common tori 256); only larger systems allocate.
+func (dp *pathDP) BlockSum(idx, c0 int, eval HopEvaluator) float64 {
+	switch n := len(dp.dist); {
+	case n <= 32:
+		var buf [32]float64
+		return dp.blockSum(buf[:n], idx, c0, eval)
+	case n <= 256:
+		var buf [256]float64
+		return dp.blockSum(buf[:n], idx, c0, eval)
+	default:
+		return dp.blockSum(make([]float64, n), idx, c0, eval)
+	}
+}
+
+// blockSum runs the dynamic program for class idx in val, a zeroed
+// per-state scratch array (the terminal state keeps value 0). For a
+// fixed destination class the hop index k is recoverable from the
+// state's distance (k = h0 − d + 1).
+func (dp *pathDP) blockSum(val []float64, idx, c0 int, eval HopEvaluator) float64 {
+	root := dp.root[idx]
+	h0 := int(dp.dist[root])
+	for _, s := range dp.reach[dp.reachOff[idx]:dp.reachOff[idx+1]] {
+		d := int(dp.dist[s])
+		k := h0 - d + 1
+		sum := eval(Hop{
+			F:        int(dp.fanout[s]),
+			D:        d,
+			NegTaken: negsAfter(c0, k-1),
+			HopNeg:   hopNegAt(c0, k),
+		})
+		for i := dp.trOff[s]; i < dp.trOff[s+1]; i++ {
+			sum += dp.trW[i] * val[dp.trTo[i]]
+		}
+		val[s] = sum
+	}
+	return val[root]
+}
+
 // StarPaths is the star-graph PathStructure: destination classes are
 // residual-permutation cycle types, and per-class expected blocking
 // sums are computed by dynamic programming over the type-transition
 // graph instead of enumerating the (potentially exponential) set of
 // minimal paths. Both views agree exactly; see TestDPMatchesExact.
-type StarPaths struct {
-	n       int
-	classes []PathClass
-	types   []ctype
-	// pathCount memoises the number of minimal paths per type key.
-	pathCount map[string]float64
+// A StarPaths is immutable and safe for concurrent use.
+type StarPaths struct{ pathDP }
+
+// starPathsTable interns one StarPaths per n in [2,12].
+var starPathsTable [11]struct {
+	once sync.Once
+	sp   *StarPaths
+	err  error
 }
 
-// NewStarPaths builds the path structure of S_n. It validates the
+// NewStarPaths returns the path structure of S_n, built on first use
+// and shared by every later call for the same n. It validates the
 // combinatorial type table against the closed-form distance
 // distribution.
 func NewStarPaths(n int) (*StarPaths, error) {
 	if n < 2 || n > 12 {
 		return nil, cfgerr.Errorf("model: star paths for n=%d outside [2,12]", n)
 	}
+	e := &starPathsTable[n-2]
+	e.once.Do(func() { e.sp, e.err = buildStarPaths(n) })
+	return e.sp, e.err
+}
+
+// buildStarPaths flattens the cycle-type transition graph of S_n.
+// enumerateTypes orders the types by distance, the identity first,
+// which is the state order pathDP needs; each type's transitions keep
+// the key order of ctype.transitions.
+func buildStarPaths(n int) (*StarPaths, error) {
 	all := enumerateTypes(n)
 	if err := checkTypeTable(n, all); err != nil {
 		return nil, err
 	}
-	sp := &StarPaths{n: n, pathCount: make(map[string]float64)}
+	sp := &StarPaths{}
+	labels := make([]string, len(all))
+	id := make(map[string]int32, len(all))
+	for i, c := range all {
+		labels[i] = c.t.key()
+		id[labels[i]] = int32(i)
+	}
+	var to []int32
+	var mult []int
 	for _, c := range all {
+		to, mult = to[:0], mult[:0]
+		for _, tr := range c.t.transitions() {
+			to = append(to, id[tr.to.key()])
+			mult = append(mult, tr.mult)
+		}
+		sp.addState(c.t.fanout(), c.h, to, mult)
+	}
+	seen := make([]bool, len(all))
+	for i, c := range all {
 		if c.t.isTerminal() {
 			continue // the source itself is not a destination
 		}
-		sp.classes = append(sp.classes, PathClass{H: c.h, Count: c.count, Label: c.t.key()})
-		sp.types = append(sp.types, c.t)
+		sp.addClass(PathClass{H: c.h, Count: c.count, Label: labels[i]}, int32(i), seen)
 	}
 	return sp, nil
 }
-
-// Classes implements PathStructure.
-func (sp *StarPaths) Classes() []PathClass { return sp.classes }
-
-// paths returns the number of minimal paths from a permutation of
-// type t to the identity, memoised across calls.
-func (sp *StarPaths) paths(t ctype) float64 {
-	if t.isTerminal() {
-		return 1
-	}
-	k := t.key()
-	if v, ok := sp.pathCount[k]; ok {
-		return v
-	}
-	var n float64
-	for _, tr := range t.transitions() {
-		n += float64(tr.mult) * sp.paths(tr.to)
-	}
-	sp.pathCount[k] = n
-	return n
-}
-
-// BlockSum implements PathStructure by a depth-first dynamic program
-// over cycle types. For a fixed destination class the hop index k is
-// recoverable from the state's distance (k = h0 − d + 1), so the
-// memo key is the type alone.
-func (sp *StarPaths) BlockSum(idx, c0 int, eval HopEvaluator) float64 {
-	t := sp.types[idx]
-	h0 := sp.classes[idx].H
-	memo := make(map[string]float64)
-	var rec func(t ctype) float64
-	rec = func(t ctype) float64 {
-		if t.isTerminal() {
-			return 0
-		}
-		key := t.key()
-		if v, ok := memo[key]; ok {
-			return v
-		}
-		d := t.dist()
-		k := h0 - d + 1
-		hop := Hop{
-			F:        t.fanout(),
-			D:        d,
-			NegTaken: negsAfter(c0, k-1),
-			HopNeg:   hopNegAt(c0, k),
-		}
-		sum := eval(hop)
-		total := sp.paths(t)
-		for _, tr := range t.transitions() {
-			w := float64(tr.mult) * sp.paths(tr.to) / total
-			sum += w * rec(tr.to)
-		}
-		memo[key] = sum
-		return sum
-	}
-	return rec(t)
-}
-
-// NumPaths exposes the minimal-path count of a class (used by tests
-// and by cmd/starinfo).
-func (sp *StarPaths) NumPaths(idx int) float64 { return sp.paths(sp.types[idx]) }
 
 // CubePaths is the hypercube PathStructure: a destination at Hamming
 // distance h presents exactly d profitable dimensions when d hops
@@ -210,10 +310,9 @@ func (cp *CubePaths) BlockSum(idx, c0 int, eval HopEvaluator) float64 {
 // use BlockSum for real evaluations.
 func (sp *StarPaths) ExactStarBlockSum(g *stargraph.Graph, idx, c0 int, eval HopEvaluator) float64 {
 	// pick any representative destination of the class
-	t := sp.types[idx]
 	rep := -1
 	for v := 1; v < g.N(); v++ {
-		if typeOf(g.Perm(v)).key() == t.key() {
+		if typeOf(g.Perm(v)).key() == sp.classes[idx].Label {
 			rep = v
 			break
 		}

@@ -1,11 +1,15 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"starperf/internal/perm"
+	"starperf/internal/routing"
 	"starperf/internal/stargraph"
+	"starperf/internal/torus"
 )
 
 func TestStarPathsClasses(t *testing.T) {
@@ -202,7 +206,7 @@ func TestNegsAlternation(t *testing.T) {
 
 func BenchmarkStarPathsBuildS8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := NewStarPaths(8); err != nil {
+		if _, err := buildStarPaths(8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,5 +220,54 @@ func BenchmarkBlockSumS8(b *testing.B) {
 		for idx := range sp.Classes() {
 			sp.BlockSum(idx, i&1, eval)
 		}
+	}
+}
+
+// TestPathsConcurrentEvaluate: one StarPaths and one TorusPaths shared
+// by concurrent evaluations give every goroutine the serial result (and
+// no data race under -race).
+func TestPathsConcurrentEvaluate(t *testing.T) {
+	configs := func() []Config {
+		tp, err := NewTorusPaths(8, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []Config{
+			{Paths: mustStarPaths(t, 5), Top: stargraph.MustNew(5), Kind: routing.EnhancedNbc, V: 6, MsgLen: 32, Rate: 0.01},
+			{Paths: tp, Top: torus.MustNew(8, 3), Kind: routing.EnhancedNbc, V: 8, MsgLen: 16, Rate: 0.004},
+		}
+	}
+	// the serial reference runs on its own structures, so the shared
+	// ones are first touched by the concurrent evaluations
+	want := make([]float64, 2)
+	for i, cfg := range configs() {
+		r, err := Evaluate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r.Latency
+	}
+	cfgs := configs()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4*len(cfgs))
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, cfg := range cfgs {
+				r, err := Evaluate(cfg)
+				switch {
+				case err != nil:
+					errs <- err
+				case math.Float64bits(r.Latency) != math.Float64bits(want[i]):
+					errs <- fmt.Errorf("%s: concurrent latency %v, serial %v", cfg.Top.Name(), r.Latency, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -15,12 +15,11 @@ import (
 // remaining offset is exactly k/2 (both ring directions are then
 // minimal). Minimal hops decrement one offset, which induces a small
 // transition system over sorted offset vectors — the same dynamic
-// program shape as the star graph's cycle types.
+// program as the star graph's cycle types, run by the same flat
+// engine. A TorusPaths is immutable and safe for concurrent use.
 type TorusPaths struct {
-	k, n      int
-	classes   []PathClass
-	vecs      [][]int
-	pathCount map[string]float64
+	pathDP
+	k, n int
 }
 
 // NewTorusPaths builds the path structure of the k-ary n-cube
@@ -32,30 +31,15 @@ func NewTorusPaths(k, n int) (*TorusPaths, error) {
 	if n > 8 || k > 64 {
 		return nil, cfgerr.Errorf("model: torus k=%d n=%d too large", k, n)
 	}
-	tp := &TorusPaths{k: k, n: n, pathCount: make(map[string]float64)}
+	tp := &TorusPaths{k: k, n: n}
 	// enumerate non-increasing offset vectors of length n over [0,k/2]
 	half := k / 2
+	var vecs [][]int
 	vec := make([]int, n)
 	var rec func(i, maxV int)
 	rec = func(i, maxV int) {
 		if i == n {
-			allZero := true
-			for _, m := range vec {
-				if m != 0 {
-					allZero = false
-					break
-				}
-			}
-			if allZero {
-				return
-			}
-			v := append([]int(nil), vec...)
-			tp.vecs = append(tp.vecs, v)
-			tp.classes = append(tp.classes, PathClass{
-				H:     sum(v),
-				Count: tp.countOf(v),
-				Label: vecKey(v),
-			})
+			vecs = append(vecs, append([]int(nil), vec...))
 			return
 		}
 		for m := 0; m <= maxV; m++ {
@@ -65,19 +49,33 @@ func NewTorusPaths(k, n int) (*TorusPaths, error) {
 		vec[i] = 0
 	}
 	rec(0, half)
-	sort.Slice(tp.classes, func(i, j int) bool {
-		if tp.classes[i].H != tp.classes[j].H {
-			return tp.classes[i].H < tp.classes[j].H
+	// states in ascending distance (ties by label), the zero vector first
+	sort.Slice(vecs, func(a, b int) bool {
+		if sa, sb := sum(vecs[a]), sum(vecs[b]); sa != sb {
+			return sa < sb
 		}
-		return tp.classes[i].Label < tp.classes[j].Label
+		return vecKey(vecs[a]) < vecKey(vecs[b])
 	})
-	// keep vecs aligned with the sorted classes
-	sort.Slice(tp.vecs, func(i, j int) bool {
-		if sum(tp.vecs[i]) != sum(tp.vecs[j]) {
-			return sum(tp.vecs[i]) < sum(tp.vecs[j])
-		}
-		return vecKey(tp.vecs[i]) < vecKey(tp.vecs[j])
-	})
+	labels := make([]string, len(vecs))
+	id := make(map[string]int32, len(vecs))
+	for s, v := range vecs {
+		labels[s] = vecKey(v)
+		id[labels[s]] = int32(s)
+	}
+	var to []int32
+	var mult []int
+	for _, v := range vecs {
+		to, mult = to[:0], mult[:0]
+		tp.eachTransition(v, func(ways int, child []int) {
+			to = append(to, id[vecKey(child)])
+			mult = append(mult, ways)
+		})
+		tp.addState(tp.fanout(v), sum(v), to, mult)
+	}
+	seen := make([]bool, len(vecs))
+	for s := 1; s < len(vecs); s++ { // vecs[0], the zero vector, is the source
+		tp.addClass(PathClass{H: sum(vecs[s]), Count: tp.countOf(vecs[s]), Label: labels[s]}, int32(s), seen)
+	}
 	return tp, nil
 }
 
@@ -122,9 +120,6 @@ func (tp *TorusPaths) countOf(v []int) uint64 {
 	return uint64(assign*digits + 0.5)
 }
 
-// Classes implements PathStructure.
-func (tp *TorusPaths) Classes() []PathClass { return tp.classes }
-
 // fanout returns the adaptivity degree of a state: one profitable
 // channel per unfinished dimension, two when the remaining offset is
 // the half-ring tie.
@@ -143,84 +138,26 @@ func (tp *TorusPaths) fanout(v []int) int {
 	return f
 }
 
-// paths counts minimal paths from a state, memoised.
-func (tp *TorusPaths) paths(v []int) float64 {
-	if sum(v) == 0 {
-		return 1
-	}
-	key := vecKey(v)
-	if c, ok := tp.pathCount[key]; ok {
-		return c
-	}
-	var total float64
-	tp.eachTransition(v, func(mult int, child []int) {
-		total += float64(mult) * tp.paths(child)
-	})
-	tp.pathCount[key] = total
-	return total
-}
-
-// eachTransition visits the distinct decrement moves out of state v:
-// for each distinct non-zero offset value, decrementing one dimension
-// holding it. mult counts the generator channels realising the move
-// (dimensions holding the value, doubled at the half-ring tie).
-func (tp *TorusPaths) eachTransition(v []int, fn func(mult int, child []int)) {
+// eachTransition visits the distinct decrement moves out of the
+// non-increasing state v, in descending order of the offset value
+// decremented: decrementing the last dimension holding each distinct
+// non-zero value keeps the child sorted. ways counts the generator
+// channels realising the move (dimensions holding the value, doubled
+// at the half-ring tie).
+func (tp *TorusPaths) eachTransition(v []int, fn func(ways int, child []int)) {
 	half := tp.k / 2
-	seen := map[int]int{}
-	for _, m := range v {
-		if m > 0 {
-			seen[m]++
+	for i := 0; i < len(v) && v[i] > 0; {
+		m, j := v[i], i
+		for j < len(v) && v[j] == m {
+			j++
 		}
-	}
-	for m, c := range seen {
-		ways := c
+		ways := j - i
 		if m == half {
-			ways = 2 * c
+			ways *= 2
 		}
 		child := append([]int(nil), v...)
-		for i, x := range child {
-			if x == m {
-				child[i] = m - 1
-				break
-			}
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(child)))
+		child[j-1] = m - 1
 		fn(ways, child)
+		i = j
 	}
 }
-
-// BlockSum implements PathStructure by the same uniform-over-paths
-// dynamic program as StarPaths.
-func (tp *TorusPaths) BlockSum(idx, c0 int, eval HopEvaluator) float64 {
-	start := tp.vecs[idx]
-	h0 := sum(start)
-	memo := make(map[string]float64)
-	var rec func(v []int) float64
-	rec = func(v []int) float64 {
-		d := sum(v)
-		if d == 0 {
-			return 0
-		}
-		key := vecKey(v)
-		if r, ok := memo[key]; ok {
-			return r
-		}
-		k := h0 - d + 1
-		s := eval(Hop{
-			F:        tp.fanout(v),
-			D:        d,
-			NegTaken: negsAfter(c0, k-1),
-			HopNeg:   hopNegAt(c0, k),
-		})
-		total := tp.paths(v)
-		tp.eachTransition(v, func(mult int, child []int) {
-			s += float64(mult) * tp.paths(child) / total * rec(child)
-		})
-		memo[key] = s
-		return s
-	}
-	return rec(start)
-}
-
-// NumPaths exposes the minimal-path count of a class.
-func (tp *TorusPaths) NumPaths(idx int) float64 { return tp.paths(tp.vecs[idx]) }

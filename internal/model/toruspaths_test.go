@@ -173,3 +173,34 @@ func TestTorusModelEndToEnd(t *testing.T) {
 		t.Fatalf("torus latency %v implausible (zero-load %v)", r.Latency, zero)
 	}
 }
+
+// TestTorusBlockSumDeterministic: BlockSum sums each state's
+// transitions in one fixed order, so repeated calls on the same class
+// return the same bits.
+func TestTorusBlockSumDeterministic(t *testing.T) {
+	eval := func(h Hop) float64 {
+		v := 0.021*float64(h.F) + 0.013*math.Sqrt(float64(h.D)) + 0.005*float64(h.NegTaken)
+		if h.HopNeg {
+			v += 0.003
+		}
+		return v
+	}
+	for _, kn := range [][2]int{{8, 3}, {16, 3}, {8, 4}, {10, 4}} {
+		k, n := kn[0], kn[1]
+		tp, err := NewTorusPaths(k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx, c := range tp.Classes() {
+			for c0 := 0; c0 <= 1; c0++ {
+				first := math.Float64bits(tp.BlockSum(idx, c0, eval))
+				for rep := 1; rep < 50; rep++ {
+					if got := math.Float64bits(tp.BlockSum(idx, c0, eval)); got != first {
+						t.Fatalf("T%dx%d class %s c0=%d: call %d returned bits %x, first call %x",
+							k, n, c.Label, c0, rep, got, first)
+					}
+				}
+			}
+		}
+	}
+}

@@ -104,7 +104,7 @@ type Spec struct {
 // EnhancedNbc exactly V2min channels are reserved for the escape
 // class — the paper's "minimum virtual channel requirement" — and the
 // remaining V−V2min are class a.
-func New(kind Kind, top topology.Topology, v int) (Spec, error) {
+func New(kind Kind, top topology.Shape, v int) (Spec, error) {
 	v2min := topology.MinEscapeVCs(top.Diameter())
 	s := Spec{Kind: kind, MaxNeg: topology.MaxNegativeHops(top.Diameter())}
 	switch kind {
@@ -127,7 +127,7 @@ func New(kind Kind, top topology.Topology, v int) (Spec, error) {
 }
 
 // MustNew is New but panics on error.
-func MustNew(kind Kind, top topology.Topology, v int) Spec {
+func MustNew(kind Kind, top topology.Shape, v int) Spec {
 	s, err := New(kind, top, v)
 	if err != nil {
 		panic(err)

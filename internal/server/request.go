@@ -58,6 +58,17 @@ func (t TopoSpec) build() (topology.Topology, error) {
 	}
 }
 
+// shape returns what the model reads of the topology: S_n's
+// closed-form shape (no n!-node graph) for stars, the built topology
+// otherwise.
+func (t TopoSpec) shape() (topology.Shape, error) {
+	if t.Kind == "star" {
+		return stargraph.NewShape(t.N)
+	}
+	top, err := t.build()
+	return top, err
+}
+
 // paths constructs the model's path structure for the topology.
 func (t TopoSpec) paths() (model.PathStructure, error) {
 	switch t.Kind {
@@ -111,8 +122,8 @@ func (r PredictRequest) hash() (string, error) { return jobs.Hash(predictKind.na
 
 // prepare builds the model's path structure and routing kind. A
 // saturated operating point is a valid answer (Saturated true), not
-// an error. The topology is built in the run, not here: a cache hit
-// never needs it.
+// an error. The topology's shape is built in the run, not here: a
+// cache hit never needs it.
 func (r PredictRequest) prepare() (runner, error) {
 	paths, err := r.Topo.paths()
 	if err != nil {
@@ -123,7 +134,7 @@ func (r PredictRequest) prepare() (runner, error) {
 		return nil, err
 	}
 	return func() (any, error) {
-		top, err := r.Topo.build()
+		top, err := r.Topo.shape()
 		if err != nil {
 			return nil, err
 		}

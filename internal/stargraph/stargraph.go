@@ -27,30 +27,62 @@ import (
 // (DistanceDistribution, AvgDistanceN) directly.
 const MaxEnumerableN = 10
 
+// Shape is the closed-form summary of S_n that the routing spec and
+// the analytical model read (a topology.Shape): its name, degree,
+// diameter and exact mean distance, without the n! node tables New
+// builds. A Graph embeds its Shape, so both report the same bits.
+type Shape struct {
+	n        int
+	diameter int
+	avgDist  float64
+}
+
+// NewShape returns the shape of S_n for the sizes New accepts, n in
+// [2, MaxEnumerableN], so a model evaluation and a simulation accept
+// the same networks.
+func NewShape(n int) (Shape, error) {
+	if n < 2 || n > MaxEnumerableN {
+		return Shape{}, cfgerr.Errorf("stargraph: n=%d out of supported range [2,%d]", n, MaxEnumerableN)
+	}
+	return Shape{n: n, diameter: Diameter(n), avgDist: AvgDistanceN(n)}, nil
+}
+
+// Name returns "S<n>".
+func (s Shape) Name() string { return fmt.Sprintf("S%d", s.n) }
+
+// Degree returns n−1, the number of dimensions.
+func (s Shape) Degree() int { return s.n - 1 }
+
+// Diameter returns ⌊3(n−1)/2⌋.
+func (s Shape) Diameter() int { return s.diameter }
+
+// AvgDistance returns the exact mean distance from a node to the
+// other n!−1 nodes (paper eq. 2, computed exactly).
+func (s Shape) AvgDistance() float64 { return s.avgDist }
+
 // Graph is an in-memory S_n instance with precomputed node tables.
 // All methods are pure after construction and safe for concurrent use.
 type Graph struct {
-	n        int
+	Shape
 	nodes    int
 	perms    []perm.Permutation // node -> permutation (rank order)
 	inverses []perm.Permutation // node -> inverse permutation
 	adj      []int32            // node*(n-1)+dim -> neighbour node
 	color    []uint8            // node -> parity
 	distID   []uint8            // node -> distance to identity
-	diameter int
-	distDist []uint64 // distance histogram from a fixed node
-	avgDist  float64
+	distDist []uint64           // distance histogram from a fixed node
 }
 
 // New constructs S_n. It precomputes adjacency, colours and distances
 // for all n! nodes; n must be in [2, MaxEnumerableN].
 func New(n int) (*Graph, error) {
-	if n < 2 || n > MaxEnumerableN {
-		return nil, cfgerr.Errorf("stargraph: n=%d out of supported range [2,%d]", n, MaxEnumerableN)
+	shape, err := NewShape(n)
+	if err != nil {
+		return nil, err
 	}
 	nodes := int(perm.Factorial(n))
 	g := &Graph{
-		n:        n,
+		Shape:    shape,
 		nodes:    nodes,
 		perms:    make([]perm.Permutation, nodes),
 		inverses: make([]perm.Permutation, nodes),
@@ -74,9 +106,7 @@ func New(n int) (*Graph, error) {
 			g.adj[node*(n-1)+dim] = int32(p.SwapFirst(dim + 2).Rank())
 		}
 	}
-	g.diameter = Diameter(n)
 	g.distDist = DistanceDistribution(n)
-	g.avgDist = AvgDistanceN(n)
 	return g, nil
 }
 
@@ -89,17 +119,11 @@ func MustNew(n int) *Graph {
 	return g
 }
 
-// Name returns "S<n>".
-func (g *Graph) Name() string { return fmt.Sprintf("S%d", g.n) }
-
 // Symbols returns n, the number of symbols (so nodes = n!).
 func (g *Graph) Symbols() int { return g.n }
 
 // N returns the number of nodes, n!.
 func (g *Graph) N() int { return g.nodes }
-
-// Degree returns n−1, the number of dimensions.
-func (g *Graph) Degree() int { return g.n - 1 }
 
 // Neighbor returns the node reached from node via dimension dim
 // (0-based; dimension dim corresponds to generator g_{dim+2}).
@@ -148,13 +172,6 @@ func (g *Graph) relative(rel *[perm.MaxN]uint8, dst, cur int) perm.Permutation {
 // DistanceToID returns the precomputed distance from a node to the
 // identity node 0.
 func (g *Graph) DistanceToID(node int) int { return int(g.distID[node]) }
-
-// Diameter returns ⌊3(n−1)/2⌋.
-func (g *Graph) Diameter() int { return g.diameter }
-
-// AvgDistance returns the exact mean distance from a node to the
-// other n!−1 nodes (paper eq. 2, computed exactly).
-func (g *Graph) AvgDistance() float64 { return g.avgDist }
 
 // DistanceHistogram returns the number of nodes at each distance
 // 0..Diameter() from a fixed node. The returned slice is shared.

@@ -300,7 +300,8 @@ func TestLatencyPow2Quantiles(t *testing.T) {
 	if l.MeanMicros() != 0 || l.MaxMicros() != 0 || l.QuantileMicros(0.5) != 0 {
 		t.Fatal("zero value not empty")
 	}
-	// 0 µs lands in bin 0 (bound 0), 5 µs in [4,8), 100 µs in [64,128).
+	// 0 µs lands in bin 0 (bound 0), 5 µs in [4,8), 100 µs in [64,128);
+	// the last bucket's bound 127 is clamped to the exact max 100.
 	for _, us := range []int64{0, 5, 5, 100} {
 		l.Add(time.Duration(us) * time.Microsecond)
 	}
@@ -314,9 +315,27 @@ func TestLatencyPow2Quantiles(t *testing.T) {
 	for _, c := range []struct {
 		p    float64
 		want uint64
-	}{{0.2, 0}, {0.4, 0}, {0.6, 7}, {0.8, 7}, {0.99, 127}} {
+	}{{0.2, 0}, {0.4, 0}, {0.6, 7}, {0.8, 7}, {0.99, 100}} {
 		if got := l.QuantileMicros(c.p); got != c.want {
 			t.Fatalf("q%.2f = %d, want %d", c.p, got, c.want)
 		}
+	}
+}
+
+// TestLatencyQuantileClampedToMax: a bucket's upper bound can lie
+// above every observation (695 µs lands in the [512, 1024) bucket);
+// the reported quantile must not exceed the exact maximum.
+func TestLatencyQuantileClampedToMax(t *testing.T) {
+	var l Latency
+	for us := 600; us <= 695; us += 5 {
+		l.Add(time.Duration(us) * time.Microsecond)
+	}
+	for _, p := range []float64{0.5, 0.95, 0.99, 1} {
+		if q := l.QuantileMicros(p); q > l.MaxMicros() || q < 600 {
+			t.Fatalf("p%v = %d µs outside the observed [600, %d]", p*100, q, l.MaxMicros())
+		}
+	}
+	if q := l.QuantileMicros(0.99); q != 695 {
+		t.Fatalf("p99 = %d µs, want the clamped max 695", q)
 	}
 }

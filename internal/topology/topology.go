@@ -6,19 +6,35 @@
 // node.
 package topology
 
-// Topology is the contract the simulator, routing layer and model
-// rely on. Implementations must be safe for concurrent read use after
-// construction (all methods are pure queries).
-type Topology interface {
+// Shape is the part of a topology the analytical layers read: the
+// routing spec and the latency model need only these four numbers,
+// so they accept a closed-form summary (e.g. stargraph.Shape) where
+// building the node tables would cost far more than the evaluation.
+type Shape interface {
 	// Name identifies the instance, e.g. "S5" or "Q7".
 	Name() string
-
-	// N returns the number of nodes.
-	N() int
 
 	// Degree returns the number of outgoing physical channels per
 	// node (one per dimension).
 	Degree() int
+
+	// Diameter returns the maximum pairwise distance.
+	Diameter() int
+
+	// AvgDistance returns the mean distance from a fixed node to all
+	// other nodes (equivalently, over ordered distinct pairs, by node
+	// symmetry).
+	AvgDistance() float64
+}
+
+// Topology is the contract the simulator, routing layer and model
+// rely on. Implementations must be safe for concurrent read use after
+// construction (all methods are pure queries).
+type Topology interface {
+	Shape
+
+	// N returns the number of nodes.
+	N() int
 
 	// Neighbor returns the node reached from node along dimension
 	// dim, 0 ≤ dim < Degree().
@@ -38,14 +54,6 @@ type Topology interface {
 	// negative-hop routing schemes define a hop from colour 1 to
 	// colour 0 as negative.
 	Color(node int) int
-
-	// Diameter returns the maximum pairwise distance.
-	Diameter() int
-
-	// AvgDistance returns the mean distance from a fixed node to all
-	// other nodes (equivalently, over ordered distinct pairs, by node
-	// symmetry).
-	AvgDistance() float64
 }
 
 // Partial is implemented by topologies in which not every node has a
