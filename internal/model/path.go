@@ -72,9 +72,11 @@ func hopNegAt(c0, k int) bool { return (c0+(k-1))&1 == 1 }
 // adaptivity degree, the distance, the minimal-path count and the
 // transitions as (to, weight) pairs, the weight being the share
 // mult·paths(to)/paths(state) of the state's minimal paths that take
-// the move. Per class it stores the reachable non-terminal states in
-// ascending id order, children before parents. A pathDP is immutable
-// after construction and safe for concurrent use.
+// the move. A system of at most smallStates states also stores, per
+// class, the states its minimal paths visit (at most smallStates²
+// ids in all); a larger one finds them on each BlockSum call, so its
+// memory stays linear in the states and transitions. A pathDP is
+// immutable after construction and safe for concurrent use.
 type pathDP struct {
 	classes []PathClass
 	root    []int32 // class -> state
@@ -86,10 +88,26 @@ type pathDP struct {
 	trOff []int32
 	trTo  []int32
 	trW   []float64
-	// the reachable non-terminal states of class c are
-	// reach[reachOff[c]:reachOff[c+1]]
+	// in a system of at most smallStates states, the states class c
+	// visits are reach[reachOff[c]:reachOff[c+1]]
 	reachOff []int32
 	reach    []int32
+}
+
+// smallStates bounds the transition systems whose per-class visited
+// states are stored and whose BlockSum scratch lives on the stack:
+// S_12 has 195 states, the 16-ary 3-cube 165, the 64-ary 4-cube 58,905.
+const smallStates = 256
+
+// reserve sizes the per-state and per-class arrays for a transition
+// system of n states (one of them the source).
+func (dp *pathDP) reserve(n int) {
+	dp.fanout = make([]int32, 0, n)
+	dp.dist = make([]int32, 0, n)
+	dp.paths = make([]float64, 0, n)
+	dp.trOff = make([]int32, 0, n+1)
+	dp.root = make([]int32, 0, n-1)
+	dp.classes = make([]PathClass, 0, n-1)
 }
 
 // addState appends a state with its transitions, which must lead to
@@ -117,33 +135,40 @@ func (dp *pathDP) addState(fanout, dist int, to []int32, mult []int) {
 	dp.trOff = append(dp.trOff, int32(len(dp.trTo)))
 }
 
-// addClass appends a destination class rooted at state root, listing
-// the states its minimal paths visit.
-func (dp *pathDP) addClass(c PathClass, root int32, seen []bool) {
-	clear(seen)
-	stack := []int32{root}
+// addClass appends a destination class rooted at state root; the
+// states must all be added first.
+func (dp *pathDP) addClass(c PathClass, root int32) {
+	dp.root = append(dp.root, root)
+	dp.classes = append(dp.classes, c)
+	if len(dp.dist) <= smallStates {
+		if len(dp.reachOff) == 0 {
+			dp.reachOff = append(dp.reachOff, 0)
+		}
+		var seen [smallStates]bool
+		dp.reach = dp.reachable(dp.reach, seen[:len(dp.dist)], root)
+		dp.reachOff = append(dp.reachOff, int32(len(dp.reach)))
+	}
+}
+
+// reachable appends to dst the non-terminal states the minimal paths
+// from root visit, in ascending id, children before parents; seen is
+// zeroed scratch, one flag per state. Transitions lead to smaller
+// ids, so one descending pass from the root marks them all.
+func (dp *pathDP) reachable(dst []int32, seen []bool, root int32) []int32 {
 	seen[root] = true
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range dp.trTo[dp.trOff[s]:dp.trOff[s+1]] {
-			if !seen[t] {
+	for s := root; s >= 0; s-- {
+		if seen[s] {
+			for _, t := range dp.trTo[dp.trOff[s]:dp.trOff[s+1]] {
 				seen[t] = true
-				stack = append(stack, t)
 			}
 		}
 	}
-	if len(dp.reachOff) == 0 {
-		dp.reachOff = append(dp.reachOff, 0)
-	}
-	for s, ok := range seen {
-		if ok && dp.dist[s] > 0 {
-			dp.reach = append(dp.reach, int32(s))
+	for s := int32(0); s <= root; s++ {
+		if seen[s] && dp.dist[s] > 0 {
+			dst = append(dst, s)
 		}
 	}
-	dp.reachOff = append(dp.reachOff, int32(len(dp.reach)))
-	dp.root = append(dp.root, root)
-	dp.classes = append(dp.classes, c)
+	return dst
 }
 
 // Classes implements PathStructure.
@@ -155,31 +180,25 @@ func (dp *pathDP) NumPaths(idx int) float64 { return dp.paths[dp.root[idx]] }
 
 // BlockSum implements PathStructure: the expected blocking sum of a
 // state is its own hop's blocking probability plus the path-weighted
-// sums of its successors, solved for each reachable state in
-// ascending distance. The per-state values live in a stack buffer
-// sized to the transition system (S_7 fits 32 states, S_12 and the
-// common tori 256); only larger systems allocate.
+// sums of its successors, solved for each state the class's minimal
+// paths visit, in ascending distance.
 func (dp *pathDP) BlockSum(idx, c0 int, eval HopEvaluator) float64 {
-	switch n := len(dp.dist); {
-	case n <= 32:
-		var buf [32]float64
-		return dp.blockSum(buf[:n], idx, c0, eval)
-	case n <= 256:
-		var buf [256]float64
-		return dp.blockSum(buf[:n], idx, c0, eval)
-	default:
-		return dp.blockSum(make([]float64, n), idx, c0, eval)
+	n := len(dp.dist)
+	if n <= smallStates {
+		var val [smallStates]float64
+		return dp.blockSum(val[:n], dp.reach[dp.reachOff[idx]:dp.reachOff[idx+1]], idx, c0, eval)
 	}
+	return dp.blockSum(make([]float64, n), dp.reachable(nil, make([]bool, n), dp.root[idx]), idx, c0, eval)
 }
 
-// blockSum runs the dynamic program for class idx in val, a zeroed
-// per-state scratch array (the terminal state keeps value 0). For a
-// fixed destination class the hop index k is recoverable from the
-// state's distance (k = h0 − d + 1).
-func (dp *pathDP) blockSum(val []float64, idx, c0 int, eval HopEvaluator) float64 {
+// blockSum runs the dynamic program for class idx over its visited
+// states reach in val, a zeroed per-state scratch array (terminal
+// states keep value 0). For a fixed destination class the hop index k
+// is recoverable from the state's distance (k = h0 − d + 1).
+func (dp *pathDP) blockSum(val []float64, reach []int32, idx, c0 int, eval HopEvaluator) float64 {
 	root := dp.root[idx]
 	h0 := int(dp.dist[root])
-	for _, s := range dp.reach[dp.reachOff[idx]:dp.reachOff[idx+1]] {
+	for _, s := range reach {
 		d := int(dp.dist[s])
 		k := h0 - d + 1
 		sum := eval(Hop{
@@ -234,6 +253,7 @@ func buildStarPaths(n int) (*StarPaths, error) {
 		return nil, err
 	}
 	sp := &StarPaths{}
+	sp.reserve(len(all))
 	labels := make([]string, len(all))
 	id := make(map[string]int32, len(all))
 	for i, c := range all {
@@ -250,12 +270,11 @@ func buildStarPaths(n int) (*StarPaths, error) {
 		}
 		sp.addState(c.t.fanout(), c.h, to, mult)
 	}
-	seen := make([]bool, len(all))
 	for i, c := range all {
 		if c.t.isTerminal() {
 			continue // the source itself is not a destination
 		}
-		sp.addClass(PathClass{H: c.h, Count: c.count, Label: labels[i]}, int32(i), seen)
+		sp.addClass(PathClass{H: c.h, Count: c.count, Label: labels[i]}, int32(i))
 	}
 	return sp, nil
 }

@@ -227,27 +227,31 @@ func BenchmarkBlockSumS8(b *testing.B) {
 // by concurrent evaluations give every goroutine the serial result (and
 // no data race under -race).
 func TestPathsConcurrentEvaluate(t *testing.T) {
-	configs := func() []Config {
+	configs := func(sp *StarPaths) []Config {
 		tp, err := NewTorusPaths(8, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return []Config{
-			{Paths: mustStarPaths(t, 5), Top: stargraph.MustNew(5), Kind: routing.EnhancedNbc, V: 6, MsgLen: 32, Rate: 0.01},
+			{Paths: sp, Top: stargraph.MustNew(5), Kind: routing.EnhancedNbc, V: 6, MsgLen: 32, Rate: 0.01},
 			{Paths: tp, Top: torus.MustNew(8, 3), Kind: routing.EnhancedNbc, V: 8, MsgLen: 16, Rate: 0.004},
 		}
 	}
-	// the serial reference runs on its own structures, so the shared
-	// ones are first touched by the concurrent evaluations
+	// the serial reference runs on its own structures (a private S5
+	// build, since NewStarPaths interns one shared instance per n)
+	ref, err := buildStarPaths(5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([]float64, 2)
-	for i, cfg := range configs() {
+	for i, cfg := range configs(ref) {
 		r, err := Evaluate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = r.Latency
 	}
-	cfgs := configs()
+	cfgs := configs(mustStarPaths(t, 5))
 	var wg sync.WaitGroup
 	errs := make(chan error, 4*len(cfgs))
 	for g := 0; g < 4; g++ {

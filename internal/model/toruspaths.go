@@ -33,13 +33,20 @@ func NewTorusPaths(k, n int) (*TorusPaths, error) {
 	}
 	tp := &TorusPaths{k: k, n: n}
 	// enumerate non-increasing offset vectors of length n over [0,k/2]
+	type state struct {
+		v     []int
+		h     int
+		label string
+		code  uint64
+	}
 	half := k / 2
-	var vecs [][]int
+	states := make([]state, 0, int(binomF(half+n, n)+0.5))
 	vec := make([]int, n)
 	var rec func(i, maxV int)
 	rec = func(i, maxV int) {
 		if i == n {
-			vecs = append(vecs, append([]int(nil), vec...))
+			v := append([]int(nil), vec...)
+			states = append(states, state{v: v, h: sum(v), label: vecKey(v), code: tp.pack(v)})
 			return
 		}
 		for m := 0; m <= maxV; m++ {
@@ -50,31 +57,29 @@ func NewTorusPaths(k, n int) (*TorusPaths, error) {
 	}
 	rec(0, half)
 	// states in ascending distance (ties by label), the zero vector first
-	sort.Slice(vecs, func(a, b int) bool {
-		if sa, sb := sum(vecs[a]), sum(vecs[b]); sa != sb {
-			return sa < sb
+	sort.Slice(states, func(a, b int) bool {
+		if states[a].h != states[b].h {
+			return states[a].h < states[b].h
 		}
-		return vecKey(vecs[a]) < vecKey(vecs[b])
+		return states[a].label < states[b].label
 	})
-	labels := make([]string, len(vecs))
-	id := make(map[string]int32, len(vecs))
-	for s, v := range vecs {
-		labels[s] = vecKey(v)
-		id[labels[s]] = int32(s)
+	id := make(map[uint64]int32, len(states))
+	for s, st := range states {
+		id[st.code] = int32(s)
 	}
+	tp.reserve(len(states))
 	var to []int32
 	var mult []int
-	for _, v := range vecs {
+	for _, st := range states {
 		to, mult = to[:0], mult[:0]
-		tp.eachTransition(v, func(ways int, child []int) {
-			to = append(to, id[vecKey(child)])
+		tp.eachTransition(st.v, func(ways int, child []int) {
+			to = append(to, id[tp.pack(child)])
 			mult = append(mult, ways)
 		})
-		tp.addState(tp.fanout(v), sum(v), to, mult)
+		tp.addState(tp.fanout(st.v), st.h, to, mult)
 	}
-	seen := make([]bool, len(vecs))
-	for s := 1; s < len(vecs); s++ { // vecs[0], the zero vector, is the source
-		tp.addClass(PathClass{H: sum(vecs[s]), Count: tp.countOf(vecs[s]), Label: labels[s]}, int32(s), seen)
+	for s, st := range states[1:] { // states[0], the zero vector, is the source
+		tp.addClass(PathClass{H: st.h, Count: tp.countOf(st.v), Label: st.label}, int32(s+1))
 	}
 	return tp, nil
 }
@@ -85,6 +90,16 @@ func sum(v []int) int {
 		s += x
 	}
 	return s
+}
+
+// pack encodes an offset vector as an integer, one base-(k/2+1) digit
+// per dimension (at most 33^8 < 2^41).
+func (tp *TorusPaths) pack(v []int) uint64 {
+	var c uint64
+	for _, m := range v {
+		c = c*uint64(tp.k/2+1) + uint64(m)
+	}
+	return c
 }
 
 func vecKey(v []int) string {
@@ -106,16 +121,19 @@ func vecKey(v []int) string {
 func (tp *TorusPaths) countOf(v []int) uint64 {
 	half := tp.k / 2
 	assign := factF(tp.n)
-	mult := map[int]int{}
 	digits := 1.0
+	for i := 0; i < len(v); {
+		j := i
+		for j < len(v) && v[j] == v[i] {
+			j++
+		}
+		assign /= factF(j - i) // v is sorted: equal offsets are adjacent
+		i = j
+	}
 	for _, m := range v {
-		mult[m]++
 		if m != 0 && m != half {
 			digits *= 2
 		}
-	}
-	for _, c := range mult {
-		assign /= factF(c)
 	}
 	return uint64(assign*digits + 0.5)
 }
@@ -143,9 +161,10 @@ func (tp *TorusPaths) fanout(v []int) int {
 // decremented: decrementing the last dimension holding each distinct
 // non-zero value keeps the child sorted. ways counts the generator
 // channels realising the move (dimensions holding the value, doubled
-// at the half-ring tie).
+// at the half-ring tie). child is reused between calls of fn.
 func (tp *TorusPaths) eachTransition(v []int, fn func(ways int, child []int)) {
 	half := tp.k / 2
+	child := make([]int, len(v))
 	for i := 0; i < len(v) && v[i] > 0; {
 		m, j := v[i], i
 		for j < len(v) && v[j] == m {
@@ -155,7 +174,7 @@ func (tp *TorusPaths) eachTransition(v []int, fn func(ways int, child []int)) {
 		if m == half {
 			ways *= 2
 		}
-		child := append([]int(nil), v...)
+		copy(child, v)
 		child[j-1] = m - 1
 		fn(ways, child)
 		i = j

@@ -204,3 +204,49 @@ func TestTorusBlockSumDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestTorusLargeSystemBlockSum: a transition system above smallStates
+// stores no per-class visited-state lists and finds them on each
+// BlockSum call. Its sums must equal a dynamic program over every
+// state below the class root (values of states off the class's paths
+// are never read), bit for bit, and with a unit evaluator the hop
+// count.
+func TestTorusLargeSystemBlockSum(t *testing.T) {
+	tp, err := NewTorusPaths(16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tp.dist); n <= smallStates || tp.reach != nil {
+		t.Fatalf("T16x4 has %d states (reach stored: %v), want a system above %d without stored lists", n, tp.reach != nil, smallStates)
+	}
+	eval := func(h Hop) float64 {
+		v := 0.021*float64(h.F) + 0.013*math.Sqrt(float64(h.D)) + 0.005*float64(h.NegTaken)
+		if h.HopNeg {
+			v += 0.003
+		}
+		return v
+	}
+	val := make([]float64, len(tp.dist))
+	for idx, c := range tp.Classes() {
+		if got := tp.BlockSum(idx, 0, func(Hop) float64 { return 1 }); math.Abs(got-float64(c.H)) > 1e-9 {
+			t.Fatalf("class %s: unit BlockSum %v, want %d hops", c.Label, got, c.H)
+		}
+		for c0 := 0; c0 <= 1; c0++ {
+			root := tp.root[idx]
+			h0 := int(tp.dist[root])
+			clear(val)
+			for s := int32(1); s <= root; s++ {
+				d := int(tp.dist[s])
+				k := h0 - d + 1
+				sum := eval(Hop{F: int(tp.pathDP.fanout[s]), D: d, NegTaken: negsAfter(c0, k-1), HopNeg: hopNegAt(c0, k)})
+				for i := tp.trOff[s]; i < tp.trOff[s+1]; i++ {
+					sum += tp.trW[i] * val[tp.trTo[i]]
+				}
+				val[s] = sum
+			}
+			if got := tp.BlockSum(idx, c0, eval); math.Float64bits(got) != math.Float64bits(val[root]) {
+				t.Fatalf("class %s c0=%d: BlockSum %v, full DP %v", c.Label, c0, got, val[root])
+			}
+		}
+	}
+}

@@ -12,8 +12,8 @@ const latencyBins = 40
 // Latency summarises durations at microsecond resolution: an exact
 // mean, minimum and maximum, and quantiles read off power-of-two
 // buckets — a reported quantile is its bucket's upper bound clamped
-// to the exact [min, max], so it is never above the largest
-// observation and at most 2× the true value. The zero value is ready
+// to the exact maximum, so it is never above the largest observation
+// and at most 2× the true value. The zero value is ready
 // to use.
 type Latency struct {
 	exact Stream
@@ -37,7 +37,7 @@ func (l *Latency) MeanMicros() float64 { return l.exact.Mean() }
 func (l *Latency) MaxMicros() uint64 { return uint64(l.exact.Max()) }
 
 // QuantileMicros returns the upper bound in µs of the bucket holding
-// the p-quantile, p ∈ (0,1], clamped to the exact [min, max] (0 when
+// the p-quantile, p ∈ (0,1], clamped to the exact maximum (0 when
 // empty).
 func (l *Latency) QuantileMicros(p float64) uint64 {
 	bin := l.hist.Quantile(p)
@@ -45,5 +45,5 @@ func (l *Latency) QuantileMicros(p float64) uint64 {
 		return 0
 	}
 	q := uint64(1)<<uint(bin) - 1
-	return min(max(q, uint64(l.exact.Min())), uint64(l.exact.Max()))
+	return min(q, uint64(l.exact.Max()))
 }
