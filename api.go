@@ -178,7 +178,9 @@ func SimulateWithFaults(cfg SimConfig, plan *FaultPlan) (*SimResult, error) {
 
 // ModelConfig configures one analytical-model evaluation; ModelResult
 // carries the prediction. PathStructure abstracts the minimal-path
-// combinatorics of a topology.
+// combinatorics of a topology: Classes lists the destination classes,
+// and BlockSums fills, for one source colour, every class's expected
+// per-hop blocking sum over its minimal paths.
 type (
 	ModelConfig   = model.Config
 	ModelResult   = model.Result

@@ -36,7 +36,7 @@ var suites = []suite{
 	{"serve", "serving-layer hot paths: canonical content hash, two-tier cache, 4-worker pool dispatch", serveBenches},
 	{"journal", "durable job journal: fsynced append, unsynced append, group-committed appends (64 concurrent appenders / 64-record AppendBatch, per record), cold replay of 1k records", journalBenches},
 	{"bounds", "one worst-case delay-bound evaluation per topology (quadratic flow enumeration + fixed-point composition)", boundsBenches},
-	{"predict", "model miss: one model evaluation, S5 EnhancedNbc V=6 M=32 rate=0.01 and S7 V=8 M=32 rate=0.002; predict_miss_s5: one S5 V=6 M=32 /v1/predict through the server handler (1 worker), rate 0.004 + i·1e-9 so every request misses the cache", predictBenches},
+	{"predict", "model miss: one model evaluation, S5 EnhancedNbc V=6 M=32 rate=0.01, S7 V=8 M=32 rate=0.002 and 16-ary 4-cube (evaluate_t16x4) V=20 M=16 rate=0.006; predict_miss_s5: one S5 V=6 M=32 /v1/predict through the server handler (1 worker), rate 0.004 + i·1e-9 so every request misses the cache", predictBenches},
 }
 
 // bench is one benchmark of a suite: the variant it fills in (its

@@ -11,10 +11,13 @@ import (
 	"starperf/internal/routing"
 	"starperf/internal/server"
 	"starperf/internal/stargraph"
+	"starperf/internal/torus"
 )
 
 // The predict suite: what a model miss costs — one analytical-model
-// evaluation on S5 and S7 (internal/model.Evaluate), and one S5
+// evaluation on S5, S7 and the 16-ary 4-cube (internal/model.Evaluate;
+// the torus's 494 offset-vector classes make it the row that shows the
+// path dynamic program's cost per class), and one S5
 // /v1/predict through the server's handler whose rate is new on every
 // request, so each one misses the cache and pays decode, hash,
 // prepare, the evaluation and the encode.
@@ -40,6 +43,19 @@ func predictBenches() ([]bench, error) {
 			Paths: sp, Top: shape, Kind: routing.EnhancedNbc, V: c.v, MsgLen: 32, Rate: c.rate,
 		}})
 	}
+	// Enhanced-Nbc on the 16-ary 4-cube needs V ≥ 18; at M=16 and this
+	// rate the fixed point takes 9 iterations
+	tp, err := model.NewTorusPaths(16, 4)
+	if err != nil {
+		return nil, err
+	}
+	top, err := torus.New(16, 4)
+	if err != nil {
+		return nil, err
+	}
+	cfgs = append(cfgs, named[model.Config]{"evaluate_t16x4", model.Config{
+		Paths: tp, Top: top, Kind: routing.EnhancedNbc, V: 20, MsgLen: 16, Rate: 0.006,
+	}})
 	evals, err := evaluated(cfgs, model.Evaluate,
 		func(name string, _ *model.Result) variant { return variant{Name: name} })
 	if err != nil {

@@ -279,6 +279,11 @@ func Evaluate(cfg Config) (*Result, error) {
 	s := m + dbar + inj // zero-load starting point
 	res := &Result{ChannelRate: lambdaC}
 	bs := newBlockingState(spec, cfg.Blocking)
+	// per-class blocking sums from each source colour, refilled every
+	// iteration
+	nc := len(classes)
+	sums := make([]float64, 2*nc)
+	blk := [2][]float64{sums[:nc], sums[nc:]}
 	eval := bs.Eval
 	if cfg.SingleOutput {
 		eval = func(h Hop) float64 {
@@ -325,10 +330,13 @@ func Evaluate(cfg Config) (*Result, error) {
 			res.PerClass = make([]ClassLatency, len(classes))
 		}
 		var sNew, blockSum, hopSum float64
+		for c0, b := range blk {
+			cfg.Paths.BlockSums(c0, eval, b)
+		}
 		for idx, c := range classes {
 			var bsum float64
-			for c0 := 0; c0 <= 1; c0++ {
-				bsum += 0.5 * cfg.Paths.BlockSum(idx, c0, eval)
+			for _, b := range blk {
+				bsum += 0.5 * b[idx]
 			}
 			w8 := float64(c.Count) / totalDst
 			si := m + float64(c.H) + inj + bsum*w

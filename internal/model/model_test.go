@@ -9,6 +9,7 @@ import (
 	"starperf/internal/queueing"
 	"starperf/internal/routing"
 	"starperf/internal/stargraph"
+	"starperf/internal/torus"
 )
 
 func TestZeroLoadClosedForm(t *testing.T) {
@@ -293,6 +294,20 @@ func BenchmarkEvaluateS7(b *testing.B) {
 	sp, _ := NewStarPaths(7)
 	g := stargraph.MustNew(7)
 	cfg := Config{Paths: sp, Top: g, Kind: routing.EnhancedNbc, V: 8, MsgLen: 32, Rate: 0.002}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Evaluate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEvaluateT16x4 is the predict suite's evaluate_t16x4 row:
+// 494 offset-vector classes, Enhanced-Nbc (V ≥ 18), M=16, 9 fixed-point
+// iterations.
+func BenchmarkEvaluateT16x4(b *testing.B) {
+	tp, _ := NewTorusPaths(16, 4)
+	cfg := Config{Paths: tp, Top: torus.MustNew(16, 4), Kind: routing.EnhancedNbc, V: 20, MsgLen: 16, Rate: 0.006}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Evaluate(cfg); err != nil {

@@ -37,10 +37,12 @@ type PathStructure interface {
 	// and population; Σ count = N−1 (the identity/self class is
 	// excluded). The slice is shared; callers must not modify it.
 	Classes() []PathClass
-	// BlockSum returns E[Σ_k P_block(hop k)] for a message to class
-	// idx from a source of colour c0, averaging uniformly over the
-	// class's minimal paths and evaluating each hop with eval.
-	BlockSum(idx int, c0 int, eval HopEvaluator) float64
+	// BlockSums stores in out[idx], for every class idx, E[Σ_k
+	// P_block(hop k)] for a message to class idx from a source of
+	// colour c0, averaging uniformly over the class's minimal paths
+	// and evaluating each hop with eval. out has len(Classes())
+	// entries; BlockSums may also use it as scratch while it runs.
+	BlockSums(c0 int, eval HopEvaluator, out []float64)
 }
 
 // PathClass is one destination equivalence class.
@@ -68,36 +70,25 @@ func hopNegAt(c0, k int) bool { return (c0+(k-1))&1 == 1 }
 // share, flattened at construction: each state of the topology's
 // transition system (a cycle type, or a torus offset vector) has a
 // dense id, and ids ascend with distance, so every transition goes
-// from a state to one with a smaller id. Per state it stores the
-// adaptivity degree, the distance, the minimal-path count and the
-// transitions as (to, weight) pairs, the weight being the share
-// mult·paths(to)/paths(state) of the state's minimal paths that take
-// the move. A system of at most smallStates states also stores, per
-// class, the states its minimal paths visit (at most smallStates²
-// ids in all); a larger one finds them on each BlockSum call, so its
-// memory stays linear in the states and transitions. A pathDP is
-// immutable after construction and safe for concurrent use.
+// from a state to one with a smaller id. State 0 is the source, and
+// every other state s is the root of exactly one destination class,
+// class s−1. Per state it stores the adaptivity degree, the distance,
+// the minimal-path count and the transitions as (to, weight) pairs,
+// the weight being the share mult·paths(to)/paths(state) of the
+// state's minimal paths that take the move. A pathDP is immutable
+// after construction and safe for concurrent use.
 type pathDP struct {
 	classes []PathClass
-	root    []int32 // class -> state
 	fanout  []int32 // state -> F
 	dist    []int32 // state -> D
 	paths   []float64
 	// the transitions of state s are (trTo[i], trW[i]) for i in
-	// trOff[s]..trOff[s+1]-1, in the order their terms are summed
+	// trOff[s]..trOff[s+1]-1, in the order their terms are summed;
+	// moves into the source, whose blocking sum is zero, are not kept
 	trOff []int32
 	trTo  []int32
 	trW   []float64
-	// in a system of at most smallStates states, the states class c
-	// visits are reach[reachOff[c]:reachOff[c+1]]
-	reachOff []int32
-	reach    []int32
 }
-
-// smallStates bounds the transition systems whose per-class visited
-// states are stored and whose BlockSum scratch lives on the stack:
-// S_12 has 195 states, the 16-ary 3-cube 165, the 64-ary 4-cube 58,905.
-const smallStates = 256
 
 // reserve sizes the per-state and per-class arrays for a transition
 // system of n states (one of them the source).
@@ -106,7 +97,6 @@ func (dp *pathDP) reserve(n int) {
 	dp.dist = make([]int32, 0, n)
 	dp.paths = make([]float64, 0, n)
 	dp.trOff = make([]int32, 0, n+1)
-	dp.root = make([]int32, 0, n-1)
 	dp.classes = make([]PathClass, 0, n-1)
 }
 
@@ -126,6 +116,9 @@ func (dp *pathDP) addState(fanout, dist int, to []int32, mult []int) {
 		}
 	}
 	for i, t := range to {
+		if t == 0 {
+			continue // the source's blocking sum is zero
+		}
 		dp.trTo = append(dp.trTo, t)
 		dp.trW = append(dp.trW, float64(mult[i])*dp.paths[t]/total)
 	}
@@ -135,84 +128,40 @@ func (dp *pathDP) addState(fanout, dist int, to []int32, mult []int) {
 	dp.trOff = append(dp.trOff, int32(len(dp.trTo)))
 }
 
-// addClass appends a destination class rooted at state root; the
-// states must all be added first.
-func (dp *pathDP) addClass(c PathClass, root int32) {
-	dp.root = append(dp.root, root)
-	dp.classes = append(dp.classes, c)
-	if len(dp.dist) <= smallStates {
-		if len(dp.reachOff) == 0 {
-			dp.reachOff = append(dp.reachOff, 0)
-		}
-		var seen [smallStates]bool
-		dp.reach = dp.reachable(dp.reach, seen[:len(dp.dist)], root)
-		dp.reachOff = append(dp.reachOff, int32(len(dp.reach)))
-	}
-}
-
-// reachable appends to dst the non-terminal states the minimal paths
-// from root visit, in ascending id, children before parents; seen is
-// zeroed scratch, one flag per state. Transitions lead to smaller
-// ids, so one descending pass from the root marks them all.
-func (dp *pathDP) reachable(dst []int32, seen []bool, root int32) []int32 {
-	seen[root] = true
-	for s := root; s >= 0; s-- {
-		if seen[s] {
-			for _, t := range dp.trTo[dp.trOff[s]:dp.trOff[s+1]] {
-				seen[t] = true
-			}
-		}
-	}
-	for s := int32(0); s <= root; s++ {
-		if seen[s] && dp.dist[s] > 0 {
-			dst = append(dst, s)
-		}
-	}
-	return dst
-}
-
 // Classes implements PathStructure.
 func (dp *pathDP) Classes() []PathClass { return dp.classes }
 
 // NumPaths returns the number of minimal paths to a destination of
 // class idx (used by tests and by cmd/starinfo).
-func (dp *pathDP) NumPaths(idx int) float64 { return dp.paths[dp.root[idx]] }
+func (dp *pathDP) NumPaths(idx int) float64 { return dp.paths[idx+1] }
 
-// BlockSum implements PathStructure: the expected blocking sum of a
+// BlockSums implements PathStructure. The expected blocking sum of a
 // state is its own hop's blocking probability plus the path-weighted
-// sums of its successors, solved for each state the class's minimal
-// paths visit, in ascending distance.
-func (dp *pathDP) BlockSum(idx, c0 int, eval HopEvaluator) float64 {
+// sums of its successors, and the hop index is recoverable from the
+// state's distance d and the class distance h0 (k = h0 − d + 1), so a
+// state's value depends on the state, h0 and c0 alone. One pass per
+// h0, from the diameter down, therefore solves every state at
+// distance 1..h0 (an id prefix) in ascending id, which leaves the
+// states at distance h0 final; later passes stop below them, so out
+// serves as the pass's scratch (out[s−1] holds state s).
+func (dp *pathDP) BlockSums(c0 int, eval HopEvaluator, out []float64) {
 	n := len(dp.dist)
-	if n <= smallStates {
-		var val [smallStates]float64
-		return dp.blockSum(val[:n], dp.reach[dp.reachOff[idx]:dp.reachOff[idx+1]], idx, c0, eval)
-	}
-	return dp.blockSum(make([]float64, n), dp.reachable(nil, make([]bool, n), dp.root[idx]), idx, c0, eval)
-}
-
-// blockSum runs the dynamic program for class idx over its visited
-// states reach in val, a zeroed per-state scratch array (terminal
-// states keep value 0). For a fixed destination class the hop index k
-// is recoverable from the state's distance (k = h0 − d + 1).
-func (dp *pathDP) blockSum(val []float64, reach []int32, idx, c0 int, eval HopEvaluator) float64 {
-	root := dp.root[idx]
-	h0 := int(dp.dist[root])
-	for _, s := range reach {
-		d := int(dp.dist[s])
-		k := h0 - d + 1
-		sum := eval(Hop{
-			F:        int(dp.fanout[s]),
-			D:        d,
-			NegTaken: negsAfter(c0, k-1),
-			HopNeg:   hopNegAt(c0, k),
-		})
-		for i := dp.trOff[s]; i < dp.trOff[s+1]; i++ {
-			sum += dp.trW[i] * val[dp.trTo[i]]
+	for h0 := int(dp.dist[n-1]); h0 >= 1; h0-- {
+		for s := 1; s < n && int(dp.dist[s]) <= h0; s++ {
+			d := int(dp.dist[s])
+			k := h0 - d + 1
+			sum := eval(Hop{
+				F:        int(dp.fanout[s]),
+				D:        d,
+				NegTaken: negsAfter(c0, k-1),
+				HopNeg:   hopNegAt(c0, k),
+			})
+			for i := dp.trOff[s]; i < dp.trOff[s+1]; i++ {
+				sum += dp.trW[i] * out[dp.trTo[i]-1]
+			}
+			out[s-1] = sum
 		}
-		val[s] = sum
 	}
-	return val[root]
 }
 
 // StarPaths is the star-graph PathStructure: destination classes are
@@ -270,11 +219,8 @@ func buildStarPaths(n int) (*StarPaths, error) {
 		}
 		sp.addState(c.t.fanout(), c.h, to, mult)
 	}
-	for i, c := range all {
-		if c.t.isTerminal() {
-			continue // the source itself is not a destination
-		}
-		sp.addClass(PathClass{H: c.h, Count: c.count, Label: labels[i]}, int32(i))
+	for i, c := range all[1:] { // all[0], the identity, is the source
+		sp.classes = append(sp.classes, PathClass{H: c.h, Count: c.count, Label: labels[i+1]})
 	}
 	return sp, nil
 }
@@ -306,27 +252,28 @@ func NewCubePaths(m int) (*CubePaths, error) {
 // Classes implements PathStructure.
 func (cp *CubePaths) Classes() []PathClass { return cp.classes }
 
-// BlockSum implements PathStructure.
-func (cp *CubePaths) BlockSum(idx, c0 int, eval HopEvaluator) float64 {
-	h0 := cp.classes[idx].H
-	var sum float64
-	for k := 1; k <= h0; k++ {
-		d := h0 - k + 1
-		sum += eval(Hop{
-			F:        d,
-			D:        d,
-			NegTaken: negsAfter(c0, k-1),
-			HopNeg:   hopNegAt(c0, k),
-		})
+// BlockSums implements PathStructure: one forward sum per class.
+func (cp *CubePaths) BlockSums(c0 int, eval HopEvaluator, out []float64) {
+	for idx, c := range cp.classes {
+		var sum float64
+		for k := 1; k <= c.H; k++ {
+			d := c.H - k + 1
+			sum += eval(Hop{
+				F:        d,
+				D:        d,
+				NegTaken: negsAfter(c0, k-1),
+				HopNeg:   hopNegAt(c0, k),
+			})
+		}
+		out[idx] = sum
 	}
-	return sum
 }
 
 // ExactStarBlockSum enumerates every minimal path of the concrete
 // star graph from src-relative permutations of class idx and averages
 // Σ_k P_block over them directly. It is exponential and exists to
 // validate the DP (TestDPMatchesExact) and for the ablation bench;
-// use BlockSum for real evaluations.
+// use BlockSums for real evaluations.
 func (sp *StarPaths) ExactStarBlockSum(g *stargraph.Graph, idx, c0 int, eval HopEvaluator) float64 {
 	// pick any representative destination of the class
 	rep := -1

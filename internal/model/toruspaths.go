@@ -5,7 +5,7 @@ import (
 	"strconv"
 	"strings"
 
-	"starperf/internal/cfgerr"
+	"starperf/internal/torus"
 )
 
 // TorusPaths is the k-ary n-cube PathStructure. A destination is
@@ -22,14 +22,13 @@ type TorusPaths struct {
 	k, n int
 }
 
-// NewTorusPaths builds the path structure of the k-ary n-cube
-// (k even, as required by the negative-hop schemes).
+// NewTorusPaths builds the path structure of the k-ary n-cube for
+// the tori torus.New accepts (k even, as required by the negative-hop
+// schemes, and at most torus.MaxNodes nodes, so at most 58,905 offset
+// vectors).
 func NewTorusPaths(k, n int) (*TorusPaths, error) {
-	if k < 2 || k%2 != 0 || n < 1 {
-		return nil, cfgerr.Errorf("model: torus paths need even k ≥ 2 and n ≥ 1 (got k=%d n=%d)", k, n)
-	}
-	if n > 8 || k > 64 {
-		return nil, cfgerr.Errorf("model: torus k=%d n=%d too large", k, n)
+	if _, err := torus.Nodes(k, n); err != nil {
+		return nil, err
 	}
 	tp := &TorusPaths{k: k, n: n}
 	// enumerate non-increasing offset vectors of length n over [0,k/2]
@@ -78,8 +77,8 @@ func NewTorusPaths(k, n int) (*TorusPaths, error) {
 		})
 		tp.addState(tp.fanout(st.v), st.h, to, mult)
 	}
-	for s, st := range states[1:] { // states[0], the zero vector, is the source
-		tp.addClass(PathClass{H: st.h, Count: tp.countOf(st.v), Label: st.label}, int32(s+1))
+	for _, st := range states[1:] { // states[0], the zero vector, is the source
+		tp.classes = append(tp.classes, PathClass{H: st.h, Count: tp.countOf(st.v), Label: st.label})
 	}
 	return tp, nil
 }
@@ -93,7 +92,7 @@ func sum(v []int) int {
 }
 
 // pack encodes an offset vector as an integer, one base-(k/2+1) digit
-// per dimension (at most 33^8 < 2^41).
+// per dimension ((k/2+1)^n ≤ k^n ≤ torus.MaxNodes).
 func (tp *TorusPaths) pack(v []int) uint64 {
 	var c uint64
 	for _, m := range v {

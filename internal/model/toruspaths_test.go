@@ -75,47 +75,58 @@ func TestTorusDPMatchesExact(t *testing.T) {
 			}
 			return v
 		}
-		for idx, c := range tp.Classes() {
-			// find a destination matching this class's offset vector
-			rep := -1
-			for v := 1; v < g.N(); v++ {
-				if g.Distance(0, v) == c.H && torusVecOf(g, v, n) == c.Label {
-					rep = v
-					break
-				}
-			}
-			if rep < 0 {
-				t.Fatalf("class %s unpopulated", c.Label)
-			}
-			for c0 := 0; c0 <= 1; c0++ {
-				var paths, total float64
-				var dfs func(cur, k int, acc float64)
-				dfs = func(cur, kk int, acc float64) {
-					if cur == rep {
-						paths++
-						total += acc
-						return
-					}
-					dims := g.ProfitableDims(cur, rep, nil)
-					hop := Hop{
-						F: len(dims), D: g.Distance(cur, rep),
-						NegTaken: negsAfter(c0, kk-1), HopNeg: hopNegAt(c0, kk),
-					}
-					p := eval(hop)
-					for _, dim := range dims {
-						dfs(g.Neighbor(cur, dim), kk+1, acc+p)
-					}
-				}
-				dfs(0, 1, 0)
-				exact := total / paths
-				dp := tp.BlockSum(idx, c0, eval)
-				if math.Abs(dp-exact) > 1e-9 {
+		dp := make([]float64, len(tp.Classes()))
+		for c0 := 0; c0 <= 1; c0++ {
+			tp.BlockSums(c0, eval, dp)
+			for idx, c := range tp.Classes() {
+				exact, paths := exactTorusBlockSum(t, g, tp, idx, c0, eval)
+				if math.Abs(dp[idx]-exact) > 1e-9 {
 					t.Fatalf("T%dx%d class %s c0=%d: DP %v, exact %v (paths %v vs %v)",
-						k, n, c.Label, c0, dp, exact, tp.NumPaths(idx), paths)
+						k, n, c.Label, c0, dp[idx], exact, tp.NumPaths(idx), paths)
 				}
 			}
 		}
 	}
+}
+
+// exactTorusBlockSum enumerates every minimal path of the concrete
+// torus g from node 0 to a destination of class idx and returns the
+// average of Σ_k eval(hop k) over them, with the number of paths: the
+// torus twin of ExactStarBlockSum.
+func exactTorusBlockSum(t testing.TB, g *torus.Graph, tp *TorusPaths, idx, c0 int, eval HopEvaluator) (avg, paths float64) {
+	t.Helper()
+	c := tp.Classes()[idx]
+	// find a destination matching this class's offset vector
+	rep := -1
+	for v := 1; v < g.N(); v++ {
+		if g.Distance(0, v) == c.H && torusVecOf(g, v, g.Dims()) == c.Label {
+			rep = v
+			break
+		}
+	}
+	if rep < 0 {
+		t.Fatalf("class %s unpopulated", c.Label)
+	}
+	var total float64
+	var dfs func(cur, k int, acc float64)
+	dfs = func(cur, k int, acc float64) {
+		if cur == rep {
+			paths++
+			total += acc
+			return
+		}
+		dims := g.ProfitableDims(cur, rep, nil)
+		hop := Hop{
+			F: len(dims), D: g.Distance(cur, rep),
+			NegTaken: negsAfter(c0, k-1), HopNeg: hopNegAt(c0, k),
+		}
+		p := eval(hop)
+		for _, dim := range dims {
+			dfs(g.Neighbor(cur, dim), k+1, acc+p)
+		}
+	}
+	dfs(0, 1, 0)
+	return total / paths, paths
 }
 
 // torusVecOf recovers the sorted per-dimension minimal offset vector
@@ -147,10 +158,11 @@ func TestTorusBlockSumHopCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := make([]float64, len(tp.Classes()))
+	tp.BlockSums(0, func(Hop) float64 { return 1 }, out)
 	for idx, c := range tp.Classes() {
-		got := tp.BlockSum(idx, 0, func(Hop) float64 { return 1 })
-		if math.Abs(got-float64(c.H)) > 1e-9 {
-			t.Fatalf("class %s: hop count %v, want %d", c.Label, got, c.H)
+		if math.Abs(out[idx]-float64(c.H)) > 1e-9 {
+			t.Fatalf("class %s: hop count %v, want %d", c.Label, out[idx], c.H)
 		}
 	}
 }
@@ -174,9 +186,9 @@ func TestTorusModelEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTorusBlockSumDeterministic: BlockSum sums each state's
-// transitions in one fixed order, so repeated calls on the same class
-// return the same bits.
+// TestTorusBlockSumDeterministic: BlockSums sums each state's
+// transitions in one fixed order, so repeated calls return the same
+// bits for every class.
 func TestTorusBlockSumDeterministic(t *testing.T) {
 	eval := func(h Hop) float64 {
 		v := 0.021*float64(h.F) + 0.013*math.Sqrt(float64(h.D)) + 0.005*float64(h.NegTaken)
@@ -191,13 +203,16 @@ func TestTorusBlockSumDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for idx, c := range tp.Classes() {
-			for c0 := 0; c0 <= 1; c0++ {
-				first := math.Float64bits(tp.BlockSum(idx, c0, eval))
-				for rep := 1; rep < 50; rep++ {
-					if got := math.Float64bits(tp.BlockSum(idx, c0, eval)); got != first {
+		first := make([]float64, len(tp.Classes()))
+		out := make([]float64, len(tp.Classes()))
+		for c0 := 0; c0 <= 1; c0++ {
+			tp.BlockSums(c0, eval, first)
+			for rep := 1; rep < 50; rep++ {
+				tp.BlockSums(c0, eval, out)
+				for idx, c := range tp.Classes() {
+					if got, want := math.Float64bits(out[idx]), math.Float64bits(first[idx]); got != want {
 						t.Fatalf("T%dx%d class %s c0=%d: call %d returned bits %x, first call %x",
-							k, n, c.Label, c0, rep, got, first)
+							k, n, c.Label, c0, rep, got, want)
 					}
 				}
 			}
@@ -205,19 +220,17 @@ func TestTorusBlockSumDeterministic(t *testing.T) {
 	}
 }
 
-// TestTorusLargeSystemBlockSum: a transition system above smallStates
-// stores no per-class visited-state lists and finds them on each
-// BlockSum call. Its sums must equal a dynamic program over every
-// state below the class root (values of states off the class's paths
-// are never read), bit for bit, and with a unit evaluator the hop
-// count.
+// TestTorusLargeSystemBlockSum: on a 495-state system, BlockSums must
+// equal a per-class dynamic program over every state below the class
+// root (values of states off the class's paths are never read), bit
+// for bit, and with a unit evaluator the hop count.
 func TestTorusLargeSystemBlockSum(t *testing.T) {
 	tp, err := NewTorusPaths(16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(tp.dist); n <= smallStates || tp.reach != nil {
-		t.Fatalf("T16x4 has %d states (reach stored: %v), want a system above %d without stored lists", n, tp.reach != nil, smallStates)
+	if n := len(tp.dist); n != 495 {
+		t.Fatalf("T16x4 has %d states, want 495", n)
 	}
 	eval := func(h Hop) float64 {
 		v := 0.021*float64(h.F) + 0.013*math.Sqrt(float64(h.D)) + 0.005*float64(h.NegTaken)
@@ -226,13 +239,18 @@ func TestTorusLargeSystemBlockSum(t *testing.T) {
 		}
 		return v
 	}
-	val := make([]float64, len(tp.dist))
+	out := make([]float64, len(tp.Classes()))
+	tp.BlockSums(0, func(Hop) float64 { return 1 }, out)
 	for idx, c := range tp.Classes() {
-		if got := tp.BlockSum(idx, 0, func(Hop) float64 { return 1 }); math.Abs(got-float64(c.H)) > 1e-9 {
-			t.Fatalf("class %s: unit BlockSum %v, want %d hops", c.Label, got, c.H)
+		if math.Abs(out[idx]-float64(c.H)) > 1e-9 {
+			t.Fatalf("class %s: unit BlockSums %v, want %d hops", c.Label, out[idx], c.H)
 		}
-		for c0 := 0; c0 <= 1; c0++ {
-			root := tp.root[idx]
+	}
+	val := make([]float64, len(tp.dist))
+	for c0 := 0; c0 <= 1; c0++ {
+		tp.BlockSums(c0, eval, out)
+		for idx, c := range tp.Classes() {
+			root := int32(idx + 1)
 			h0 := int(tp.dist[root])
 			clear(val)
 			for s := int32(1); s <= root; s++ {
@@ -244,8 +262,8 @@ func TestTorusLargeSystemBlockSum(t *testing.T) {
 				}
 				val[s] = sum
 			}
-			if got := tp.BlockSum(idx, c0, eval); math.Float64bits(got) != math.Float64bits(val[root]) {
-				t.Fatalf("class %s c0=%d: BlockSum %v, full DP %v", c.Label, c0, got, val[root])
+			if got := out[idx]; math.Float64bits(got) != math.Float64bits(val[root]) {
+				t.Fatalf("class %s c0=%d: BlockSums %v, full DP %v", c.Label, c0, got, val[root])
 			}
 		}
 	}

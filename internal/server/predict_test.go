@@ -1,8 +1,11 @@
 package server
 
 import (
+	"errors"
 	"runtime"
 	"testing"
+
+	"starperf/internal/cfgerr"
 )
 
 // TestPredictStarRunnerAllocs: a star predict reads four numbers of
@@ -34,21 +37,32 @@ func TestPredictStarRunnerAllocs(t *testing.T) {
 // TestPredictLargeTorusPrepareCheap: prepare runs on the handler
 // goroutine before the cache lookup and pool admission, so the path
 // structure it builds must stay linear in the torus's offset-vector
-// states. The 64-ary 4-cube (2^24 nodes, the largest torus.New takes)
-// has 58,905 states; per-class reachable-state lists would hold ~7.8e8
-// entries (~3 GB).
+// states, and a torus the run would refuse must be refused before any
+// of them are built. The 64-ary 4-cube (2^24 nodes, the largest
+// torus.New takes) has 58,905 states; per-class reachable-state lists
+// would hold ~7.8e8 entries (~3 GB). The 64-ary 5-cube (2^30 nodes),
+// which torus.New refuses, has 435,897 states (~235 MB to build).
 func TestPredictLargeTorusPrepareCheap(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := PredictRequest{
-		Topo: TopoSpec{Kind: "torus", K: 64, Dim: 4}, V: 8, MsgLen: 32, Rate: 0.0001,
-	}.withDefaults().prepare()
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		dim   int
+		limit uint64
+		fails bool
+	}{{4, 64 << 20, false}, {5, 8 << 20, true}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := PredictRequest{
+			Topo: TopoSpec{Kind: "torus", K: 64, Dim: c.dim}, V: 8, MsgLen: 32, Rate: 0.0001,
+		}.withDefaults().prepare()
+		runtime.ReadMemStats(&after)
+		switch {
+		case c.fails && !errors.Is(err, cfgerr.ErrInvalid):
+			t.Fatalf("64-ary %d-cube prepare: err %v, want an invalid-config error", c.dim, err)
+		case !c.fails && err != nil:
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= c.limit {
+			t.Fatalf("64-ary %d-cube predict prepare allocated %d bytes, want < %d MB", c.dim, got, c.limit>>20)
+		}
+		t.Logf("64-ary %d-cube: allocated %d bytes", c.dim, after.TotalAlloc-before.TotalAlloc)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<20 {
-		t.Fatalf("64-ary 4-cube predict prepare allocated %d bytes, want < 64 MB", got)
-	}
-	t.Logf("allocated %d bytes", after.TotalAlloc-before.TotalAlloc)
 }

@@ -69,10 +69,17 @@ func (t TopoSpec) shape() (topology.Shape, error) {
 	return top, err
 }
 
-// paths constructs the model's path structure for the topology.
+// paths constructs the model's path structure for the topology. It
+// accepts only the networks the run's shape accepts, so a request the
+// run would refuse fails here, before the cache lookup and admission:
+// the model's star cycle types go up to S_12, but stargraph.NewShape
+// stops at S_10 (the torus paths share torus.New's node bound).
 func (t TopoSpec) paths() (model.PathStructure, error) {
 	switch t.Kind {
 	case "star":
+		if t.N > stargraph.MaxEnumerableN {
+			return nil, cfgerr.Errorf("server: star n=%d out of supported range [2,%d]", t.N, stargraph.MaxEnumerableN)
+		}
 		return model.NewStarPaths(t.N)
 	case "hypercube":
 		return model.NewCubePaths(t.N)

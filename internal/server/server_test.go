@@ -107,9 +107,12 @@ func TestPredictEndToEnd(t *testing.T) {
 
 // TestPredictErrors covers the wire error contract: invalid configs
 // are 400 invalid_config, typos are 400 invalid_config (strict
-// decoding), saturation is a 200 with saturated:true.
+// decoding), saturation is a 200 with saturated:true. An invalid
+// config fails at parse, before any job reaches the pool, including
+// a star the model's cycle types cover (up to S_12) but the run's
+// closed-form shape does not (beyond stargraph.MaxEnumerableN).
 func TestPredictErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 
 	resp := postJSON(t, ts.URL+"/v1/predict", `{"topo":{"kind":"ring","n":4},"v":4,"msg_len":16,"rate":0.004}`)
 	body := readBody(t, resp)
@@ -121,6 +124,15 @@ func TestPredictErrors(t *testing.T) {
 	body = readBody(t, resp)
 	if resp.StatusCode != 400 || !bytes.Contains(body, []byte("invalid_config")) {
 		t.Fatalf("unknown field: %d %s", resp.StatusCode, body)
+	}
+
+	resp = postJSON(t, ts.URL+"/v1/predict", `{"topo":{"kind":"star","n":11},"v":8,"msg_len":32,"rate":0.001}`)
+	body = readBody(t, resp)
+	if resp.StatusCode != 400 || !bytes.Contains(body, []byte("invalid_config")) {
+		t.Fatalf("S11: %d %s", resp.StatusCode, body)
+	}
+	if st := s.Pool().Stats(); st.Submitted != 0 {
+		t.Fatalf("invalid predicts reached the pool: %+v", st)
 	}
 
 	resp = postJSON(t, ts.URL+"/v1/predict", `{"topo":{"kind":"star","n":4},"v":4,"msg_len":16,"rate":5}`)

@@ -27,24 +27,41 @@ type Graph struct {
 	avgDist float64
 }
 
-// New constructs a k-ary n-cube with k even, k ≥ 2, n ≥ 1, and at
-// most 2^26 nodes.
-func New(k, n int) (*Graph, error) {
+// MaxNodes bounds the tori New builds, and with them the tori the
+// analytical model's path structures accept.
+const MaxNodes = 1 << 26
+
+// Nodes returns the node count k^n of the k-ary n-cube, or an error
+// unless k is even, k ≥ 2, n ≥ 1 and k^n ≤ MaxNodes: the tori New
+// accepts.
+func Nodes(k, n int) (int, error) {
 	if k < 2 || k%2 != 0 {
-		return nil, cfgerr.Errorf("torus: radix k=%d must be even and ≥ 2 (bipartiteness)", k)
+		return 0, cfgerr.Errorf("torus: radix k=%d must be even and ≥ 2 (bipartiteness)", k)
 	}
 	if n < 1 {
-		return nil, cfgerr.Errorf("torus: dimension n=%d must be ≥ 1", n)
+		return 0, cfgerr.Errorf("torus: dimension n=%d must be ≥ 1", n)
 	}
 	nodes := 1
+	for i := 0; i < n; i++ {
+		if nodes > MaxNodes/k {
+			return 0, cfgerr.Errorf("torus: %d-ary %d-cube too large", k, n)
+		}
+		nodes *= k
+	}
+	return nodes, nil
+}
+
+// New constructs a k-ary n-cube with k even, k ≥ 2, n ≥ 1, and at
+// most MaxNodes nodes.
+func New(k, n int) (*Graph, error) {
+	nodes, err := Nodes(k, n)
+	if err != nil {
+		return nil, err
+	}
 	pow := make([]int, n+1)
 	pow[0] = 1
 	for i := 1; i <= n; i++ {
-		if nodes > (1<<26)/k {
-			return nil, cfgerr.Errorf("torus: %d-ary %d-cube too large", k, n)
-		}
-		nodes *= k
-		pow[i] = nodes
+		pow[i] = pow[i-1] * k
 	}
 	// Mean minimal offset of one dimension over all k digit offsets:
 	// Σ_o min(o, k−o) = k²/4 for even k, so the per-dimension mean is
