@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"starperf/internal/cfgerr"
 	"starperf/internal/torus"
 )
 
@@ -22,13 +23,23 @@ type TorusPaths struct {
 	k, n int
 }
 
+// maxTorusRadix bounds the radix of the tori NewTorusPaths accepts.
+// With the node bound k^n ≤ torus.MaxNodes it caps a path structure at
+// 58,905 offset vectors (the 64-ary 4-cube) and its diameter at 128,
+// so building one and solving it per fixed-point iteration stay cheap;
+// the node bound alone lets a 1- or 2-dimensional ring of huge radix
+// through with millions of states.
+const maxTorusRadix = 64
+
 // NewTorusPaths builds the path structure of the k-ary n-cube for
 // the tori torus.New accepts (k even, as required by the negative-hop
-// schemes, and at most torus.MaxNodes nodes, so at most 58,905 offset
-// vectors).
+// schemes, and at most torus.MaxNodes nodes) with k ≤ maxTorusRadix.
 func NewTorusPaths(k, n int) (*TorusPaths, error) {
 	if _, err := torus.Nodes(k, n); err != nil {
 		return nil, err
+	}
+	if k > maxTorusRadix {
+		return nil, cfgerr.Errorf("model: torus radix k=%d exceeds %d", k, maxTorusRadix)
 	}
 	tp := &TorusPaths{k: k, n: n}
 	// enumerate non-increasing offset vectors of length n over [0,k/2]

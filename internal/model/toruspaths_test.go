@@ -268,3 +268,28 @@ func TestTorusLargeSystemBlockSum(t *testing.T) {
 		}
 	}
 }
+
+// TestTorusPathsSizeBound: every torus NewTorusPaths accepts has at
+// most 58,905 offset-vector states (the 64-ary 4-cube) and diameter at
+// most 128, and rings of huge radix, which the node bound alone lets
+// through, are refused before any state is built.
+func TestTorusPathsSizeBound(t *testing.T) {
+	maxStates, maxDiam := 0.0, 0
+	for k := 2; k <= maxTorusRadix; k += 2 {
+		for n := 1; ; n++ {
+			if _, err := torus.Nodes(k, n); err != nil {
+				break
+			}
+			maxStates = math.Max(maxStates, binomF(k/2+n, n))
+			maxDiam = max(maxDiam, n*k/2)
+		}
+	}
+	if maxStates != 58905 || maxDiam != 128 {
+		t.Fatalf("accepted tori reach %v states and diameter %d, want 58905 and 128", maxStates, maxDiam)
+	}
+	for _, kn := range [][2]int{{maxTorusRadix + 2, 1}, {8192, 2}, {1 << 26, 1}} {
+		if _, err := NewTorusPaths(kn[0], kn[1]); err == nil {
+			t.Fatalf("NewTorusPaths(%d, %d) accepted a radix above %d", kn[0], kn[1], maxTorusRadix)
+		}
+	}
+}

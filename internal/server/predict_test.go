@@ -37,32 +37,33 @@ func TestPredictStarRunnerAllocs(t *testing.T) {
 // TestPredictLargeTorusPrepareCheap: prepare runs on the handler
 // goroutine before the cache lookup and pool admission, so the path
 // structure it builds must stay linear in the torus's offset-vector
-// states, and a torus the run would refuse must be refused before any
-// of them are built. The 64-ary 4-cube (2^24 nodes, the largest
-// torus.New takes) has 58,905 states; per-class reachable-state lists
-// would hold ~7.8e8 entries (~3 GB). The 64-ary 5-cube (2^30 nodes),
-// which torus.New refuses, has 435,897 states (~235 MB to build).
+// states, and a torus the run would refuse, or whose path structure
+// would be huge, must be refused before any of them are built. The
+// 64-ary 4-cube (2^24 nodes, the largest torus.New takes) has 58,905
+// states. The 64-ary 5-cube (2^30 nodes), which torus.New refuses, has
+// 435,897. The 8192-ary 2-cube and the 2^26-ary ring, which torus.New
+// takes, have 8.4M and 33.5M.
 func TestPredictLargeTorusPrepareCheap(t *testing.T) {
 	for _, c := range []struct {
-		dim   int
-		limit uint64
-		fails bool
-	}{{4, 64 << 20, false}, {5, 8 << 20, true}} {
+		k, dim int
+		limit  uint64
+		fails  bool
+	}{{64, 4, 64 << 20, false}, {64, 5, 8 << 20, true}, {8192, 2, 8 << 20, true}, {1 << 26, 1, 8 << 20, true}} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := PredictRequest{
-			Topo: TopoSpec{Kind: "torus", K: 64, Dim: c.dim}, V: 8, MsgLen: 32, Rate: 0.0001,
+			Topo: TopoSpec{Kind: "torus", K: c.k, Dim: c.dim}, V: 8, MsgLen: 32, Rate: 0.0001,
 		}.withDefaults().prepare()
 		runtime.ReadMemStats(&after)
 		switch {
 		case c.fails && !errors.Is(err, cfgerr.ErrInvalid):
-			t.Fatalf("64-ary %d-cube prepare: err %v, want an invalid-config error", c.dim, err)
+			t.Fatalf("%d-ary %d-cube prepare: err %v, want an invalid-config error", c.k, c.dim, err)
 		case !c.fails && err != nil:
 			t.Fatal(err)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got >= c.limit {
-			t.Fatalf("64-ary %d-cube predict prepare allocated %d bytes, want < %d MB", c.dim, got, c.limit>>20)
+			t.Fatalf("%d-ary %d-cube predict prepare allocated %d bytes, want < %d MB", c.k, c.dim, got, c.limit>>20)
 		}
-		t.Logf("64-ary %d-cube: allocated %d bytes", c.dim, after.TotalAlloc-before.TotalAlloc)
+		t.Logf("%d-ary %d-cube: allocated %d bytes", c.k, c.dim, after.TotalAlloc-before.TotalAlloc)
 	}
 }

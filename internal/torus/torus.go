@@ -27,8 +27,8 @@ type Graph struct {
 	avgDist float64
 }
 
-// MaxNodes bounds the tori New builds, and with them the tori the
-// analytical model's path structures accept.
+// MaxNodes bounds the tori New builds. The analytical model's torus
+// path structures accept only these tori, and bound the radix too.
 const MaxNodes = 1 << 26
 
 // Nodes returns the node count k^n of the k-ary n-cube, or an error
