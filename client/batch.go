@@ -13,19 +13,17 @@ import (
 	"fmt"
 	"net/http"
 	"time"
-)
 
-// maxBatchItems mirrors the server's per-request batch limit;
-// SubmitBatch splits larger workloads into sequential chunks itself.
-const maxBatchItems = 256
+	"starperf/internal/wire"
+)
 
 // BatchItem is one submission in a batch: the job kind ("predict",
 // "bounds", "simulate" or "sweep") and the config its standalone
 // route would take (a PredictRequest, BoundsRequest, SimulateRequest
 // or SweepRequest — or any value marshalling to the same JSON).
 type BatchItem struct {
-	Kind   string `json:"kind"`
-	Config any    `json:"config"`
+	Kind   string
+	Config any
 }
 
 // BatchStatus is one item's submission outcome. Exactly one of
@@ -40,26 +38,6 @@ type BatchStatus struct {
 	Err    error
 }
 
-// batchWire mirrors the server's request and response bodies.
-type batchWireItem struct {
-	Kind   string          `json:"kind"`
-	Config json.RawMessage `json:"config"`
-}
-
-type batchWireRequest struct {
-	Items []batchWireItem `json:"items"`
-}
-
-type batchWireResult struct {
-	ID     string     `json:"id"`
-	Status string     `json:"status"`
-	Error  *wireError `json:"error"`
-}
-
-type batchWireResponse struct {
-	Items []batchWireResult `json:"items"`
-}
-
 // SubmitBatch submits items through POST /v1/jobs:batch, splitting
 // past the server's 256-item limit into sequential chunks. The
 // returned slice matches items index for index. A non-nil error means
@@ -69,8 +47,8 @@ type batchWireResponse struct {
 func (c *Client) SubmitBatch(ctx context.Context, items []BatchItem) ([]BatchStatus, error) {
 	out := make([]BatchStatus, len(items))
 	var firstErr error
-	for start := 0; start < len(items); start += maxBatchItems {
-		end := start + maxBatchItems
+	for start := 0; start < len(items); start += wire.MaxBatchItems {
+		end := start + wire.MaxBatchItems
 		if end > len(items) {
 			end = len(items)
 		}
@@ -83,13 +61,13 @@ func (c *Client) SubmitBatch(ctx context.Context, items []BatchItem) ([]BatchSta
 
 // submitChunk runs one ≤256-item POST and fills out[i] per item.
 func (c *Client) submitChunk(ctx context.Context, items []BatchItem, out []BatchStatus) error {
-	req := batchWireRequest{Items: make([]batchWireItem, len(items))}
+	req := wire.BatchRequest{Items: make([]wire.BatchItem, len(items))}
 	for i, it := range items {
 		cfg, err := json.Marshal(it.Config)
 		if err != nil {
 			return fmt.Errorf("%w: batch item %d config: %v", ErrConfig, i, err)
 		}
-		req.Items[i] = batchWireItem{Kind: it.Kind, Config: cfg}
+		req.Items[i] = wire.BatchItem{Kind: it.Kind, Config: cfg}
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -102,7 +80,7 @@ func (c *Client) submitChunk(ctx context.Context, items []BatchItem, out []Batch
 		}
 		return err
 	}
-	var resp batchWireResponse
+	var resp wire.BatchResponse
 	if err := json.Unmarshal(raw, &resp); err != nil {
 		return fmt.Errorf("%w: batch response: %v", ErrProtocol, err)
 	}
@@ -136,13 +114,13 @@ func (c *Client) submitChunk(ctx context.Context, items []BatchItem, out []Batch
 // batch rejections exactly like whole-request ones.
 func itemStatus(class string) int {
 	switch class {
-	case "invalid_config":
+	case wire.ClassInvalidConfig:
 		return http.StatusBadRequest
-	case "queue_full":
+	case wire.ClassQueueFull:
 		return http.StatusTooManyRequests
-	case "saturated", "unreachable":
+	case wire.ClassSaturated, wire.ClassUnreachable:
 		return http.StatusUnprocessableEntity
-	case "timeout":
+	case wire.ClassTimeout:
 		return http.StatusGatewayTimeout
 	default:
 		return http.StatusInternalServerError
@@ -184,13 +162,13 @@ func (c *Client) WaitBatch(ctx context.Context, ids []string) []JobResult {
 				out[i].Err = err
 				continue
 			}
-			var job jobEnvelope
+			var job wire.Job
 			if err := json.Unmarshal(raw, &job); err != nil {
 				out[i].Err = fmt.Errorf("client: job poll: %w", err)
 				continue
 			}
 			switch {
-			case job.Status == "done" && job.Result != nil:
+			case job.Finished():
 				out[i].Result = job.Result
 			case job.Status == "failed":
 				out[i].Err = fmt.Errorf("%w: job %s: %s", ErrJobFailed, id, job.Error)

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"starperf/internal/wire"
 )
 
 func TestSubmitBatchMixedOutcomes(t *testing.T) {
@@ -17,7 +19,7 @@ func TestSubmitBatchMixedOutcomes(t *testing.T) {
 		if r.URL.Path != "/v1/jobs:batch" {
 			t.Errorf("path = %s, want /v1/jobs:batch", r.URL.Path)
 		}
-		var req batchWireRequest
+		var req wire.BatchRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			t.Errorf("request body: %v", err)
 		}
@@ -64,21 +66,21 @@ func TestSubmitBatchChunksPastServerLimit(t *testing.T) {
 	var sizes []int
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		var req batchWireRequest
+		var req wire.BatchRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			t.Errorf("request body: %v", err)
 		}
 		sizes = append(sizes, len(req.Items))
-		resp := batchWireResponse{Items: make([]batchWireResult, len(req.Items))}
+		resp := wire.BatchResponse{Items: make([]wire.BatchItemResult, len(req.Items))}
 		for i := range resp.Items {
-			resp.Items[i] = batchWireResult{ID: fmt.Sprintf("sha256:%02x", i), Status: "queued"}
+			resp.Items[i] = wire.BatchItemResult{ID: fmt.Sprintf("sha256:%02x", i), Status: "queued"}
 		}
 		json.NewEncoder(w).Encode(resp)
 	}))
 	defer ts.Close()
 
 	c, _ := newRecordingClient(t, ts.URL, Config{})
-	items := make([]BatchItem, maxBatchItems+10)
+	items := make([]BatchItem, wire.MaxBatchItems+10)
 	for i := range items {
 		items[i] = BatchItem{Kind: "predict", Config: PredictRequest{Topo: TopoSpec{Kind: "star", N: 3}, V: 4, MsgLen: 8, Rate: 0.001}}
 	}
@@ -89,8 +91,8 @@ func TestSubmitBatchChunksPastServerLimit(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Fatalf("HTTP calls = %d, want 2 chunks", calls.Load())
 	}
-	if sizes[0] != maxBatchItems || sizes[1] != 10 {
-		t.Fatalf("chunk sizes = %v, want [%d 10]", sizes, maxBatchItems)
+	if sizes[0] != wire.MaxBatchItems || sizes[1] != 10 {
+		t.Fatalf("chunk sizes = %v, want [%d 10]", sizes, wire.MaxBatchItems)
 	}
 	for i, st := range out {
 		if st.Err != nil || st.ID == "" {

@@ -19,16 +19,16 @@
 // answers every request, forwarding internally — it just pays an
 // extra hop.
 //
-// Only stdlib dependencies (plus the module's own pure-stdlib ring
-// package), deliberately: the package is importable from anywhere
-// without dragging the simulator along.
+// The request and result types are the server's own wire schema
+// (internal/wire), aliased here, so the two ends cannot drift. Like
+// the ring package, that schema imports only the standard library:
+// the client is importable from anywhere without dragging the
+// simulator along.
 package client
 
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,6 +42,23 @@ import (
 	"time"
 
 	"starperf/internal/cluster"
+	"starperf/internal/wire"
+)
+
+// The request and result bodies of the API.
+type (
+	TopoSpec        = wire.TopoSpec
+	PredictRequest  = wire.PredictRequest
+	PredictResult   = wire.PredictResult
+	BoundsRequest   = wire.BoundsRequest
+	BoundsResult    = wire.BoundsResult
+	BoundsClass     = wire.BoundsClass
+	SimulateRequest = wire.SimulateRequest
+	SimulateResult  = wire.SimulateResult
+	SweepRequest    = wire.SweepRequest
+	SweepResult     = wire.SweepResult
+	SweepSeries     = wire.SweepSeries
+	SweepPoint      = wire.SweepPoint
 )
 
 // Config describes a Client. BaseURL is required; everything else
@@ -133,17 +150,6 @@ func New(cfg Config) (*Client, error) {
 	}, nil
 }
 
-// healthEnvelope mirrors the server's /healthz body; Cluster is
-// present on a clustered node.
-type healthEnvelope struct {
-	OK      bool `json:"ok"`
-	Cluster *struct {
-		Self         string   `json:"self"`
-		Members      []string `json:"members"`
-		VirtualNodes int      `json:"virtual_nodes"`
-	} `json:"cluster"`
-}
-
 // LearnRing bootstraps cluster membership from the configured node's
 // /healthz and rebuilds the same consistent-hash ring the servers
 // route by, so subsequent job polls go straight to each id's owner
@@ -156,7 +162,7 @@ func (c *Client) LearnRing(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	var env healthEnvelope
+	var env wire.Health
 	if err := json.Unmarshal(body, &env); err != nil {
 		return fmt.Errorf("%w: healthz body: %v", ErrProtocol, err)
 	}
@@ -277,7 +283,7 @@ func (e *APIError) Error() string {
 // classify a bad request the same way whether the client or the
 // server caught it.
 func (e *APIError) Is(target error) bool {
-	return target == ErrConfig && e.Class == "invalid_config"
+	return target == ErrConfig && e.Class == wire.ClassInvalidConfig
 }
 
 // Temporary reports whether the failure is worth retrying: server
@@ -288,32 +294,6 @@ func (e *APIError) Temporary() bool {
 		return true
 	}
 	return false
-}
-
-// errorEnvelope mirrors the server's error body. Error is raw because
-// two generations of the wire contract share the "error" key: the v1
-// envelope nests an object ({"error":{"class","message",...}}), the
-// pre-PR-8 shape held the message as a string with class alongside.
-// The client decodes both, so it can talk to one release older
-// servers during a rolling upgrade.
-type errorEnvelope struct {
-	Error json.RawMessage `json:"error"`
-	Class string          `json:"class"` // legacy flat shape only
-}
-
-// wireError is the nested object of the v1 envelope.
-type wireError struct {
-	Class        string `json:"class"`
-	Message      string `json:"message"`
-	RetryAfterMS int64  `json:"retry_after_ms"`
-}
-
-// jobEnvelope mirrors the server's async job body.
-type jobEnvelope struct {
-	ID     string          `json:"id"`
-	Status string          `json:"status"`
-	Error  string          `json:"error,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
 }
 
 // attemptResult carries one HTTP attempt's outcome to the retry loop.
@@ -363,8 +343,8 @@ func (c *Client) doTargets(ctx context.Context, method string, bases []string, p
 			// real one. Treated like a transport failure: fail over and
 			// retry — the recomputed answer is byte-identical, so the
 			// next intact copy is the same result.
-			if sum := res.header.Get(resultSumHeader); sum != "" && !sumMatches(res.body, sum) {
-				lastErr = fmt.Errorf("%w: %s %s: body does not match advertised %s", ErrProtocol, method, path, resultSumHeader)
+			if sum := res.header.Get(wire.ResultSumHeader); sum != "" && !sumMatches(res.body, sum) {
+				lastErr = fmt.Errorf("%w: %s %s: body does not match advertised %s", ErrProtocol, method, path, wire.ResultSumHeader)
 				target++
 				continue
 			}
@@ -402,7 +382,7 @@ func (c *Client) attempt(ctx context.Context, method, base, path string, reqBody
 	// request immediately instead of queueing it past our deadline.
 	if t, ok := ctx.Deadline(); ok {
 		if left := time.Until(t); left > 0 {
-			req.Header.Set("X-Starperf-Deadline", left.Round(time.Millisecond).String())
+			req.Header.Set(wire.DeadlineHeader, left.Round(time.Millisecond).String())
 		}
 	}
 	resp, err := c.http.Do(req)
@@ -424,19 +404,6 @@ func (c *Client) attempt(ctx context.Context, method, base, path string, reqBody
 	return attemptResult{status: resp.StatusCode, body: body, header: resp.Header}
 }
 
-// resultSumHeader mirrors the server's X-Starperf-Result-Sum header:
-// the "sha256:<hex>" content sum of a result body, verified on every
-// response that carries it before the bytes are surfaced or a retry
-// of a torn read is trusted.
-const resultSumHeader = "X-Starperf-Result-Sum"
-
-// resultSum renders the content sum of a body in the header's
-// "sha256:<hex>" shape.
-func resultSum(body []byte) string {
-	sum := sha256.Sum256(body)
-	return "sha256:" + hex.EncodeToString(sum[:])
-}
-
 // sumMatches verifies a response body against its advertised content
 // sum. Two shapes cross the wire under the same header: sync routes
 // whose body is the result bytes themselves (sum covers the body),
@@ -444,14 +411,14 @@ func resultSum(body []byte) string {
 // that field). A body matching neither way is damaged — truncation
 // breaks the envelope parse, a flipped byte breaks the sum.
 func sumMatches(body []byte, sum string) bool {
-	if resultSum(body) == sum {
+	if wire.ResultSum(body) == sum {
 		return true
 	}
-	var env jobEnvelope
+	var env wire.Job
 	if err := json.Unmarshal(body, &env); err != nil || env.Result == nil {
 		return false
 	}
-	return resultSum(env.Result) == sum
+	return wire.ResultSum(env.Result) == sum
 }
 
 // retryAfter rides along on temporary APIErrors so backoff can
@@ -497,28 +464,20 @@ func parseRetryAfter(h http.Header) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// decodeAPIError maps a non-2xx body to an *APIError: the v1 nested
-// envelope first, the legacy flat shape second, tolerating non-JSON
-// bodies from intermediaries. A v1 retry_after_ms seeds the retry
-// schedule (the Retry-After header, when present, overrides it with
-// the server's coarser but authoritative figure).
+// decodeAPIError maps a non-2xx body to an *APIError, tolerating
+// bodies that are not a v1 envelope (an intermediary's HTML page):
+// those keep their status with class "unknown". A v1 retry_after_ms
+// seeds the retry schedule (the Retry-After header, when present,
+// overrides it with the server's coarser but authoritative figure).
 func decodeAPIError(status int, body []byte) *APIError {
-	var env errorEnvelope
-	if err := json.Unmarshal(body, &env); err != nil || len(env.Error) == 0 {
+	var env wire.ErrorBody
+	if err := json.Unmarshal(body, &env); err != nil || env.Error.Class == "" {
 		return &APIError{Status: status, Class: "unknown", Message: strings.TrimSpace(string(body))}
 	}
-	var nested wireError
-	if err := json.Unmarshal(env.Error, &nested); err == nil && nested.Class != "" {
-		return &APIError{
-			Status: status, Class: nested.Class, Message: nested.Message,
-			retryAfter: time.Duration(nested.RetryAfterMS) * time.Millisecond,
-		}
+	return &APIError{
+		Status: status, Class: env.Error.Class, Message: env.Error.Message,
+		retryAfter: time.Duration(env.Error.RetryAfterMS) * time.Millisecond,
 	}
-	var legacy string
-	if err := json.Unmarshal(env.Error, &legacy); err == nil && legacy != "" {
-		return &APIError{Status: status, Class: env.Class, Message: legacy}
-	}
-	return &APIError{Status: status, Class: "unknown", Message: strings.TrimSpace(string(body))}
 }
 
 // Health checks GET /healthz.
@@ -603,7 +562,7 @@ func (c *Client) runJob(ctx context.Context, path string, req any) (json.RawMess
 	if err != nil {
 		return nil, err
 	}
-	var job jobEnvelope
+	var job wire.Job
 	if err := json.Unmarshal(out, &job); err != nil {
 		return nil, fmt.Errorf("%w: job envelope: %v", ErrProtocol, err)
 	}
@@ -611,14 +570,12 @@ func (c *Client) runJob(ctx context.Context, path string, req any) (json.RawMess
 		return nil, fmt.Errorf("%w: job submission returned no id", ErrProtocol)
 	}
 	for {
-		switch job.Status {
-		case "done":
-			if job.Result != nil {
-				return job.Result, nil
-			}
-			// Accepted-from-cache responses omit the body; one poll
-			// fetches it.
-		case "failed":
+		// Accepted-from-cache responses are done without the body; one
+		// poll fetches it.
+		if job.Finished() {
+			return job.Result, nil
+		}
+		if job.Status == "failed" {
 			return nil, fmt.Errorf("%w: job %s: %s", ErrJobFailed, job.ID, job.Error)
 		}
 		if err := c.sleep(ctx, c.cfg.PollInterval); err != nil {

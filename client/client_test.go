@@ -40,7 +40,7 @@ func TestRetriesHonourRetryAfter(t *testing.T) {
 		if calls.Add(1) <= 2 {
 			w.Header().Set("Retry-After", "7")
 			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprint(w, `{"error":"overloaded","class":"overloaded"}`)
+			fmt.Fprint(w, `{"error":{"class":"queue_full","message":"overloaded","retry_after_ms":7000}}`)
 			return
 		}
 		fmt.Fprint(w, `{"ok":true}`)
@@ -65,7 +65,7 @@ func TestFullJitterBackoffBounds(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.WriteHeader(http.StatusGatewayTimeout) // no Retry-After
-		fmt.Fprint(w, `{"error":"timeout","class":"timeout"}`)
+		fmt.Fprint(w, `{"error":{"class":"timeout","message":"timeout"}}`)
 	}))
 	defer ts.Close()
 
@@ -93,7 +93,7 @@ func TestFullJitterBackoffBounds(t *testing.T) {
 func TestSameSeedSameBackoffSchedule(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprint(w, `{"error":"x","class":"overloaded"}`)
+		fmt.Fprint(w, `{"error":{"class":"queue_full","message":"x"}}`)
 	}))
 	defer ts.Close()
 	run := func() []time.Duration {
@@ -112,7 +112,7 @@ func TestNoRetryOnClientError(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.WriteHeader(http.StatusBadRequest)
-		fmt.Fprint(w, `{"error":"bad topo","class":"invalid_config"}`)
+		fmt.Fprint(w, `{"error":{"class":"invalid_config","message":"bad topo"}}`)
 	}))
 	defer ts.Close()
 
@@ -156,7 +156,7 @@ func TestContextCancelStopsRetries(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "30")
 		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprint(w, `{"error":"x","class":"overloaded"}`)
+		fmt.Fprint(w, `{"error":{"class":"queue_full","message":"x","retry_after_ms":30000}}`)
 	}))
 	defer ts.Close()
 

@@ -1,9 +1,9 @@
 package client
 
-// Decoding tests for the v1 error envelope (and its legacy
-// predecessor): non-2xx bodies become *APIError, invalid_config maps
-// onto the ErrConfig sentinel, and retry_after_ms seeds the retry
-// schedule when the Retry-After header is absent.
+// Decoding tests for the v1 error envelope: non-2xx bodies become
+// *APIError, invalid_config maps onto the ErrConfig sentinel, and
+// retry_after_ms seeds the retry schedule when the Retry-After header
+// is absent.
 
 import (
 	"context"
@@ -30,11 +30,12 @@ func TestDecodeV1Envelope(t *testing.T) {
 	}
 }
 
-// TestDecodeLegacyEnvelope: the pre-PR-8 flat shape still decodes, so
-// the client can talk to one release older servers.
+// TestDecodeLegacyEnvelope: the pre-v1 flat shape is no longer
+// decoded, but such a body still yields an *APIError that keeps its
+// status (so retry decisions are unchanged), with class unknown.
 func TestDecodeLegacyEnvelope(t *testing.T) {
 	e := decodeAPIError(400, []byte(`{"error":"bad topo","class":"invalid_config"}`))
-	if e.Class != "invalid_config" || e.Message != "bad topo" {
+	if e.Status != 400 || e.Class != "unknown" {
 		t.Fatalf("decoded %+v", e)
 	}
 }

@@ -188,7 +188,7 @@ func TestRetryAfterOverridesJitterCap(t *testing.T) {
 		if calls.Add(1) == 1 {
 			w.Header().Set("Retry-After", "9")
 			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprint(w, `{"error":"busy","class":"overloaded"}`)
+			fmt.Fprint(w, `{"error":{"class":"queue_full","message":"busy","retry_after_ms":9000}}`)
 			return
 		}
 		fmt.Fprint(w, `{"ok":true}`)
@@ -208,7 +208,7 @@ func TestRetryAfterOverridesJitterCap(t *testing.T) {
 	ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
 			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprint(w, `{"error":"busy","class":"overloaded"}`)
+			fmt.Fprint(w, `{"error":{"class":"queue_full","message":"busy"}}`)
 			return
 		}
 		fmt.Fprint(w, `{"ok":true}`)
@@ -231,7 +231,7 @@ func Test429StormGivesUpBeforeDeadline(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "5")
 		w.WriteHeader(http.StatusTooManyRequests)
-		fmt.Fprint(w, `{"error":"storm","class":"overloaded"}`)
+		fmt.Fprint(w, `{"error":{"class":"queue_full","message":"storm","retry_after_ms":5000}}`)
 	}))
 	defer ts.Close()
 

@@ -74,10 +74,10 @@ import (
 // position) binds before the model's ρ < C does.
 var ErrUnboundable = errors.New("bounds: no finite worst-case delay bound at this operating point")
 
-// maxNodes caps the analysis size: the load enumeration is quadratic
+// MaxNodes caps the analysis size: the load enumeration is quadratic
 // in nodes, so unboundedly large topologies would turn a sync request
 // into a marathon.
-const maxNodes = 1024
+const MaxNodes = 1024
 
 // maxHopDelay is the divergence tripwire of the cyclic fixed point: a
 // per-hop delay bound beyond 10^15 cycles is not a bound anyone can
@@ -133,8 +133,8 @@ func (c Config) validate() error {
 	if c.Top == nil {
 		return cfgerr.New("bounds: nil topology")
 	}
-	if n := c.Top.N(); n > maxNodes {
-		return cfgerr.Errorf("bounds: topology %s has %d nodes, the engine analyses at most %d (quadratic path enumeration)", c.Top.Name(), n, maxNodes)
+	if n := c.Top.N(); n > MaxNodes {
+		return cfgerr.Errorf("bounds: topology %s has %d nodes, the engine analyses at most %d (quadratic path enumeration)", c.Top.Name(), n, MaxNodes)
 	}
 	if c.MsgLen <= 0 {
 		return cfgerr.Errorf("bounds: message length %d, want ≥ 1 flit", c.MsgLen)

@@ -54,7 +54,7 @@ func TestEvaluateInvalidConfig(t *testing.T) {
 }
 
 func TestEvaluateTooLarge(t *testing.T) {
-	g, err := stargraph.New(7) // 5040 nodes > maxNodes
+	g, err := stargraph.New(7) // 5040 nodes > MaxNodes
 	if err != nil {
 		t.Fatal(err)
 	}

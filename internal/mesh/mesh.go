@@ -37,15 +37,16 @@ func New(k, n int) (*Graph, error) {
 	if n < 1 {
 		return nil, cfgerr.Errorf("mesh: dimension n=%d must be ≥ 1", n)
 	}
+	// pow grows with the size check, so a huge n is refused after at
+	// most 26 steps instead of sizing a table by it.
 	nodes := 1
-	pow := make([]int, n+1)
-	pow[0] = 1
+	pow := []int{1}
 	for i := 1; i <= n; i++ {
 		if nodes > (1<<26)/k {
 			return nil, cfgerr.Errorf("mesh: %d-ary %d-mesh too large", k, n)
 		}
 		nodes *= k
-		pow[i] = nodes
+		pow = append(pow, nodes)
 	}
 	// mean |i−j| over ordered digit pairs (including equal) is
 	// (k²−1)/(3k); distances add across dimensions.

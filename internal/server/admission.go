@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"starperf/internal/wire"
 )
 
 // Deadline-aware admission control. Accepting a request the server
@@ -43,11 +45,11 @@ func (s *Server) admission(r *http.Request) admission {
 // backlog the run's later jobs are priced against. A job that does
 // not fit is counted as shed and answered with the returned
 // queue_full envelope, its Retry-After the estimated wait.
-func (a *admission) admit(kind string) *wireError {
+func (a *admission) admit(kind string) *wire.Error {
 	mean := a.s.pool.ExecMeanMicros(kind)
 	if est := a.backlog + micros(mean); est > a.deadline {
 		a.s.shed.Add(1)
-		we := failure(classQueueFull,
+		we := failure(wire.ClassQueueFull,
 			fmt.Sprintf("estimated queue wait %s exceeds request deadline %s",
 				est.Round(time.Millisecond), a.deadline.Round(time.Millisecond)),
 			est)
@@ -69,7 +71,7 @@ func (s *Server) requestDeadline(r *http.Request) time.Duration {
 	if t, ok := r.Context().Deadline(); ok {
 		return time.Until(t)
 	}
-	if h := r.Header.Get(deadlineHeader); h != "" {
+	if h := r.Header.Get(wire.DeadlineHeader); h != "" {
 		if d, err := time.ParseDuration(h); err == nil && d > 0 {
 			return d
 		}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"starperf/internal/wire"
 )
 
 // primeBacklog makes the admission estimate large and certain: the
@@ -66,7 +68,7 @@ func TestAdmissionShedsDoomedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(deadlineHeader, "100ms") // est wait ≈ 10s (4×2s backlog + 2s own) ≫ 100ms
+	req.Header.Set(wire.DeadlineHeader, "100ms") // est wait ≈ 10s (4×2s backlog + 2s own) ≫ 100ms
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +77,7 @@ func TestAdmissionShedsDoomedRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("impatient request: %d %s, want 429", resp.StatusCode, body)
 	}
-	var eb errorBody
+	var eb wire.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Class != "queue_full" {
 		t.Fatalf("shed body %s", body)
 	}
@@ -104,7 +106,7 @@ func TestAdmissionShedsDoomedRequests(t *testing.T) {
 	go func() {
 		r2, _ := http.NewRequest("POST", ts.URL+"/v1/predict", strings.NewReader(predictS4))
 		r2.Header.Set("Content-Type", "application/json")
-		r2.Header.Set(deadlineHeader, "1h")
+		r2.Header.Set(wire.DeadlineHeader, "1h")
 		resp2, err := http.DefaultClient.Do(r2)
 		if err == nil {
 			done <- resp2
@@ -136,7 +138,7 @@ func TestQueueFullCarriesRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full queue: %d %s, want 429", resp.StatusCode, rb)
 	}
-	var eb errorBody
+	var eb wire.ErrorBody
 	if err := json.Unmarshal(rb, &eb); err != nil || eb.Error.Class != "queue_full" {
 		t.Fatalf("queue-full body %s", rb)
 	}
@@ -188,7 +190,7 @@ func TestConcurrencyCapCarriesRetryAfter(t *testing.T) {
 			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
 				t.Fatalf("cap 503 Retry-After %q", resp.Header.Get("Retry-After"))
 			}
-			var eb errorBody
+			var eb wire.ErrorBody
 			if err := json.Unmarshal(b, &eb); err != nil || eb.Error.Class != "queue_full" {
 				t.Fatalf("cap body %s", b)
 			}
@@ -220,7 +222,7 @@ func TestAdmissionPricesBoundsRunTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(deadlineHeader, "500ms")
+	req.Header.Set(wire.DeadlineHeader, "500ms")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +231,7 @@ func TestAdmissionPricesBoundsRunTime(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("bounds past its deadline: %d %s, want 429", resp.StatusCode, body)
 	}
-	var eb errorBody
+	var eb wire.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Class != "queue_full" {
 		t.Fatalf("shed body %s", body)
 	}
@@ -249,7 +251,7 @@ func TestBatchOfOneShedsLikeStandalone(t *testing.T) {
 			t.Fatal(err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(deadlineHeader, "1s")
+		req.Header.Set(wire.DeadlineHeader, "1s")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -258,13 +260,13 @@ func TestBatchOfOneShedsLikeStandalone(t *testing.T) {
 	}
 
 	code, body := post("/v1/simulate", recoverySim)
-	var eb errorBody
+	var eb wire.ErrorBody
 	if err := json.Unmarshal(body, &eb); err != nil || code != http.StatusTooManyRequests || eb.Error.Class != "queue_full" {
 		t.Fatalf("standalone submit: %d %s, want 429 queue_full", code, body)
 	}
 
 	code, body = post("/v1/jobs:batch", batchBody(t, `{"kind":"simulate","config":`+recoverySim+`}`))
-	var br batchResponse
+	var br wire.BatchResponse
 	if err := json.Unmarshal(body, &br); err != nil || code != http.StatusOK || len(br.Items) != 1 {
 		t.Fatalf("batch: %d %s", code, body)
 	}

@@ -31,43 +31,14 @@ import (
 	"sort"
 
 	"starperf/internal/jobs"
+	"starperf/internal/wire"
 )
-
-// maxBatchItems bounds one batch request; a bigger workload is split
-// by the caller (client.SubmitBatch does this itself).
-const maxBatchItems = 256
-
-// batchItem is one submission: the job kind and its config, exactly
-// the body the kind's standalone route would take.
-type batchItem struct {
-	Kind   string          `json:"kind"`
-	Config json.RawMessage `json:"config"`
-}
-
-// batchRequest is the POST /v1/jobs:batch body.
-type batchRequest struct {
-	Items []batchItem `json:"items"`
-}
-
-// batchItemResult is one item's outcome: id+status on acceptance (or
-// cache hit), a wireError otherwise — the same envelope object the
-// item would have received as a standalone non-2xx response.
-type batchItemResult struct {
-	ID     string      `json:"id,omitempty"`
-	Status jobs.Status `json:"status,omitempty"`
-	Error  *wireError  `json:"error,omitempty"`
-}
-
-// batchResponse is the 200 body: items[i] answers request items[i].
-type batchResponse struct {
-	Items []batchItemResult `json:"items"`
-}
 
 // parsedItem is a parsed batch item bound for the pool.
 type parsedItem struct {
 	job
-	idx int       // position in the request
-	raw batchItem // original wire form, for sub-batch forwarding
+	idx int            // position in the request
+	raw wire.BatchItem // original wire form, for sub-batch forwarding
 }
 
 // handleBatch serves POST /v1/jobs:batch.
@@ -76,18 +47,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req batchRequest
+	var req wire.BatchRequest
 	if err := decodeStrict(raw, &req); err != nil {
 		s.writeErr(w, err)
 		return
 	}
 	if len(req.Items) == 0 {
-		reply(w, http.StatusBadRequest, failure(classInvalidConfig, "batch has no items", noRetry))
+		reply(w, http.StatusBadRequest, failure(wire.ClassInvalidConfig, "batch has no items", noRetry))
 		return
 	}
-	if len(req.Items) > maxBatchItems {
-		reply(w, http.StatusBadRequest, failure(classInvalidConfig,
-			fmt.Sprintf("batch has %d items, limit %d", len(req.Items), maxBatchItems), noRetry))
+	if len(req.Items) > wire.MaxBatchItems {
+		reply(w, http.StatusBadRequest, failure(wire.ClassInvalidConfig,
+			fmt.Sprintf("batch has %d items, limit %d", len(req.Items), wire.MaxBatchItems), noRetry))
 		return
 	}
 	// A batch is an async acceptance en masse — the one journal
@@ -99,7 +70,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.observeBatch(len(req.Items))
 
-	out := make([]batchItemResult, len(req.Items))
+	out := make([]wire.BatchItemResult, len(req.Items))
 
 	// Parse and hash every item; cache hits are answered in place, the
 	// rest queue up for routing and admission.
@@ -110,11 +81,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		j, err := parseKind(it.Kind, it.Config)
 		if err != nil {
 			_, we := s.classifyErr(err)
-			out[i] = batchItemResult{Error: &we}
+			out[i] = wire.BatchItemResult{Error: &we}
 			continue
 		}
 		if _, ok := s.cache.Get(j.id); ok {
-			out[i] = batchItemResult{ID: j.id, Status: jobs.StatusDone}
+			out[i] = wire.BatchItemResult{ID: j.id, Status: string(jobs.StatusDone)}
 			continue
 		}
 		pending = append(pending, parsedItem{job: j, idx: i, raw: it})
@@ -139,7 +110,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for _, p := range local {
 		if shed := adm.admit(p.meta.Kind); shed != nil {
 			s.batchShed.Add(1)
-			out[p.idx] = batchItemResult{Error: shed}
+			out[p.idx] = wire.BatchItemResult{Error: shed}
 			continue
 		}
 		admitted = append(admitted, p)
@@ -155,19 +126,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		p := admitted[n]
 		if res.Err != nil {
 			_, we := s.classifyErr(res.Err)
-			out[p.idx] = batchItemResult{Error: &we}
+			out[p.idx] = wire.BatchItemResult{Error: &we}
 			continue
 		}
-		out[p.idx] = batchItemResult{ID: p.id, Status: res.Job.Status()}
+		out[p.idx] = wire.BatchItemResult{ID: p.id, Status: string(res.Job.Status())}
 	}
-	reply(w, http.StatusOK, batchResponse{Items: out})
+	reply(w, http.StatusOK, wire.BatchResponse{Items: out})
 }
 
 // clusterBatch routes a batch's pending items across the ring: items
 // owned by peers are forwarded as per-owner sub-batches and their
 // replies merged into out by index; returned are the items to run
 // locally — our own, plus any whose owner could not take them.
-func (s *Server) clusterBatch(r *http.Request, pending []parsedItem, out []batchItemResult) []parsedItem {
+func (s *Server) clusterBatch(r *http.Request, pending []parsedItem, out []wire.BatchItemResult) []parsedItem {
 	cn := s.cluster
 	var local []parsedItem
 	groups := make(map[string][]parsedItem)
@@ -213,8 +184,8 @@ func (s *Server) clusterBatch(r *http.Request, pending []parsedItem, out []batch
 
 // forwardBatch relays one owner's sub-batch and returns its per-item
 // results in sub-batch order.
-func (s *Server) forwardBatch(r *http.Request, owner string, group []parsedItem) ([]batchItemResult, error) {
-	sub := batchRequest{Items: make([]batchItem, len(group))}
+func (s *Server) forwardBatch(r *http.Request, owner string, group []parsedItem) ([]wire.BatchItemResult, error) {
+	sub := wire.BatchRequest{Items: make([]wire.BatchItem, len(group))}
 	for n, p := range group {
 		sub.Items[n] = p.raw
 	}
@@ -229,7 +200,7 @@ func (s *Server) forwardBatch(r *http.Request, owner string, group []parsedItem)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("server: peer %s answered batch with %d", owner, resp.StatusCode)
 	}
-	var merged batchResponse
+	var merged wire.BatchResponse
 	if err := json.Unmarshal(respBody, &merged); err != nil {
 		return nil, err
 	}

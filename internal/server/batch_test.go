@@ -16,6 +16,7 @@ import (
 
 	"starperf/internal/fsx"
 	"starperf/internal/journal"
+	"starperf/internal/wire"
 )
 
 // batchBody marshals items into a POST /v1/jobs:batch body.
@@ -25,14 +26,14 @@ func batchBody(t *testing.T, items ...string) string {
 }
 
 // postBatch posts a batch and decodes the 200 response.
-func postBatch(t *testing.T, base, body string) batchResponse {
+func postBatch(t *testing.T, base, body string) wire.BatchResponse {
 	t.Helper()
 	resp := postJSON(t, base+"/v1/jobs:batch", body)
 	raw := readBody(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %d %s", resp.StatusCode, raw)
 	}
-	var br batchResponse
+	var br wire.BatchResponse
 	if err := json.Unmarshal(raw, &br); err != nil {
 		t.Fatalf("batch body %s: %v", raw, err)
 	}
@@ -120,13 +121,7 @@ func TestBatchSingleJournalCommit(t *testing.T) {
 	for i := range items {
 		cfg := fmt.Sprintf(`{"topo":{"kind":"star","n":4},"v":4,"msg_len":16,"rate":0.00%d}`, i+1)
 		items[i] = `{"kind":"predict","config":` + cfg + `}`
-		var req PredictRequest
-		if err := json.Unmarshal([]byte(cfg), &req); err != nil {
-			t.Fatal(err)
-		}
-		if ids[i], err = req.withDefaults().hash(); err != nil {
-			t.Fatal(err)
-		}
+		ids[i] = jobID(t, "predict", json.RawMessage(cfg))
 	}
 	br := postBatch(t, ts.URL, batchBody(t, items...))
 	for i, it := range br.Items {
@@ -173,7 +168,7 @@ func TestBatchAdmissionPartialShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(deadlineHeader, "3500ms")
+	req.Header.Set(wire.DeadlineHeader, "3500ms")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +177,7 @@ func TestBatchAdmissionPartialShed(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %d %s", resp.StatusCode, raw)
 	}
-	var br batchResponse
+	var br wire.BatchResponse
 	if err := json.Unmarshal(raw, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +294,7 @@ func TestBatchShapeLimits(t *testing.T) {
 		t.Fatalf("empty batch: %d %s", resp.StatusCode, body)
 	}
 
-	items := make([]string, maxBatchItems+1)
+	items := make([]string, wire.MaxBatchItems+1)
 	for i := range items {
 		items[i] = `{"kind":"predict","config":` + predictS4 + `}`
 	}

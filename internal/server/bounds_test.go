@@ -3,9 +3,17 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
+
+	"starperf/internal/bounds"
+	"starperf/internal/cfgerr"
+	"starperf/internal/wire"
 )
 
 const boundsS4 = `{"topo":{"kind":"star","n":4},"v":6,"msg_len":32,"rate":0.004}`
@@ -29,7 +37,7 @@ func TestBoundsEndToEnd(t *testing.T) {
 	if !strings.HasPrefix(id, "sha256:") {
 		t.Fatalf("job header %q not a content hash", id)
 	}
-	var res BoundsResult
+	var res wire.BoundsResult
 	if err := json.Unmarshal(first, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +69,7 @@ func TestBoundsEndToEnd(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("unboundable point: %d %s", resp.StatusCode, body)
 	}
-	var ub BoundsResult
+	var ub wire.BoundsResult
 	if err := json.Unmarshal(body, &ub); err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +97,7 @@ func TestBoundsEndToEnd(t *testing.T) {
 // different job than omitted ones. A changed hash here is a
 // cache-compatibility break — bump jobs.SchemaVersion instead.
 func TestBoundsGoldenWire(t *testing.T) {
-	var req BoundsRequest
-	if err := json.Unmarshal([]byte(boundsS4), &req); err != nil {
-		t.Fatal(err)
-	}
-	h, err := req.withDefaults().hash()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := boundsID(t)
 	const want = "sha256:53e5779ad55c0ee2b7a6fa10227ae1c1a6789175dbff3130dd6851e08e3089e9"
 	if h != want {
 		t.Errorf("bounds hash = %q, want %q", h, want)
@@ -105,12 +106,50 @@ func TestBoundsGoldenWire(t *testing.T) {
 		Topo: TopoSpec{Kind: "star", N: 4}, Routing: "enbc",
 		V: 6, MsgLen: 32, Rate: 0.004, BufCap: 2, LinkBW: 1,
 	}
-	he, err := explicit.withDefaults().hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if he != h {
+	if he := jobID(t, "bounds", explicit); he != h {
 		t.Fatalf("explicit defaults hash %q != omitted defaults %q", he, h)
+	}
+}
+
+// TestBoundsParseRefusesPastNodeCap: /v1/bounds parse refuses what
+// its run refuses. Every topology kind parses at the engine's node cap
+// and is refused, as an invalid config, just past it. The refusal
+// comes from the closed-form size, so no row allocates 1 MB; an S9
+// body cost 88 MB when parse built the graph and left the cap to the
+// run, and a mesh of huge dimension once sized a table by it before
+// any size check. Only parse runs here: none of these bounds is evaluated.
+func TestBoundsParseRefusesPastNodeCap(t *testing.T) {
+	const limit = 1 << 20
+	for _, c := range []struct {
+		topo  string
+		nodes int
+	}{
+		{`{"kind":"star","n":6}`, 720},
+		{`{"kind":"star","n":7}`, 5040},
+		{`{"kind":"star","n":9}`, 362880},
+		{`{"kind":"hypercube","n":10}`, 1024},
+		{`{"kind":"hypercube","n":11}`, 2048},
+		{`{"kind":"torus","k":32,"dim":2}`, 1024},
+		{`{"kind":"torus","k":34,"dim":2}`, 1156},
+		{`{"kind":"mesh","k":32,"dim":2}`, 1024},
+		{`{"kind":"mesh","k":33,"dim":2}`, 1089},
+		{`{"kind":"mesh","k":2,"dim":2147483648}`, math.MaxInt}, // 2^(2^31): sized by dim, not by nodes
+		{`{"kind":"torus","k":2,"dim":2147483648}`, math.MaxInt},
+	} {
+		body := fmt.Sprintf(`{"topo":%s,"v":40,"msg_len":32,"rate":0.001}`, c.topo)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := parseKind("bounds", []byte(body))
+		runtime.ReadMemStats(&after)
+		switch {
+		case c.nodes <= bounds.MaxNodes && err != nil:
+			t.Errorf("%s (%d nodes, cap %d): %v", c.topo, c.nodes, bounds.MaxNodes, err)
+		case c.nodes > bounds.MaxNodes && !errors.Is(err, cfgerr.ErrInvalid):
+			t.Errorf("%s (%d nodes, cap %d): err %v, want an invalid-config refusal", c.topo, c.nodes, bounds.MaxNodes, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+			t.Errorf("%s: parse allocated %d bytes, want < %d", c.topo, got, limit)
+		}
 	}
 }
 
@@ -129,15 +168,7 @@ func controlBounds(t *testing.T) []byte {
 // boundsID hashes boundsS4 the way the handler does.
 func boundsID(t *testing.T) string {
 	t.Helper()
-	var req BoundsRequest
-	if err := json.Unmarshal([]byte(boundsS4), &req); err != nil {
-		t.Fatal(err)
-	}
-	id, err := req.withDefaults().hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
+	return jobID(t, "bounds", json.RawMessage(boundsS4))
 }
 
 // TestClusterBoundsForwardRelayVerbatim: a /v1/bounds request sent to
@@ -158,7 +189,7 @@ func TestClusterBoundsForwardRelayVerbatim(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Fatalf("forwarded result differs from control:\n %s\n %s", body, want)
 	}
-	if got := resp.Header.Get(nodeHeader); got != owner {
+	if got := resp.Header.Get(wire.NodeHeader); got != owner {
 		t.Fatalf("served by %q, want owner %q", got, owner)
 	}
 	if got := tc.srvs[nonOwner].cluster.forwarded.Load(); got != 1 {

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"starperf/internal/wire"
 )
 
 // fakeClock drives breaker time without sleeping.
@@ -124,7 +126,7 @@ func TestBreakerOverHTTP(t *testing.T) {
 		case http.StatusGatewayTimeout:
 			// the failures that feed the window
 		case http.StatusServiceUnavailable:
-			var eb errorBody
+			var eb wire.ErrorBody
 			if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Class != "queue_full" {
 				t.Fatalf("503 body %s", body)
 			}

@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,6 +11,7 @@ import (
 
 	"starperf/internal/cluster"
 	"starperf/internal/obs"
+	"starperf/internal/wire"
 )
 
 // The peer-aware request path of a sharded starperfd cluster.
@@ -41,17 +40,8 @@ import (
 // once per cooldown, not hammered by every request that would have
 // preferred it.
 
-// maxPeerBody bounds a relayed or filled response body. (The
-// forwarded/node/result-sum headers this path speaks are declared
-// with the rest of the X-Starperf-* contract in headers.go.)
+// maxPeerBody bounds a relayed or filled response body.
 const maxPeerBody = 64 << 20
-
-// resultSum renders the content sum of a result body in the same
-// "sha256:<hex>" shape job ids use.
-func resultSum(body []byte) string {
-	sum := sha256.Sum256(body)
-	return "sha256:" + hex.EncodeToString(sum[:])
-}
 
 // peerNet is one node's view of the cluster: the ring, the HTTP
 // client it reaches peers with, per-peer breakers and the routing
@@ -104,7 +94,7 @@ func (cn *peerNet) stats() obs.ClusterStats {
 }
 
 // isForwarded reports whether r already crossed one peer hop.
-func isForwarded(r *http.Request) bool { return r.Header.Get(forwardedHeader) != "" }
+func isForwarded(r *http.Request) bool { return r.Header.Get(wire.ForwardedHeader) != "" }
 
 // clusterRoute runs the peer-aware path for a compute request: relay
 // to the id's owner (or a ring successor when the owner is down), or
@@ -151,7 +141,7 @@ func (s *Server) clusterRoute(w http.ResponseWriter, r *http.Request, k *jobKind
 		// fail over down the ring. Only a sync kind's 200, the result
 		// bytes themselves, carries a sum: an async kind answers with a
 		// job id.
-		if sum := resp.Header.Get(resultSumHeader); sum != "" && resultSum(body) != sum {
+		if sum := resp.Header.Get(wire.ResultSumHeader); sum != "" && wire.ResultSum(body) != sum {
 			cn.peerFillCorrupt.Add(1)
 			cn.peerFailed(node)
 			continue
@@ -198,7 +188,7 @@ func (cn *peerNet) forwardOnce(ctx context.Context, node, path string, body []by
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if deadline > 0 {
-		req.Header.Set(deadlineHeader, deadline.Round(time.Millisecond).String())
+		req.Header.Set(wire.DeadlineHeader, deadline.Round(time.Millisecond).String())
 	}
 	return cn.exchange(req)
 }
@@ -206,7 +196,7 @@ func (cn *peerNet) forwardOnce(ctx context.Context, node, path string, body []by
 // exchange sends one request to a peer, marked as having crossed a
 // hop, and reads the whole response body (bounded by maxPeerBody).
 func (cn *peerNet) exchange(req *http.Request) (*http.Response, []byte, error) {
-	req.Header.Set(forwardedHeader, cn.ring.Self())
+	req.Header.Set(wire.ForwardedHeader, cn.ring.Self())
 	resp, err := cn.http.Do(req)
 	if err != nil {
 		return nil, nil, err
@@ -223,7 +213,7 @@ func (cn *peerNet) exchange(req *http.Request) (*http.Response, []byte, error) {
 // and the headers that carry meaning across the hop (including which
 // node served it, so the client sees through the relay).
 func relayResponse(w http.ResponseWriter, resp *http.Response, body []byte) {
-	for _, h := range []string{"Content-Type", "Retry-After", jobHeader, cacheHeader, resultSumHeader, nodeHeader} {
+	for _, h := range []string{"Content-Type", "Retry-After", wire.JobHeader, wire.CacheHeader, wire.ResultSumHeader, wire.NodeHeader} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
@@ -238,7 +228,7 @@ func relayResponse(w http.ResponseWriter, resp *http.Response, body []byte) {
 // envelope whose result bytes do not match the advertised content sum
 // is counted corrupt and reported as not-ok: unverifiable bytes are
 // never stored and never served.
-func (cn *peerNet) peerJob(ctx context.Context, node, id string) (env jobBody, ok, failed bool) {
+func (cn *peerNet) peerJob(ctx context.Context, node, id string) (env wire.Job, ok, failed bool) {
 	ctx, cancel := context.WithTimeout(ctx, cn.timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cn.url(node)+"/v1/jobs/"+id, nil)
@@ -255,10 +245,10 @@ func (cn *peerNet) peerJob(ctx context.Context, node, id string) (env jobBody, o
 	if err := json.Unmarshal(b, &env); err != nil {
 		return env, false, false
 	}
-	if env.finished() {
-		if sum := resp.Header.Get(resultSumHeader); sum == "" || resultSum(env.Result) != sum {
+	if env.Finished() {
+		if sum := resp.Header.Get(wire.ResultSumHeader); sum == "" || wire.ResultSum(env.Result) != sum {
 			cn.peerFillCorrupt.Add(1)
-			return jobBody{}, false, false
+			return wire.Job{}, false, false
 		}
 	}
 	return env, true, false
@@ -268,7 +258,7 @@ func (cn *peerNet) peerJob(ctx context.Context, node, id string) (env jobBody, o
 // feeding each one's breaker. The first peer that knows the job
 // answers — or, with finished set, the first holding its finished,
 // verified result. A finished result counts as a peer fill.
-func (cn *peerNet) lookup(ctx context.Context, id string, finished bool) (jobBody, bool) {
+func (cn *peerNet) lookup(ctx context.Context, id string, finished bool) (wire.Job, bool) {
 	for _, node := range cn.ring.Successors(id) {
 		if node == cn.ring.Self() {
 			continue
@@ -278,14 +268,14 @@ func (cn *peerNet) lookup(ctx context.Context, id string, finished bool) (jobBod
 		}
 		env, ok, failed := cn.peerJob(ctx, node, id)
 		cn.breakers.observe(node, failed)
-		if ok && (env.finished() || !finished) {
-			if env.finished() {
+		if ok && (env.Finished() || !finished) {
+			if env.Finished() {
 				cn.peerFills.Add(1)
 			}
 			return env, true
 		}
 	}
-	return jobBody{}, false
+	return wire.Job{}, false
 }
 
 // fill asks each peer in the id's preference order for a finished,
@@ -310,7 +300,7 @@ func (s *Server) clusterJobLookup(w http.ResponseWriter, r *http.Request, id str
 	if !ok {
 		return false
 	}
-	if env.finished() {
+	if env.Finished() {
 		s.cache.Put(id, env.Result)
 	}
 	reply(w, http.StatusOK, env)

@@ -21,6 +21,7 @@ import (
 	"starperf/internal/cluster"
 	"starperf/internal/fsx"
 	"starperf/internal/journal"
+	"starperf/internal/wire"
 )
 
 // testCluster is an in-process cluster keyed by member address.
@@ -105,29 +106,13 @@ func (tc *testCluster) order(id string) []string {
 // predictID hashes predictS4 the way the handler does.
 func predictID(t *testing.T) string {
 	t.Helper()
-	var req PredictRequest
-	if err := json.Unmarshal([]byte(predictS4), &req); err != nil {
-		t.Fatal(err)
-	}
-	id, err := req.withDefaults().hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
+	return jobID(t, "predict", json.RawMessage(predictS4))
 }
 
 // simulateID hashes recoverySim the way the handler does.
 func simulateID(t *testing.T) string {
 	t.Helper()
-	var req SimulateRequest
-	if err := json.Unmarshal([]byte(recoverySim), &req); err != nil {
-		t.Fatal(err)
-	}
-	id, err := req.withDefaults().hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
+	return jobID(t, "simulate", json.RawMessage(recoverySim))
 }
 
 // controlPredict computes predictS4 on a pristine single-node server:
@@ -148,7 +133,7 @@ func controlSimulate(t *testing.T) []byte {
 	t.Helper()
 	_, ts := newTestServer(t, Config{Workers: 2})
 	resp := postJSON(t, ts.URL+"/v1/simulate", recoverySim)
-	var jb jobBody
+	var jb wire.Job
 	if err := json.Unmarshal(readBody(t, resp), &jb); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +169,7 @@ func TestClusterForwardsToOwner(t *testing.T) {
 	if string(body) != string(want) {
 		t.Fatalf("forwarded result differs from control:\n %s\n %s", body, want)
 	}
-	if got := resp.Header.Get(nodeHeader); got != owner {
+	if got := resp.Header.Get(wire.NodeHeader); got != owner {
 		t.Fatalf("served by %q, want owner %q", got, owner)
 	}
 	cn := tc.srvs[nonOwner].cluster
@@ -209,7 +194,7 @@ func TestClusterForwardsToOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hb healthBody
+	var hb wire.Health
 	if err := json.Unmarshal(readBody(t, resp), &hb); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +253,7 @@ func TestClusterFailsOverWhenOwnerDies(t *testing.T) {
 		t.Fatalf("far member counters: failovers=%d forwarded=%d, want ≥1 and 1",
 			cn.failovers.Load(), cn.forwarded.Load())
 	}
-	if got := resp.Header.Get(nodeHeader); got != next {
+	if got := resp.Header.Get(wire.NodeHeader); got != next {
 		t.Fatalf("served by %q, want failover target %q", got, next)
 	}
 }
@@ -284,7 +269,7 @@ func TestClusterJobLookupFillsPeerCache(t *testing.T) {
 	owner, other := tc.order(id)[0], tc.order(id)[1]
 
 	resp := postJSON(t, tc.url(owner)+"/v1/simulate", recoverySim)
-	var jb jobBody
+	var jb wire.Job
 	if err := json.Unmarshal(readBody(t, resp), &jb); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +303,7 @@ func TestForwardedRequestNeverReforwards(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardedHeader, "test")
+	req.Header.Set(wire.ForwardedHeader, "test")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -341,9 +326,9 @@ func TestPeerFillRejectsCorruptBytes(t *testing.T) {
 	result := []byte(`{"latency":42}`)
 	serve := func(sum string) *httptest.Server {
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set(resultSumHeader, sum)
+			w.Header().Set(wire.ResultSumHeader, sum)
 			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(jobBody{ID: id, Status: "done", Result: result})
+			_ = json.NewEncoder(w).Encode(wire.Job{ID: id, Status: "done", Result: result})
 		}))
 	}
 	peerNetTo := func(ts *httptest.Server) *peerNet {
@@ -365,7 +350,7 @@ func TestPeerFillRejectsCorruptBytes(t *testing.T) {
 		t.Fatal("corrupt fill not counted")
 	}
 
-	honest := serve(resultSum(result))
+	honest := serve(wire.ResultSum(result))
 	defer honest.Close()
 	cn = peerNetTo(honest)
 	body, ok := cn.fill(context.Background(), id)
@@ -431,7 +416,7 @@ func TestClusterChaosDrillOwnerKilledMidJob(t *testing.T) {
 	}
 
 	resp := postJSON(t, tc.url(owner)+"/v1/simulate", recoverySim)
-	var accepted jobBody
+	var accepted wire.Job
 	if err := json.Unmarshal(readBody(t, resp), &accepted); err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +435,7 @@ func TestClusterChaosDrillOwnerKilledMidJob(t *testing.T) {
 	// the result matches the single-node control byte for byte.
 	survivor := order[1]
 	resp = postJSON(t, tc.url(survivor)+"/v1/simulate", recoverySim)
-	var resub jobBody
+	var resub wire.Job
 	if err := json.Unmarshal(readBody(t, resp), &resub); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"starperf/internal/wire"
 )
 
 // tripRoute drives route's breaker open through observed failures.
@@ -53,7 +55,7 @@ func TestShedDoesNotConsumeHalfOpenProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(deadlineHeader, "100ms")
+	req.Header.Set(wire.DeadlineHeader, "100ms")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +84,7 @@ func TestShedDoesNotConsumeHalfOpenProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	req2.Header.Set("Content-Type", "application/json")
-	req2.Header.Set(deadlineHeader, "1h")
+	req2.Header.Set(wire.DeadlineHeader, "1h")
 	resp2, err := http.DefaultClient.Do(req2)
 	if err != nil {
 		t.Fatal(err)

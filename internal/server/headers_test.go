@@ -1,12 +1,12 @@
 package server
 
-// The PR 10 header audit's enforcement: the X-Starperf-* contract is
-// exactly the set declared in headers.go and documented in DESIGN.md.
-// TestStarperfHeaderSet scans the source of every package that speaks
-// HTTP (server, cluster ring, public client, the daemon) so a new
-// header literal anywhere fails here until it is declared and
-// documented; TestStarperfHeadersOnTheWire pins the live response
-// surface of a compute route.
+// The header audit's enforcement: the X-Starperf-* contract is
+// exactly the set declared in internal/wire/headers.go and documented
+// in DESIGN.md. TestStarperfHeaderSet scans the source of every
+// package that speaks HTTP (server, cluster ring, public client, soak
+// harness, the daemon) so a header literal anywhere but the declaring
+// file fails here; TestStarperfHeadersOnTheWire pins the live
+// response surface of a compute route.
 
 import (
 	"net/http"
@@ -16,32 +16,37 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"starperf/internal/wire"
 )
 
-// canonicalHeaders mirrors the headers.go block — change both
-// together, along with the DESIGN.md table. The identifier is what
-// in-package code references; the client package, which cannot
-// import internal/server, repeats the literal.
+// canonicalHeaders mirrors the internal/wire header block — change
+// both together, along with the DESIGN.md table. The identifier is
+// what code references.
 var canonicalHeaders = map[string]string{
-	"jobHeader":       jobHeader,       // X-Starperf-Job
-	"cacheHeader":     cacheHeader,     // X-Starperf-Cache
-	"deadlineHeader":  deadlineHeader,  // X-Starperf-Deadline
-	"nodeHeader":      nodeHeader,      // X-Starperf-Node
-	"forwardedHeader": forwardedHeader, // X-Starperf-Forwarded
-	"resultSumHeader": resultSumHeader, // X-Starperf-Result-Sum
+	"JobHeader":       wire.JobHeader,       // X-Starperf-Job
+	"CacheHeader":     wire.CacheHeader,     // X-Starperf-Cache
+	"DeadlineHeader":  wire.DeadlineHeader,  // X-Starperf-Deadline
+	"NodeHeader":      wire.NodeHeader,      // X-Starperf-Node
+	"ForwardedHeader": wire.ForwardedHeader, // X-Starperf-Forwarded
+	"ResultSumHeader": wire.ResultSumHeader, // X-Starperf-Result-Sum
 }
+
+// headerDecl is the one non-test file that may spell a header out.
+var headerDecl = filepath.Join("..", "wire", "headers.go")
 
 // headerDirs are the packages whose non-test sources may speak
 // X-Starperf-* headers, relative to this package.
-var headerDirs = []string{".", "../cluster", "../netx", "../soak", "../../client", "../../cmd/starperfd"}
+var headerDirs = []string{".", "../wire", "../cluster", "../netx", "../soak", "../../client", "../../cmd/starperfd"}
 
 func TestStarperfHeaderSet(t *testing.T) {
 	canon := make(map[string]bool, len(canonicalHeaders))
 	for _, h := range canonicalHeaders {
 		canon[h] = true
 	}
-	pat := regexp.MustCompile(`X-Starperf-[A-Za-z0-9-]+`)
-	used := make(map[string][]string) // header -> files outside headers.go
+	pat := regexp.MustCompile(`"?X-Starperf-[A-Za-z0-9-]+`)
+	used := make(map[string][]string) // header -> files outside headerDecl
+	seen := make(map[string]bool)     // every X-Starperf-* spelling found
 	for _, dir := range headerDirs {
 		ents, err := os.ReadDir(dir)
 		if err != nil {
@@ -52,26 +57,31 @@ func TestStarperfHeaderSet(t *testing.T) {
 			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 				continue
 			}
-			src, err := os.ReadFile(filepath.Join(dir, name))
+			path := filepath.Join(dir, name)
+			src, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, h := range pat.FindAllString(string(src), -1) {
-				if !canon[h] {
-					t.Errorf("%s/%s speaks undeclared header %s — add it to headers.go, canonicalHeaders and the DESIGN.md table", dir, name, h)
-				}
-				if name != "headers.go" {
-					used[h] = append(used[h], filepath.Join(dir, name))
+			// Every file, the declaring one included, speaks only
+			// declared headers; prose elsewhere may name one, code
+			// outside the declaring file uses its constant.
+			for _, m := range pat.FindAllString(string(src), -1) {
+				h := strings.TrimPrefix(m, `"`)
+				seen[h] = true
+				switch {
+				case !canon[h]:
+					t.Errorf("%s speaks undeclared header %s — add it to %s, canonicalHeaders and the DESIGN.md table", path, h, headerDecl)
+				case m != h && path != headerDecl:
+					t.Errorf("%s spells out header %s as a string literal — use its constant from %s", path, h, headerDecl)
 				}
 			}
-			if name == "headers.go" {
+			if path == headerDecl {
 				continue
 			}
-			// In-package code speaks a header through its constant;
-			// count identifier references as usage too.
+			// Code speaks a header through its constant.
 			for ident, h := range canonicalHeaders {
 				if regexp.MustCompile(`\b` + ident + `\b`).Match(src) {
-					used[h] = append(used[h], filepath.Join(dir, name))
+					used[h] = append(used[h], path)
 				}
 			}
 		}
@@ -81,12 +91,12 @@ func TestStarperfHeaderSet(t *testing.T) {
 	// in the docs.
 	for _, h := range canonicalHeaders {
 		if len(used[h]) == 0 {
-			t.Errorf("declared header %s is not spoken by any non-test source — retire it from headers.go and the DESIGN.md table", h)
+			t.Errorf("declared header %s is not spoken by any non-test source — retire it from %s and the DESIGN.md table", h, headerDecl)
 		}
 	}
 	// Casing is part of the contract: exactly one spelling per header.
-	lower := make(map[string]string, len(canonicalHeaders))
-	for h := range used {
+	lower := make(map[string]string, len(seen))
+	for h := range seen {
 		if prev, ok := lower[strings.ToLower(h)]; ok && prev != h {
 			t.Errorf("inconsistently cased header variants %s and %s", prev, h)
 		}
@@ -94,7 +104,7 @@ func TestStarperfHeaderSet(t *testing.T) {
 	}
 	if t.Failed() {
 		var all []string
-		for h := range used {
+		for h := range seen {
 			all = append(all, h)
 		}
 		sort.Strings(all)
@@ -109,10 +119,10 @@ func TestStarperfHeadersOnTheWire(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict: %d", resp.StatusCode)
 	}
-	if got := resp.Header.Get(jobHeader); got != predictID(t) {
-		t.Fatalf("%s = %q, want the job's content hash", jobHeader, got)
+	if got := resp.Header.Get(wire.JobHeader); got != predictID(t) {
+		t.Fatalf("%s = %q, want the job's content hash", wire.JobHeader, got)
 	}
-	if got := resp.Header.Get(cacheHeader); got != "miss" && got != "hit" {
-		t.Fatalf("%s = %q, want hit or miss", cacheHeader, got)
+	if got := resp.Header.Get(wire.CacheHeader); got != "miss" && got != "hit" {
+		t.Fatalf("%s = %q, want hit or miss", wire.CacheHeader, got)
 	}
 }

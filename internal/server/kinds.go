@@ -12,6 +12,7 @@ import (
 
 	"starperf/internal/cfgerr"
 	"starperf/internal/jobs"
+	"starperf/internal/wire"
 )
 
 // jobKind is one row of the registry.
@@ -54,9 +55,8 @@ func newKind[R request[R]](name string, sync bool) *jobKind {
 		if err != nil {
 			return job{}, err
 		}
-		// One canonical body is both hashed into the id (the same id the
-		// type's hash method gives) and journaled, so a restart parses
-		// back exactly this job.
+		// One canonical body is both hashed into the id and journaled,
+		// so a restart parses back exactly this job.
 		body, err := jobs.CanonicalJSON(req)
 		if err != nil {
 			return job{}, err
@@ -133,7 +133,7 @@ func (s *Server) serve(k *jobKind) http.HandlerFunc {
 			s.writeErr(w, err)
 			return
 		}
-		reply(w, http.StatusAccepted, jobBody{ID: j.id, Status: submitted.Status()})
+		reply(w, http.StatusAccepted, wire.Job{ID: j.id, Status: string(submitted.Status())})
 	}
 }
 
@@ -144,5 +144,5 @@ func (k *jobKind) answer(w http.ResponseWriter, id, cacheState string, body []by
 		reply(w, http.StatusOK, result{id, cacheState, body})
 		return
 	}
-	reply(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusDone})
+	reply(w, http.StatusOK, wire.Job{ID: id, Status: string(jobs.StatusDone)})
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"starperf/internal/journal"
+	"starperf/internal/wire"
 )
 
 // kindSamples holds one cheap request body per registered kind.
@@ -37,12 +38,12 @@ func submitKind(t *testing.T, base string, k *jobKind, body string) (string, []b
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: %d %s", k.route, resp.StatusCode, raw)
 		}
-		return resp.Header.Get(jobHeader), raw
+		return resp.Header.Get(wire.JobHeader), raw
 	}
 	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 		t.Fatalf("%s: %d %s", k.route, resp.StatusCode, raw)
 	}
-	var jb jobBody
+	var jb wire.Job
 	if err := json.Unmarshal(raw, &jb); err != nil {
 		t.Fatal(err)
 	}

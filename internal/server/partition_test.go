@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"starperf/internal/netx"
+	"starperf/internal/wire"
 )
 
 // partitionSeeds is the fixed seed set the drill (and CI's
@@ -51,7 +52,7 @@ func pollJobAcross(t *testing.T, base, id string) []byte {
 		}
 		body := readBody(t, resp)
 		if resp.StatusCode == http.StatusOK {
-			var jb jobBody
+			var jb wire.Job
 			if err := json.Unmarshal(body, &jb); err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +104,7 @@ func TestPartitionDrillBothSidesServeAndReconverge(t *testing.T) {
 			// The minority side acknowledges an async job during the
 			// split and serves it locally.
 			resp := postJSON(t, tc.url(minority)+"/v1/simulate", recoverySim)
-			var jb jobBody
+			var jb wire.Job
 			if err := json.Unmarshal(readBody(t, resp), &jb); err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"starperf/internal/cfgerr"
+	"starperf/internal/wire"
 )
 
 // TestPredictStarRunnerAllocs: a star predict reads four numbers of
@@ -26,7 +27,7 @@ func TestPredictStarRunnerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := res.(*PredictResult); r.Saturated || !r.Converged {
+	if r := res.(*wire.PredictResult); r.Saturated || !r.Converged {
 		t.Fatalf("S9 predict did not converge: %+v", r)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {

@@ -18,6 +18,7 @@ import (
 
 	"starperf/internal/fsx"
 	"starperf/internal/journal"
+	"starperf/internal/wire"
 )
 
 const (
@@ -92,8 +93,8 @@ func TestDiskFullFlipsReadOnlyAndRecovers(t *testing.T) {
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("503 body is not the v1 envelope: %v: %s", err, body)
 	}
-	if env.Error.Class != classReadOnly || env.Error.RetryAfterMS <= 0 {
-		t.Fatalf("envelope = %+v, want class %q with a retry hint", env.Error, classReadOnly)
+	if env.Error.Class != wire.ClassReadOnly || env.Error.RetryAfterMS <= 0 {
+		t.Fatalf("envelope = %+v, want class %q with a retry hint", env.Error, wire.ClassReadOnly)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("read-only 503 missing Retry-After")
@@ -152,7 +153,7 @@ func TestDiskFullRefusesWholeBatch(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("batch on read-only node: %d %s", resp.StatusCode, body)
 	}
-	if !strings.Contains(string(body), classReadOnly) {
+	if !strings.Contains(string(body), wire.ClassReadOnly) {
 		t.Fatalf("batch refusal not typed read_only: %s", body)
 	}
 }

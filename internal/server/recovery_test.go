@@ -19,6 +19,7 @@ import (
 
 	"starperf/internal/cache"
 	"starperf/internal/journal"
+	"starperf/internal/wire"
 )
 
 const recoverySim = `{"topo":{"kind":"star","n":3},"v":4,"msg_len":8,"rate":0.002,"seed":7}`
@@ -37,7 +38,7 @@ func jobResultBody(t *testing.T, base, id string) []byte {
 		if resp.StatusCode != 200 {
 			t.Fatalf("job poll: %d %s", resp.StatusCode, body)
 		}
-		var jb jobBody
+		var jb wire.Job
 		if err := json.Unmarshal(body, &jb); err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestJournaledServerRecoversInterruptedJob(t *testing.T) {
 	// The uninterrupted control run, on its own server and cache.
 	ctrl, ctrlTS := newTestServer(t, Config{Workers: 2})
 	resp := postJSON(t, ctrlTS.URL+"/v1/simulate", recoverySim)
-	var submitted jobBody
+	var submitted wire.Job
 	if err := json.Unmarshal(readBody(t, resp), &submitted); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestJournaledServerRecoversInterruptedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp = postJSON(t, ts1.URL+"/v1/simulate", recoverySim)
-	var accepted jobBody
+	var accepted wire.Job
 	if err := json.Unmarshal(readBody(t, resp), &accepted); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestRecoverSkipsCachedResults(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(s1.Handler())
 	resp := postJSON(t, ts1.URL+"/v1/simulate", recoverySim)
-	var jb jobBody
+	var jb wire.Job
 	if err := json.Unmarshal(readBody(t, resp), &jb); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestRecoverRequeuesCorruptCachedResult(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(s1.Handler())
 	resp := postJSON(t, ts1.URL+"/v1/simulate", recoverySim)
-	var jb jobBody
+	var jb wire.Job
 	if err := json.Unmarshal(readBody(t, resp), &jb); err != nil {
 		t.Fatal(err)
 	}

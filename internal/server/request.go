@@ -9,41 +9,35 @@ import (
 	"starperf/internal/desim"
 	"starperf/internal/experiments"
 	"starperf/internal/hypercube"
-	"starperf/internal/jobs"
 	"starperf/internal/mesh"
 	"starperf/internal/model"
 	"starperf/internal/routing"
 	"starperf/internal/stargraph"
 	"starperf/internal/topology"
 	"starperf/internal/torus"
+	"starperf/internal/wire"
 )
 
-// The wire schema of starperfd. Every request type normalises its
-// defaults (withDefaults) BEFORE hashing, so an explicit
-// `"seed": 1` and an omitted seed are the same job, the same cache
-// entry and the same singleflight flight. hash is a request's content
-// id, the one the registry's parse step assigns (kinds.go); the golden
-// tests pin it. prepare validates a request and returns its runner,
-// closing over the artefacts validation built so the run does not
-// build them again. Validation errors carry the cfgerr contract: they
-// match starperf.ErrInvalidConfig and map to HTTP 400.
+// The server side of the wire schema (internal/wire). Each request
+// type is a defined type over its wire struct, so the server adds
+// methods and the JSON stays the wire's. Every request normalises its
+// defaults (withDefaults) BEFORE hashing, so an explicit `"seed": 1`
+// and an omitted seed are the same job, the same cache entry and the
+// same singleflight flight; the registry's parse step assigns the
+// content id (kinds.go), and the golden tests pin it. prepare
+// validates a request and returns its runner, closing over the
+// artefacts validation built so the run does not build them again.
+// Validation errors carry the cfgerr contract: they match
+// starperf.ErrInvalidConfig and map to HTTP 400.
 
 // runner computes one prepared request's result.
 type runner func() (any, error)
 
 // TopoSpec names a topology on the wire.
-type TopoSpec struct {
-	// Kind is "star", "hypercube", "torus" or "mesh".
-	Kind string `json:"kind"`
-	// N is the star size n (S_n) or the hypercube dimension m.
-	N int `json:"n,omitempty"`
-	// K and Dim are the k-ary n-cube/mesh arity and dimension.
-	K   int `json:"k,omitempty"`
-	Dim int `json:"dim,omitempty"`
-}
+type TopoSpec = wire.TopoSpec
 
 // build constructs the topology.
-func (t TopoSpec) build() (topology.Topology, error) {
+func build(t TopoSpec) (topology.Topology, error) {
 	switch t.Kind {
 	case "star":
 		return stargraph.New(t.N)
@@ -61,20 +55,21 @@ func (t TopoSpec) build() (topology.Topology, error) {
 // shape returns what the model reads of the topology: S_n's
 // closed-form shape (no n!-node graph) for stars, the built topology
 // otherwise.
-func (t TopoSpec) shape() (topology.Shape, error) {
+func shape(t TopoSpec) (topology.Shape, error) {
 	if t.Kind == "star" {
 		return stargraph.NewShape(t.N)
 	}
-	top, err := t.build()
+	top, err := build(t)
 	return top, err
 }
 
-// paths constructs the model's path structure for the topology. It
-// accepts only the networks the run's shape accepts, so a request the
-// run would refuse fails here, before the cache lookup and admission:
-// the model's star cycle types go up to S_12, but stargraph.NewShape
-// stops at S_10 (the torus paths share torus.New's node bound).
-func (t TopoSpec) paths() (model.PathStructure, error) {
+// modelPaths constructs the model's path structure for the topology.
+// It accepts only the networks the run's shape accepts, so a request
+// the run would refuse fails here, before the cache lookup and
+// admission: the model's star cycle types go up to S_12, but
+// stargraph.NewShape stops at S_10 (the torus paths share torus.New's
+// node bound).
+func modelPaths(t TopoSpec) (model.PathStructure, error) {
 	switch t.Kind {
 	case "star":
 		if t.N > stargraph.MaxEnumerableN {
@@ -95,8 +90,8 @@ func (t TopoSpec) paths() (model.PathStructure, error) {
 // routed builds the topology and the routing spec for v virtual
 // channels on it: the shared validation of the kinds that route
 // messages.
-func (t TopoSpec) routed(routingName string, v int) (topology.Topology, routing.Spec, error) {
-	top, err := t.build()
+func routed(t TopoSpec, routingName string, v int) (topology.Topology, routing.Spec, error) {
+	top, err := build(t)
 	if err != nil {
 		return nil, routing.Spec{}, err
 	}
@@ -108,15 +103,8 @@ func (t TopoSpec) routed(routingName string, v int) (topology.Topology, routing.
 	return top, spec, err
 }
 
-// PredictRequest is POST /v1/predict: one analytical-model
-// evaluation (paper eq. 16 mean latency), served synchronously.
-type PredictRequest struct {
-	Topo    TopoSpec `json:"topo"`
-	Routing string   `json:"routing,omitempty"`
-	V       int      `json:"v"`
-	MsgLen  int      `json:"msg_len"`
-	Rate    float64  `json:"rate"`
-}
+// PredictRequest is POST /v1/predict, served synchronously.
+type PredictRequest wire.PredictRequest
 
 func (r PredictRequest) withDefaults() PredictRequest {
 	if r.Routing == "enhanced-nbc" || r.Routing == "enbc" {
@@ -125,14 +113,12 @@ func (r PredictRequest) withDefaults() PredictRequest {
 	return r
 }
 
-func (r PredictRequest) hash() (string, error) { return jobs.Hash(predictKind.name, r) }
-
 // prepare builds the model's path structure and routing kind. A
 // saturated operating point is a valid answer (Saturated true), not
 // an error. The topology's shape is built in the run, not here: a
 // cache hit never needs it.
 func (r PredictRequest) prepare() (runner, error) {
-	paths, err := r.Topo.paths()
+	paths, err := modelPaths(r.Topo)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +127,7 @@ func (r PredictRequest) prepare() (runner, error) {
 		return nil, err
 	}
 	return func() (any, error) {
-		top, err := r.Topo.shape()
+		top, err := shape(r.Topo)
 		if err != nil {
 			return nil, err
 		}
@@ -151,11 +137,11 @@ func (r PredictRequest) prepare() (runner, error) {
 		})
 		if err != nil {
 			if errors.Is(err, model.ErrSaturated) {
-				return &PredictResult{Saturated: true}, nil
+				return &wire.PredictResult{Saturated: true}, nil
 			}
 			return nil, err
 		}
-		return &PredictResult{
+		return &wire.PredictResult{
 			LatencyCycles: res.Latency,
 			NetLatency:    res.NetLatency,
 			SourceWait:    res.SourceWait,
@@ -168,33 +154,9 @@ func (r PredictRequest) prepare() (runner, error) {
 	}, nil
 }
 
-// PredictResult is the predict response body. When Saturated is true
-// the operating point lies beyond the model's saturation fixed point
-// and the remaining fields are zero.
-type PredictResult struct {
-	Saturated     bool    `json:"saturated"`
-	LatencyCycles float64 `json:"latency_cycles"`
-	NetLatency    float64 `json:"net_latency"`
-	SourceWait    float64 `json:"source_wait"`
-	ChannelWait   float64 `json:"channel_wait"`
-	Multiplexing  float64 `json:"multiplexing"`
-	Utilization   float64 `json:"utilization"`
-	MeanBlocking  float64 `json:"mean_blocking"`
-	Converged     bool    `json:"converged"`
-}
-
-// BoundsRequest is POST /v1/bounds: one worst-case delay-bound
-// evaluation (network-calculus engine, internal/bounds), served
-// synchronously like /v1/predict.
-type BoundsRequest struct {
-	Topo    TopoSpec `json:"topo"`
-	Routing string   `json:"routing,omitempty"`
-	V       int      `json:"v"`
-	MsgLen  int      `json:"msg_len"`
-	Rate    float64  `json:"rate"`
-	BufCap  int      `json:"buf_cap,omitempty"`
-	LinkBW  float64  `json:"link_bw,omitempty"`
-}
+// BoundsRequest is POST /v1/bounds, served synchronously like
+// /v1/predict.
+type BoundsRequest wire.BoundsRequest
 
 func (r BoundsRequest) withDefaults() BoundsRequest {
 	if r.Routing == "enhanced-nbc" || r.Routing == "enbc" {
@@ -209,13 +171,21 @@ func (r BoundsRequest) withDefaults() BoundsRequest {
 	return r
 }
 
-func (r BoundsRequest) hash() (string, error) { return jobs.Hash(boundsKind.name, r) }
-
-// prepare builds the topology and routing kind. An
-// unboundable operating point is a valid answer (Unboundable true),
-// not an error — the bounds counterpart of PredictResult.Saturated.
+// prepare refuses a topology past the engine's node cap from its
+// shape, before a star's n!-node graph is built (the other kinds'
+// constructors build no node tables), then builds the topology and
+// routing kind. An unboundable operating point is a
+// valid answer (Unboundable true), not an error — the bounds
+// counterpart of PredictResult.Saturated.
 func (r BoundsRequest) prepare() (runner, error) {
-	top, spec, err := r.Topo.routed(r.Routing, r.V)
+	s, err := shape(r.Topo)
+	if err != nil {
+		return nil, err
+	}
+	if s.N() > bounds.MaxNodes {
+		return nil, cfgerr.Errorf("server: bounds analyses at most %d nodes, the topology has %d", bounds.MaxNodes, s.N())
+	}
+	top, spec, err := routed(r.Topo, r.Routing, r.V)
 	if err != nil {
 		return nil, err
 	}
@@ -227,11 +197,11 @@ func (r BoundsRequest) prepare() (runner, error) {
 		})
 		if err != nil {
 			if errors.Is(err, bounds.ErrUnboundable) {
-				return &BoundsResult{Unboundable: true}, nil
+				return &wire.BoundsResult{Unboundable: true}, nil
 			}
 			return nil, err
 		}
-		out := &BoundsResult{
+		out := &wire.BoundsResult{
 			WorstBound:  res.WorstCase,
 			Utilization: res.Utilization,
 			HopDelay:    res.HopDelay,
@@ -242,7 +212,7 @@ func (r BoundsRequest) prepare() (runner, error) {
 			Channels:    res.Channels,
 		}
 		for _, fb := range res.Classes {
-			out.Classes = append(out.Classes, BoundsClass{
+			out.Classes = append(out.Classes, wire.BoundsClass{
 				Hops: fb.Hops, Flows: fb.Flows, Bound: fb.Bound,
 			})
 		}
@@ -250,46 +220,9 @@ func (r BoundsRequest) prepare() (runner, error) {
 	}, nil
 }
 
-// BoundsResult is the bounds response body. When Unboundable is true
-// no finite worst-case bound exists at the operating point and the
-// remaining fields are zero.
-type BoundsResult struct {
-	Unboundable bool          `json:"unboundable"`
-	WorstBound  float64       `json:"worst_bound"`
-	Classes     []BoundsClass `json:"classes,omitempty"`
-	Utilization float64       `json:"utilization"`
-	HopDelay    float64       `json:"hop_delay"`
-	Residual    float64       `json:"residual"`
-	Feedforward bool          `json:"feedforward"`
-	Iterations  int           `json:"iterations"`
-	Flows       int           `json:"flows"`
-	Channels    int           `json:"channels"`
-}
-
-// BoundsClass is one per-hop-count flow class's bound.
-type BoundsClass struct {
-	Hops  int     `json:"hops"`
-	Flows int     `json:"flows"`
-	Bound float64 `json:"bound"`
-}
-
-// SimulateRequest is POST /v1/simulate: one flit-level wormhole
-// simulation, served asynchronously (the response names a job).
-type SimulateRequest struct {
-	Topo    TopoSpec `json:"topo"`
-	Routing string   `json:"routing,omitempty"`
-	V       int      `json:"v"`
-	MsgLen  int      `json:"msg_len"`
-	Rate    float64  `json:"rate"`
-	BufCap  int      `json:"buf_cap,omitempty"`
-	Seed    uint64   `json:"seed,omitempty"`
-	// Warmup/Measure/Drain are the cycle windows (defaults
-	// 8000/30000/120000, the experiment harness's).
-	Warmup    int64 `json:"warmup,omitempty"`
-	Measure   int64 `json:"measure,omitempty"`
-	Drain     int64 `json:"drain,omitempty"`
-	MaxMsgAge int64 `json:"max_msg_age,omitempty"`
-}
+// SimulateRequest is POST /v1/simulate, served asynchronously (the
+// response names a job).
+type SimulateRequest wire.SimulateRequest
 
 func (r SimulateRequest) withDefaults() SimulateRequest {
 	if r.Routing == "enhanced-nbc" || r.Routing == "enbc" {
@@ -313,13 +246,11 @@ func (r SimulateRequest) withDefaults() SimulateRequest {
 	return r
 }
 
-func (r SimulateRequest) hash() (string, error) { return jobs.Hash(simulateKind.name, r) }
-
 // prepare builds the topology and the routing spec the simulator runs
 // on, and checks the simulator configuration, so a request the
 // simulator would reject is a 400 rather than a failed job.
 func (r SimulateRequest) prepare() (runner, error) {
-	top, spec, err := r.Topo.routed(r.Routing, r.V)
+	top, spec, err := routed(r.Topo, r.Routing, r.V)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +268,7 @@ func (r SimulateRequest) prepare() (runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := &SimulateResult{
+		out := &wire.SimulateResult{
 			MeanLatency:  res.Latency.Mean(),
 			MinLatency:   res.Latency.Min(),
 			MaxLatency:   res.Latency.Max(),
@@ -358,39 +289,9 @@ func (r SimulateRequest) prepare() (runner, error) {
 	}, nil
 }
 
-// SimulateResult is the simulate job's result body. Latencies are in
-// cycles; AcceptedRate in messages/node/cycle.
-type SimulateResult struct {
-	MeanLatency  float64 `json:"mean_latency"`
-	MinLatency   float64 `json:"min_latency"`
-	MaxLatency   float64 `json:"max_latency"`
-	P50Latency   int     `json:"p50_latency"`
-	P95Latency   int     `json:"p95_latency"`
-	P99Latency   int     `json:"p99_latency"`
-	Measured     uint64  `json:"measured"`
-	Delivered    uint64  `json:"delivered"`
-	AcceptedRate float64 `json:"accepted_rate"`
-	Cycles       int64   `json:"cycles"`
-	Saturated    bool    `json:"saturated"`
-	Aborted      bool    `json:"aborted"`
-	AbortReason  string  `json:"abort_reason,omitempty"`
-}
-
-// SweepRequest is POST /v1/sweep: one panel of the paper's Figure 1
-// (model and simulation curves), served asynchronously as one job
+// SweepRequest is POST /v1/sweep, served asynchronously as one job
 // whose simulations run at most Workers at a time.
-type SweepRequest struct {
-	// Panel is "a", "b" or "c".
-	Panel  string   `json:"panel"`
-	Points int      `json:"points,omitempty"`
-	Seeds  []uint64 `json:"seeds,omitempty"`
-	// Warmup and Measure are the per-run cycle windows.
-	Warmup  int64 `json:"warmup,omitempty"`
-	Measure int64 `json:"measure,omitempty"`
-	// Workers bounds the sweep's own simulation parallelism, 0..64
-	// (default 1 — serial; any value produces byte-identical panels).
-	Workers int `json:"workers,omitempty"`
-}
+type SweepRequest wire.SweepRequest
 
 func (r SweepRequest) withDefaults() SweepRequest {
 	if r.Points == 0 {
@@ -410,8 +311,6 @@ func (r SweepRequest) withDefaults() SweepRequest {
 	}
 	return r
 }
-
-func (r SweepRequest) hash() (string, error) { return jobs.Hash(sweepKind.name, r) }
 
 // prepare checks the panel shape; the panel's models and simulations
 // are all built inside the run.
@@ -444,11 +343,11 @@ func (r SweepRequest) prepare() (runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := &SweepResult{Title: p.Title, XLabel: p.XLabel}
+		out := &wire.SweepResult{Title: p.Title, XLabel: p.XLabel}
 		for _, s := range p.Series {
-			ws := SweepSeries{Name: s.Name, V: s.V, MsgLen: s.MsgLen}
+			ws := wire.SweepSeries{Name: s.Name, V: s.V, MsgLen: s.MsgLen}
 			for _, pt := range s.Points {
-				ws.Points = append(ws.Points, SweepPoint{
+				ws.Points = append(ws.Points, wire.SweepPoint{
 					Rate:           pt.Rate,
 					Model:          finite(pt.Model),
 					ModelSaturated: pt.ModelSaturated,
@@ -472,34 +371,4 @@ func finite(v float64) *float64 {
 		return nil
 	}
 	return &v
-}
-
-// SweepResult is the sweep job's result body: the paper's Figure 1
-// panel flattened into a JSON-safe shape (saturated model points and
-// fully failed simulation points carry null instead of NaN).
-type SweepResult struct {
-	Title  string        `json:"title"`
-	XLabel string        `json:"x_label"`
-	Series []SweepSeries `json:"series"`
-}
-
-// SweepSeries is one curve (fixed V and message length) of a panel.
-type SweepSeries struct {
-	Name   string       `json:"name"`
-	V      int          `json:"v"`
-	MsgLen int          `json:"msg_len"`
-	Points []SweepPoint `json:"points"`
-}
-
-// SweepPoint is one operating point: model and simulated mean latency
-// with the simulation's ~95% half-width over seeds.
-type SweepPoint struct {
-	Rate           float64  `json:"rate"`
-	Model          *float64 `json:"model"`
-	ModelSaturated bool     `json:"model_saturated"`
-	Sim            *float64 `json:"sim"`
-	SimHW          float64  `json:"sim_hw"`
-	SimSaturated   bool     `json:"sim_saturated"`
-	Failed         bool     `json:"failed,omitempty"`
-	Err            string   `json:"error,omitempty"`
 }

@@ -46,6 +46,7 @@ import (
 	"starperf/internal/model"
 	"starperf/internal/obs"
 	"starperf/internal/routing"
+	"starperf/internal/wire"
 )
 
 // Config sizes a Server. The zero value is usable.
@@ -260,14 +261,14 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			defer func() { <-s.sem }()
 		default:
 			reply(w, http.StatusServiceUnavailable,
-				failure(classQueueFull, "server at concurrency cap", s.queueWait()))
+				failure(wire.ClassQueueFull, "server at concurrency cap", s.queueWait()))
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes) // never nil on a server request
 		if s.cluster != nil {
 			// Name the serving node; a relayed peer response overwrites
 			// this with the node that actually did the work.
-			w.Header().Set(nodeHeader, s.cluster.ring.Self())
+			w.Header().Set(wire.NodeHeader, s.cluster.ring.Self())
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
@@ -296,7 +297,7 @@ func (s *Server) guard(k *jobKind, h http.HandlerFunc) http.HandlerFunc {
 		}
 		ok, wait := s.breakers.allow(k.route)
 		if !ok {
-			reply(w, http.StatusServiceUnavailable, failure(classQueueFull,
+			reply(w, http.StatusServiceUnavailable, failure(wire.ClassQueueFull,
 				"circuit breaker open for "+k.route, wait))
 			return
 		}
@@ -314,17 +315,6 @@ func (s *Server) guard(k *jobKind, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// jobBody is the async-endpoint envelope.
-type jobBody struct {
-	ID     string          `json:"id"`
-	Status jobs.Status     `json:"status"`
-	Error  string          `json:"error,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-}
-
-// finished reports whether b carries a done job's result bytes.
-func (b jobBody) finished() bool { return b.Status == jobs.StatusDone && b.Result != nil }
-
 // readBody drains a request body into memory (already bounded by
 // MaxBytesReader). Handlers keep the raw bytes because the cluster
 // path forwards them verbatim to a peer — which re-normalises and
@@ -334,11 +324,11 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			reply(w, http.StatusRequestEntityTooLarge, failure(classInvalidConfig,
+			reply(w, http.StatusRequestEntityTooLarge, failure(wire.ClassInvalidConfig,
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), noRetry))
 			return nil, false
 		}
-		reply(w, http.StatusBadRequest, failure(classInvalidConfig,
+		reply(w, http.StatusBadRequest, failure(wire.ClassInvalidConfig,
 			"reading request: "+err.Error(), noRetry))
 		return nil, false
 	}
@@ -366,30 +356,30 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 }
 
 // classifyErr maps an error onto the v1 wire contract: status code
-// plus the wireError a standalone request would receive. The batch
+// plus the wire.Error a standalone request would receive. The batch
 // handler uses it directly to build per-item entries.
-func (s *Server) classifyErr(err error) (int, wireError) {
+func (s *Server) classifyErr(err error) (int, wire.Error) {
 	var unreachable *routing.UnreachableError
 	switch {
 	case errors.Is(err, cfgerr.ErrInvalid):
-		return http.StatusBadRequest, failure(classInvalidConfig, err.Error(), noRetry)
+		return http.StatusBadRequest, failure(wire.ClassInvalidConfig, err.Error(), noRetry)
 	case errors.Is(err, model.ErrSaturated):
-		return http.StatusUnprocessableEntity, failure(classSaturated, err.Error(), noRetry)
+		return http.StatusUnprocessableEntity, failure(wire.ClassSaturated, err.Error(), noRetry)
 	case errors.As(err, &unreachable):
-		return http.StatusUnprocessableEntity, failure(classUnreachable, err.Error(), noRetry)
+		return http.StatusUnprocessableEntity, failure(wire.ClassUnreachable, err.Error(), noRetry)
 	case errors.Is(err, jobs.ErrQueueFull):
-		return http.StatusTooManyRequests, failure(classQueueFull, err.Error(), s.queueWait())
+		return http.StatusTooManyRequests, failure(wire.ClassQueueFull, err.Error(), s.queueWait())
 	case errors.Is(err, jobs.ErrPoolClosed):
-		return http.StatusServiceUnavailable, failure(classQueueFull, err.Error(), time.Second)
+		return http.StatusServiceUnavailable, failure(wire.ClassQueueFull, err.Error(), time.Second)
 	case errors.Is(err, jobs.ErrReadOnly):
 		// The pool-level backstop of the refuseReadOnly gate: a
 		// submission that raced past the handler check still refuses
 		// with the read_only contract.
-		return http.StatusServiceUnavailable, failure(classReadOnly, err.Error(), time.Second)
+		return http.StatusServiceUnavailable, failure(wire.ClassReadOnly, err.Error(), time.Second)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout, failure(classTimeout, err.Error(), noRetry)
+		return http.StatusGatewayTimeout, failure(wire.ClassTimeout, err.Error(), noRetry)
 	default:
-		return http.StatusInternalServerError, failure(classInternal, err.Error(), noRetry)
+		return http.StatusInternalServerError, failure(wire.ClassInternal, err.Error(), noRetry)
 	}
 }
 
@@ -434,7 +424,7 @@ func (s *Server) refuseReadOnly(w http.ResponseWriter) bool {
 		return false
 	}
 	s.readOnly503.Add(1)
-	reply(w, http.StatusServiceUnavailable, failure(classReadOnly,
+	reply(w, http.StatusServiceUnavailable, failure(wire.ClassReadOnly,
 		"journal is read-only (disk full): async submissions refused until space returns",
 		max(s.cfg.ProbeEvery, time.Second)))
 	return true
@@ -449,7 +439,7 @@ func (s *Server) refuseReadOnly(w http.ResponseWriter) bool {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if body, ok := s.cache.Get(id); ok {
-		reply(w, http.StatusOK, jobBody{ID: id, Status: jobs.StatusDone, Result: body})
+		reply(w, http.StatusOK, wire.Job{ID: id, Status: string(jobs.StatusDone), Result: body})
 		return
 	}
 	j, ok := s.pool.Get(id)
@@ -457,13 +447,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		if s.clusterJobLookup(w, r, id) {
 			return
 		}
-		reply(w, http.StatusNotFound, failure(classUnreachable, "unknown job "+id, noRetry))
+		reply(w, http.StatusNotFound, failure(wire.ClassUnreachable, "unknown job "+id, noRetry))
 		return
 	}
 	// Done and failed are terminal, so Result agrees with the status
 	// read first.
-	body := jobBody{ID: id, Status: j.Status()}
-	switch body.Status {
+	st := j.Status()
+	body := wire.Job{ID: id, Status: string(st)}
+	switch st {
 	case jobs.StatusDone:
 		v, _ := j.Result()
 		body.Result = v.([]byte)
@@ -474,33 +465,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	reply(w, http.StatusOK, body)
 }
 
-// healthBody is the GET /healthz response. Cluster is present on a
-// clustered node and is what the client bootstraps its ring from.
-type healthBody struct {
-	OK bool `json:"ok"`
-	// JournalReadOnly reports the disk-full degradation: the node is
-	// alive and serving sync routes, but refuses async submissions
-	// until journal space returns.
-	JournalReadOnly bool        `json:"journal_readonly,omitempty"`
-	Cluster         *ringConfig `json:"cluster,omitempty"`
-}
-
-// ringConfig is the ring-membership triple every member (and the
-// client) must agree on to build identical rings.
-type ringConfig struct {
-	Self         string   `json:"self"`
-	Members      []string `json:"members"`
-	VirtualNodes int      `json:"virtual_nodes"`
-}
-
 // handleHealthz serves GET /healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := healthBody{OK: true}
+	body := wire.Health{OK: true}
 	if s.journal != nil {
 		body.JournalReadOnly = s.journal.ReadOnly()
 	}
 	if s.cluster != nil {
-		body.Cluster = &ringConfig{
+		body.Cluster = &wire.Ring{
 			Self:         s.cluster.ring.Self(),
 			Members:      s.cluster.ring.Members(),
 			VirtualNodes: s.cluster.ring.VirtualNodes(),

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"starperf/internal/cache"
+	"starperf/internal/wire"
 )
 
 // newTestServer builds a Server plus an httptest front end, torn down
@@ -84,7 +85,7 @@ func TestPredictEndToEnd(t *testing.T) {
 	if !strings.HasPrefix(id, "sha256:") {
 		t.Fatalf("job header %q not a content hash", id)
 	}
-	var res PredictResult
+	var res wire.PredictResult
 	if err := json.Unmarshal(first, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestPredictErrors(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("saturated predict: %d %s", resp.StatusCode, body)
 	}
-	var res PredictResult
+	var res wire.PredictResult
 	if err := json.Unmarshal(body, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestPredictErrors(t *testing.T) {
 
 // pollJob polls GET /v1/jobs/{id} until the job leaves the queue,
 // failing the test on timeout.
-func pollJob(t *testing.T, base, id string) jobBody {
+func pollJob(t *testing.T, base, id string) wire.Job {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for {
@@ -171,7 +172,7 @@ func pollJob(t *testing.T, base, id string) jobBody {
 		if resp.StatusCode != 200 {
 			t.Fatalf("poll %s: %d %s", id, resp.StatusCode, body)
 		}
-		var jb jobBody
+		var jb wire.Job
 		if err := json.Unmarshal(body, &jb); err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +199,7 @@ func TestSimulateLifecycle(t *testing.T) {
 	if resp.StatusCode != 202 {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
-	var sub jobBody
+	var sub wire.Job
 	if err := json.Unmarshal(body, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestSimulateLifecycle(t *testing.T) {
 	if jb.Status != "done" {
 		t.Fatalf("job failed: %s", jb.Error)
 	}
-	var res SimulateResult
+	var res wire.SimulateResult
 	if err := json.Unmarshal(jb.Result, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestSimulateLifecycle(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("resubmit: %d %s", resp.StatusCode, body)
 	}
-	var again jobBody
+	var again wire.Job
 	if err := json.Unmarshal(body, &again); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestSweepEndpoint(t *testing.T) {
 	if resp.StatusCode != 202 {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
-	var sub jobBody
+	var sub wire.Job
 	if err := json.Unmarshal(body, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestSweepEndpoint(t *testing.T) {
 	if jb.Status != "done" {
 		t.Fatalf("sweep failed: %s", jb.Error)
 	}
-	var panel SweepResult
+	var panel wire.SweepResult
 	if err := json.Unmarshal(jb.Result, &panel); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestSingleflightOverHTTP(t *testing.T) {
 	if resp.StatusCode != 202 {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
-	var sub jobBody
+	var sub wire.Job
 	if err := json.Unmarshal(body, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestSingleflightOverHTTP(t *testing.T) {
 	for i := 0; i < dups; i++ {
 		resp := postJSON(t, ts.URL+"/v1/simulate", heavy)
 		db := readBody(t, resp)
-		var d jobBody
+		var d wire.Job
 		if err := json.Unmarshal(db, &d); err != nil {
 			t.Fatal(err)
 		}
@@ -405,29 +406,25 @@ func TestBodyLimit(t *testing.T) {
 func TestGoldenWireHashes(t *testing.T) {
 	predict := PredictRequest{
 		Topo: TopoSpec{Kind: "star", N: 4}, V: 4, MsgLen: 16, Rate: 0.004,
-	}.withDefaults()
+	}
 	simulate := SimulateRequest{
 		Topo: TopoSpec{Kind: "star", N: 4}, V: 4, MsgLen: 16, Rate: 0.01,
 		Warmup: 500, Measure: 2000,
-	}.withDefaults()
-	sweep := SweepRequest{Panel: "a"}.withDefaults()
+	}
+	sweep := SweepRequest{Panel: "a"}
 
 	cases := []struct {
-		name string
-		got  func() (string, error)
+		kind string
+		req  any
 		want string
 	}{
-		{"predict", predict.hash, "sha256:5075bd4abcf14192c577f92fa4656b6ff1770e091b263ba3fe9b07df4e1671a9"},
-		{"simulate", simulate.hash, "sha256:5e2279015da3cec015a7a6ae5096df32f321e3699ab468d60a23bb6c64dd4955"},
-		{"sweep", sweep.hash, "sha256:161a21697db35546f1d8472c3302307272815a79013fc2c5dfb747310729e856"},
+		{"predict", predict, "sha256:5075bd4abcf14192c577f92fa4656b6ff1770e091b263ba3fe9b07df4e1671a9"},
+		{"simulate", simulate, "sha256:5e2279015da3cec015a7a6ae5096df32f321e3699ab468d60a23bb6c64dd4955"},
+		{"sweep", sweep, "sha256:161a21697db35546f1d8472c3302307272815a79013fc2c5dfb747310729e856"},
 	}
 	for _, c := range cases {
-		h, err := c.got()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if h != c.want {
-			t.Errorf("%s hash = %q, want %q", c.name, h, c.want)
+		if h := jobID(t, c.kind, c.req); h != c.want {
+			t.Errorf("%s hash = %q, want %q", c.kind, h, c.want)
 		}
 	}
 
@@ -436,18 +433,26 @@ func TestGoldenWireHashes(t *testing.T) {
 	explicit := SimulateRequest{
 		Topo: TopoSpec{Kind: "star", N: 4}, Routing: "enbc", V: 4, MsgLen: 16, Rate: 0.01,
 		BufCap: 2, Seed: 1, Warmup: 500, Measure: 2000, Drain: 120000,
-	}.withDefaults()
-	he, err := explicit.hash()
-	if err != nil {
-		t.Fatal(err)
 	}
-	hs, err := simulate.hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if he != hs {
+	if he, hs := jobID(t, "simulate", explicit), jobID(t, "simulate", simulate); he != hs {
 		t.Fatalf("explicit defaults hash %q != omitted defaults %q", he, hs)
 	}
+}
+
+// jobID is the content id the registry's parse step, the one
+// production path, gives req (a request value, or raw JSON as a
+// json.RawMessage).
+func jobID(t *testing.T, kind string, req any) string {
+	t.Helper()
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := parseKind(kind, raw)
+	if err != nil {
+		t.Fatalf("%s %s: %v", kind, raw, err)
+	}
+	return j.id
 }
 
 // TestServerRejectsBadCacheConfig: construction surfaces cache config

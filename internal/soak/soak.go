@@ -24,8 +24,6 @@ package soak
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,15 +34,7 @@ import (
 	"time"
 
 	"starperf/internal/netx"
-)
-
-// Canonical X-Starperf-* header names the driver speaks (mirroring
-// internal/server/headers.go; the cross-package header audit covers
-// this file).
-const (
-	deadlineHeader  = "X-Starperf-Deadline"
-	forwardedHeader = "X-Starperf-Forwarded"
-	resultSumHeader = "X-Starperf-Result-Sum"
+	"starperf/internal/wire"
 )
 
 // Config parameterises one soak run.
@@ -149,10 +139,10 @@ func Run(cfg Config, targets []string, httpc *http.Client, fabric *netx.Net) Rep
 		// a hop that inflates its deadline defeats admission control
 		// downstream.
 		fabric.Observe(func(o netx.Obs) {
-			if o.Header.Get(forwardedHeader) == "" {
+			if o.Header.Get(wire.ForwardedHeader) == "" {
 				return
 			}
-			v := o.Header.Get(deadlineHeader)
+			v := o.Header.Get(wire.DeadlineHeader)
 			if v == "" {
 				return
 			}
@@ -228,14 +218,6 @@ func (h *harness) boundsBody() string {
 	return fmt.Sprintf(`{"topo":{"kind":"star","n":4},"v":6,"msg_len":32,"rate":0.00%d}`, 2+h.rng.Intn(3))
 }
 
-// jobEnvelope mirrors the server's async job body.
-type jobEnvelope struct {
-	ID     string          `json:"id"`
-	Status string          `json:"status"`
-	Error  string          `json:"error,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-}
-
 // exchange performs one HTTP round trip with the run's deadline,
 // returning the status, headers and fully-read body; ok is false on
 // any transport failure (tolerated weather while faults fire).
@@ -254,7 +236,7 @@ func (h *harness) exchange(method, url, body string) (int, http.Header, []byte, 
 	if body != "" {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set(deadlineHeader, h.cfg.Deadline.String())
+	req.Header.Set(wire.DeadlineHeader, h.cfg.Deadline.String())
 	resp, err := h.httpc.Do(req)
 	if err != nil {
 		h.report.Errors++
@@ -274,7 +256,7 @@ func (h *harness) exchange(method, url, body string) (int, http.Header, []byte, 
 // (raw result body, job envelope) exactly as the production client
 // does. A mismatch counts as detected corruption and yields nothing.
 func (h *harness) verified(hdr http.Header, body []byte) (id string, result []byte, ok bool) {
-	var env jobEnvelope
+	var env wire.Job
 	if err := json.Unmarshal(body, &env); err != nil || env.ID == "" {
 		return "", nil, false
 	}
@@ -282,19 +264,14 @@ func (h *harness) verified(hdr http.Header, body []byte) (id string, result []by
 		h.report.CorruptRejected++
 		return "", nil, false
 	}
-	if env.Status != "done" || env.Result == nil {
+	if !env.Finished() {
 		return env.ID, nil, true
 	}
-	if sum := hdr.Get(resultSumHeader); sum != "" && contentSum(env.Result) != sum {
+	if sum := hdr.Get(wire.ResultSumHeader); sum != "" && wire.ResultSum(env.Result) != sum {
 		h.report.CorruptRejected++
 		return env.ID, nil, true // the ack is real, the bytes are not
 	}
 	return env.ID, env.Result, true
-}
-
-func contentSum(body []byte) string {
-	sum := sha256.Sum256(body)
-	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
 // validJobID reports whether id has the only shape the server ever
@@ -347,7 +324,7 @@ func (h *harness) post(target, path, body, _ string) {
 		return
 	}
 	if status == http.StatusOK {
-		if sum := hdr.Get(resultSumHeader); sum != "" && contentSum(b) != sum {
+		if sum := hdr.Get(wire.ResultSumHeader); sum != "" && wire.ResultSum(b) != sum {
 			h.report.CorruptRejected++
 		}
 	}
@@ -374,11 +351,7 @@ func (h *harness) batch(target string) {
 		h.report.Errors++
 		return
 	}
-	var resp struct {
-		Items []struct {
-			ID string `json:"id"`
-		} `json:"items"`
-	}
+	var resp wire.BatchResponse
 	if err := json.Unmarshal(b, &resp); err != nil {
 		h.report.Errors++
 		return
@@ -429,14 +402,14 @@ func (h *harness) drainOne(id, target string) bool {
 	for attempt := 0; attempt < h.cfg.DrainAttempts; attempt++ {
 		status, hdr, b, ok := h.exchange(http.MethodGet, "http://"+target+"/v1/jobs/"+id, "")
 		if ok && status == http.StatusOK {
-			var env jobEnvelope
+			var env wire.Job
 			if err := json.Unmarshal(b, &env); err == nil {
 				if env.Status == "failed" {
 					h.violate("job %s: acknowledged then failed: %s", id, env.Error)
 					return true // reported as its own violation, not as lost
 				}
-				if env.Status == "done" && env.Result != nil {
-					if sum := hdr.Get(resultSumHeader); sum != "" && contentSum(env.Result) != sum {
+				if env.Finished() {
+					if sum := hdr.Get(wire.ResultSumHeader); sum != "" && wire.ResultSum(env.Result) != sum {
 						h.report.CorruptRejected++
 					} else {
 						h.ack(id, env.Result)

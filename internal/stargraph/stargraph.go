@@ -28,11 +28,13 @@ import (
 const MaxEnumerableN = 10
 
 // Shape is the closed-form summary of S_n that the routing spec and
-// the analytical model read (a topology.Shape): its name, degree,
-// diameter and exact mean distance, without the n! node tables New
-// builds. A Graph embeds its Shape, so both report the same bits.
+// the analytical model read (a topology.Shape): its name, node count,
+// degree, diameter and exact mean distance, without the n! node
+// tables New builds. A Graph embeds its Shape, so both report the
+// same bits.
 type Shape struct {
 	n        int
+	nodes    int
 	diameter int
 	avgDist  float64
 }
@@ -44,8 +46,11 @@ func NewShape(n int) (Shape, error) {
 	if n < 2 || n > MaxEnumerableN {
 		return Shape{}, cfgerr.Errorf("stargraph: n=%d out of supported range [2,%d]", n, MaxEnumerableN)
 	}
-	return Shape{n: n, diameter: Diameter(n), avgDist: AvgDistanceN(n)}, nil
+	return Shape{n: n, nodes: int(perm.Factorial(n)), diameter: Diameter(n), avgDist: AvgDistanceN(n)}, nil
 }
+
+// N returns the number of nodes, n!.
+func (s Shape) N() int { return s.nodes }
 
 // Name returns "S<n>".
 func (s Shape) Name() string { return fmt.Sprintf("S%d", s.n) }
@@ -64,7 +69,6 @@ func (s Shape) AvgDistance() float64 { return s.avgDist }
 // All methods are pure after construction and safe for concurrent use.
 type Graph struct {
 	Shape
-	nodes    int
 	perms    []perm.Permutation // node -> permutation (rank order)
 	inverses []perm.Permutation // node -> inverse permutation
 	adj      []int32            // node*(n-1)+dim -> neighbour node
@@ -80,10 +84,9 @@ func New(n int) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := int(perm.Factorial(n))
+	nodes := shape.N()
 	g := &Graph{
 		Shape:    shape,
-		nodes:    nodes,
 		perms:    make([]perm.Permutation, nodes),
 		inverses: make([]perm.Permutation, nodes),
 		adj:      make([]int32, nodes*(n-1)),
@@ -121,9 +124,6 @@ func MustNew(n int) *Graph {
 
 // Symbols returns n, the number of symbols (so nodes = n!).
 func (g *Graph) Symbols() int { return g.n }
-
-// N returns the number of nodes, n!.
-func (g *Graph) N() int { return g.nodes }
 
 // Neighbor returns the node reached from node via dimension dim
 // (0-based; dimension dim corresponds to generator g_{dim+2}).

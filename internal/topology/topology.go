@@ -7,12 +7,15 @@
 package topology
 
 // Shape is the part of a topology the analytical layers read: the
-// routing spec and the latency model need only these four numbers,
+// routing spec and the latency model need only these five numbers,
 // so they accept a closed-form summary (e.g. stargraph.Shape) where
 // building the node tables would cost far more than the evaluation.
 type Shape interface {
 	// Name identifies the instance, e.g. "S5" or "Q7".
 	Name() string
+
+	// N returns the number of nodes.
+	N() int
 
 	// Degree returns the number of outgoing physical channels per
 	// node (one per dimension).
@@ -32,9 +35,6 @@ type Shape interface {
 // construction (all methods are pure queries).
 type Topology interface {
 	Shape
-
-	// N returns the number of nodes.
-	N() int
 
 	// Neighbor returns the node reached from node along dimension
 	// dim, 0 ≤ dim < Degree().

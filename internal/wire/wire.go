@@ -1,10 +1,11 @@
-package client
-
-// Typed mirrors of the starperfd wire schema. These are hand-copied
-// rather than imported so the package stays stdlib-only and free of
-// the simulator's internals; the server's compat test pins that the
-// two sets marshal identically (field for field, tag for tag), so a
-// drift between them is a test failure, not a runtime surprise.
+// Package wire is the starperfd JSON schema, declared once: the
+// request and result bodies of every route, the envelopes around
+// them and the X-Starperf-* headers. The server (internal/server),
+// the public client and the soak harness all speak these types, so
+// the two ends of a request cannot drift apart. The package imports
+// only the standard library; defaults, validation and computation
+// belong to the server.
+package wire
 
 // TopoSpec names a topology on the wire.
 type TopoSpec struct {
@@ -18,7 +19,7 @@ type TopoSpec struct {
 }
 
 // PredictRequest is POST /v1/predict: one analytical-model
-// evaluation, answered synchronously.
+// evaluation (paper eq. 16 mean latency), answered synchronously.
 type PredictRequest struct {
 	Topo    TopoSpec `json:"topo"`
 	Routing string   `json:"routing,omitempty"`
@@ -27,7 +28,9 @@ type PredictRequest struct {
 	Rate    float64  `json:"rate"`
 }
 
-// PredictResult is the predict response body.
+// PredictResult is the predict response body. When Saturated is true
+// the operating point lies beyond the model's saturation fixed point
+// and the remaining fields are zero.
 type PredictResult struct {
 	Saturated     bool    `json:"saturated"`
 	LatencyCycles float64 `json:"latency_cycles"`
@@ -41,7 +44,7 @@ type PredictResult struct {
 }
 
 // BoundsRequest is POST /v1/bounds: one worst-case delay-bound
-// evaluation, answered synchronously.
+// evaluation (the network-calculus engine), answered synchronously.
 type BoundsRequest struct {
 	Topo    TopoSpec `json:"topo"`
 	Routing string   `json:"routing,omitempty"`
@@ -53,7 +56,8 @@ type BoundsRequest struct {
 }
 
 // BoundsResult is the bounds response body. When Unboundable is true
-// no finite worst-case bound exists at the operating point.
+// no finite worst-case bound exists at the operating point and the
+// remaining fields are zero.
 type BoundsResult struct {
 	Unboundable bool          `json:"unboundable"`
 	WorstBound  float64       `json:"worst_bound"`
@@ -74,23 +78,26 @@ type BoundsClass struct {
 	Bound float64 `json:"bound"`
 }
 
-// SimulateRequest is POST /v1/simulate: one flit-level simulation,
-// answered through the job API.
+// SimulateRequest is POST /v1/simulate: one flit-level wormhole
+// simulation, answered through the job API.
 type SimulateRequest struct {
-	Topo      TopoSpec `json:"topo"`
-	Routing   string   `json:"routing,omitempty"`
-	V         int      `json:"v"`
-	MsgLen    int      `json:"msg_len"`
-	Rate      float64  `json:"rate"`
-	BufCap    int      `json:"buf_cap,omitempty"`
-	Seed      uint64   `json:"seed,omitempty"`
-	Warmup    int64    `json:"warmup,omitempty"`
-	Measure   int64    `json:"measure,omitempty"`
-	Drain     int64    `json:"drain,omitempty"`
-	MaxMsgAge int64    `json:"max_msg_age,omitempty"`
+	Topo    TopoSpec `json:"topo"`
+	Routing string   `json:"routing,omitempty"`
+	V       int      `json:"v"`
+	MsgLen  int      `json:"msg_len"`
+	Rate    float64  `json:"rate"`
+	BufCap  int      `json:"buf_cap,omitempty"`
+	Seed    uint64   `json:"seed,omitempty"`
+	// Warmup/Measure/Drain are the cycle windows (defaults
+	// 8000/30000/120000, the experiment harness's).
+	Warmup    int64 `json:"warmup,omitempty"`
+	Measure   int64 `json:"measure,omitempty"`
+	Drain     int64 `json:"drain,omitempty"`
+	MaxMsgAge int64 `json:"max_msg_age,omitempty"`
 }
 
-// SimulateResult is the simulate job's result body.
+// SimulateResult is the simulate job's result body. Latencies are in
+// cycles; AcceptedRate in messages/node/cycle.
 type SimulateResult struct {
 	MeanLatency  float64 `json:"mean_latency"`
 	MinLatency   float64 `json:"min_latency"`
@@ -107,20 +114,25 @@ type SimulateResult struct {
 	AbortReason  string  `json:"abort_reason,omitempty"`
 }
 
-// SweepRequest is POST /v1/sweep: one Figure 1 panel.
+// SweepRequest is POST /v1/sweep: one panel of the paper's Figure 1
+// (model and simulation curves), answered through the job API.
 type SweepRequest struct {
-	Panel   string   `json:"panel"`
-	Points  int      `json:"points,omitempty"`
-	Seeds   []uint64 `json:"seeds,omitempty"`
-	Warmup  int64    `json:"warmup,omitempty"`
-	Measure int64    `json:"measure,omitempty"`
+	// Panel is "a", "b" or "c".
+	Panel  string   `json:"panel"`
+	Points int      `json:"points,omitempty"`
+	Seeds  []uint64 `json:"seeds,omitempty"`
+	// Warmup and Measure are the per-run cycle windows.
+	Warmup  int64 `json:"warmup,omitempty"`
+	Measure int64 `json:"measure,omitempty"`
 	// Workers bounds how many of the sweep's simulations run at once:
 	// 0..64, where 0 selects 1 (serial). Any value produces the same
 	// panel; the server rejects larger values as invalid_config.
 	Workers int `json:"workers,omitempty"`
 }
 
-// SweepResult is the sweep job's result body.
+// SweepResult is the sweep job's result body: the Figure 1 panel in a
+// JSON-safe shape (saturated model points and fully failed simulation
+// points carry null instead of NaN).
 type SweepResult struct {
 	Title  string        `json:"title"`
 	XLabel string        `json:"x_label"`
@@ -135,7 +147,8 @@ type SweepSeries struct {
 	Points []SweepPoint `json:"points"`
 }
 
-// SweepPoint is one operating point of a sweep series.
+// SweepPoint is one operating point: model and simulated mean latency
+// with the simulation's ~95% half-width over seeds.
 type SweepPoint struct {
 	Rate           float64  `json:"rate"`
 	Model          *float64 `json:"model"`
