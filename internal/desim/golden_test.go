@@ -82,6 +82,21 @@ func goldenCases(t *testing.T) []goldenCase {
 				return traffic.NewOnOff(rng, rate, 6, 300)
 			}
 		}), "cb580692a742c57353182a58ebaebf6c70fa6b651da7082719a3cfedfa0e6348"},
+		// MaxVCs: random choice over all 64 VCs puts owners on bit 63
+		// of the owned mask and wraps the round-robin pointer
+		{"S4/V64-RandomAny", with(goldenCfg(s4, routing.EnhancedNbc, 64), func(c *desim.Config) {
+			c.Policy, c.Rate = routing.RandomAny, 0.08
+		}), "fb22ecac2e9fea7460e06889daef8e591f4785666378f8ce88b19d48220133e4"},
+		// heavy multiplexing just below saturation: many owned VCs per
+		// channel compete for each flit slot
+		{"S4/V16-near-saturation", with(goldenCfg(s4, routing.EnhancedNbc, 16), func(c *desim.Config) { c.Rate = 0.1 }), "a4f54190ff956ebca726f0d4a3f7e3693103d425847aeda284713a5cd7391e23"},
+		{"S4/BufCap1-high-load", with(base, func(c *desim.Config) { c.BufCap, c.Rate = 1, 0.06 }), "5679e3a1484095d37446d8650cde73401e4d340f0943aa5f6c7eb1106334d290"},
+		// lengths past the 16384-flit clamp: int16 sent and length
+		// counters at their largest values
+		{"S4/LenClamp", with(base, func(c *desim.Config) {
+			c.Rate = 0.01
+			c.LenDist = traffic.BimodalLen{Short: 8, Long: 20000, PLong: 0.002}
+		}), "d81649cc762eb903073bad00d855e699f13f96b667e0419eda0db344e45cb2e3"},
 		// the /v1/simulate job the jobs-async end-to-end workload submits
 		{"S4/jobs-async", with(jobsAsyncConfig(401), func(c *desim.Config) { c.TraceCap = 64 }), "4cbd19b8612c1e8b84b4ec7f49ca499495971758af988ddd646d8dbd1e1aee21"},
 	}
