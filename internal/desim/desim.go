@@ -321,25 +321,25 @@ type network struct {
 	msgLen  int16
 	pattern traffic.Pattern
 
-	// per-VC state, indexed channel*v + vc
+	// Per-VC state, indexed channel*v + vc. vcs is vcx[1:]: vcx[0] is
+	// the source sentinel (see sourceVC), which the transfer loop reads
+	// as vcx[prev+1], so an injection VC's prev of −1 names it.
 	owner []*message
 	vcs   []vcState
+	vcx   []vcState
 
-	// Per-channel tables: kind replaces the slot div/mod on the flit
-	// path, rr is the round-robin pointer, and ownMask has bit vc set
-	// while VC vc is owned (hence V ≤ MaxVCs), so the transfer loop
-	// visits only owned VCs.
-	kind    []chanKind
-	rr      []uint8
-	ownMask []uint64
+	// chans holds one chanState record per physical channel.
+	chans []chanState
 
 	queueHead, queueTail []*message
 	queueLen             []int
 	totalQueued          int
 
-	// arrivals are the per-node processes; nextArrival caches their
-	// earliest pending arrival, so idle cycles skip the poll.
+	// arrivals are the per-node processes; nextAt caches each one's
+	// next arrival time and nextArrival their minimum, so idle cycles
+	// skip the poll and a due cycle polls only the nodes due.
 	arrivals    []traffic.Arrivals
+	nextAt      []float64
 	nextArrival float64
 	rng         *traffic.RNG
 
@@ -356,15 +356,15 @@ type network struct {
 	// liveness mask.
 	flapOfChan  []int32
 	flapWindows []flapWindow
+	upActive    []int32 // the active channels whose link is up this cycle
 	checkReach  bool
 	nodeUp      []bool
 
 	// Active-channel tracking: the transfer loop visits only channels
 	// with at least one owned VC instead of scanning the whole
 	// network every cycle (a large win at light load; see
-	// BenchmarkSimS7LowLoad). busyVCs counts owned VCs per channel;
-	// active is an unordered set with swap-removal via activePos.
-	busyVCs    []int16
+	// BenchmarkSimS7LowLoad). active is an unordered set with
+	// swap-removal via activePos.
 	active     []int32
 	activePos  []int32
 	grantCycle []int64 // per VC: when the current owner acquired it
@@ -404,6 +404,26 @@ type vcState struct {
 	buf, sent, drained, length int16
 }
 
+// sourceVC is the source sentinel: the upstream of every injection VC.
+// It always holds a flit and never drains to its length, so the
+// transfer loop tests and drains an injection VC's upstream buffer
+// like any other; it is restored after every move.
+var sourceVC = vcState{prev: -1, buf: 1}
+
+// chanState is the per-channel record the transfer loop reads: ownMask
+// has bit vc set while VC vc is owned (hence V ≤ MaxVCs), so the loop
+// visits only owned VCs; busy counts those VCs; room is the buffer
+// depth a VC may fill (BufCap, or math.MaxInt16 on an ejection
+// channel, which delivers at once); rr is the round-robin pointer;
+// kind replaces the slot div/mod on the flit path.
+type chanState struct {
+	ownMask uint64
+	busy    int16
+	room    int16
+	rr      uint8
+	kind    chanKind
+}
+
 // chanKind classifies a physical channel by its slot.
 type chanKind uint8
 
@@ -415,8 +435,8 @@ const (
 
 // transfer is one flit move decided at the start of a cycle.
 type transfer struct {
-	gvc   int32
-	eject bool
+	gvc, up int32
+	eject   bool
 }
 
 // pair is one free eligible (dimension, vc) candidate of a header

@@ -29,9 +29,13 @@ func invariantErrf(format string, args ...any) error {
 //   - a live chain is linked to its owner: while a channel still has
 //     flits to forward, its upstream channel belongs to the same
 //     message;
-//   - free channels are fully reset;
+//   - free channels are fully reset, and the source sentinel is
+//     intact;
 //   - the source-queue accounting is self-consistent.
 func (nw *network) checkInvariants() error {
+	if nw.vcx[0] != sourceVC {
+		return invariantErrf("source sentinel changed to %+v", nw.vcx[0])
+	}
 	numChans := nw.top.N() * nw.slots
 	for ch := 0; ch < numChans; ch++ {
 		eject := ch%nw.slots == nw.deg
@@ -87,13 +91,14 @@ func (nw *network) checkInvariants() error {
 				}
 			}
 		}
-		if busy != nw.busyVCs[ch] {
+		cs := nw.chans[ch]
+		if busy != cs.busy {
 			return invariantErrf("channel %d busy count %d, owners say %d",
-				ch, nw.busyVCs[ch], busy)
+				ch, cs.busy, busy)
 		}
-		if mask != nw.ownMask[ch] {
+		if mask != cs.ownMask {
 			return invariantErrf("channel %d owned mask %#x, owners say %#x",
-				ch, nw.ownMask[ch], mask)
+				ch, cs.ownMask, mask)
 		}
 		pos := nw.activePos[ch]
 		switch {

@@ -110,7 +110,7 @@ func TestInvariantDetectsDirtyFreeVC(t *testing.T) {
 
 func TestInvariantDetectsStaleOwnedMask(t *testing.T) {
 	corrupt(t, func(nw *network) {
-		nw.ownMask[nw.active[0]] ^= 1 // the transfer loop would skip or invent a VC
+		nw.chans[nw.active[0]].ownMask ^= 1 // the transfer loop would skip or invent a VC
 	}, "owned mask")
 }
 

@@ -87,7 +87,7 @@ func (nw *network) NetworkChannel(ch int) bool {
 }
 
 // BusyVCs returns the occupied-VC count of channel ch.
-func (nw *network) BusyVCs(ch int) int { return int(nw.busyVCs[ch]) }
+func (nw *network) BusyVCs(ch int) int { return int(nw.chans[ch].busy) }
 
 // VCBusy reports whether VC vc of channel ch is owned.
 func (nw *network) VCBusy(ch, vc int) bool { return nw.owner[ch*nw.v+vc] != nil }

@@ -81,10 +81,9 @@ func newNetwork(cfg Config) (*network, error) {
 		msgLen:       int16(cfg.MsgLen),
 		pattern:      cfg.Pattern,
 		owner:        make([]*message, numVC),
-		vcs:          make([]vcState, numVC),
-		kind:         make([]chanKind, n*slots),
-		rr:           make([]uint8, n*slots),
-		ownMask:      make([]uint64, n*slots),
+		vcx:          make([]vcState, numVC+1),
+		chans:        make([]chanState, n*slots),
+		moves:        make([]transfer, 0, n*slots),
 		queueHead:    make([]*message, n),
 		queueTail:    make([]*message, n),
 		queueLen:     make([]int, n),
@@ -97,6 +96,8 @@ func newNetwork(cfg Config) (*network, error) {
 		measureStart: cfg.WarmupCycles,
 		measureEnd:   cfg.WarmupCycles + cfg.MeasureCycles,
 	}
+	nw.vcs = nw.vcx[1:]
+	nw.vcx[0] = sourceVC
 	for i := range nw.vcs {
 		nw.vcs[i].prev = -1
 	}
@@ -105,6 +106,7 @@ func newNetwork(cfg Config) (*network, error) {
 	}
 	if cfg.Rate > 0 {
 		nw.arrivals = make([]traffic.Arrivals, n)
+		nw.nextAt = make([]float64, n) // 0: poll every node at cycle 0
 		for i := range nw.arrivals {
 			rng := nw.rng.Split()
 			if cfg.NewArrivals != nil {
@@ -119,7 +121,6 @@ func newNetwork(cfg Config) (*network, error) {
 	nw.res.LatencyHist = stats.NewHistogram(1 << 14)
 	nw.grantCount = make([]uint32, n*slots)
 	nw.grantCycle = make([]int64, numVC)
-	nw.busyVCs = make([]int16, n*slots)
 	nw.activePos = make([]int32, n*slots)
 	for i := range nw.activePos {
 		nw.activePos[i] = -1
@@ -129,11 +130,13 @@ func newNetwork(cfg Config) (*network, error) {
 		for slot := 0; slot < slots; slot++ {
 			ch := int(nw.chanIdx(node, slot))
 			nw.chanExists[ch] = slot >= deg || topology.HasChannel(top, node, slot)
+			cs := &nw.chans[ch]
+			cs.room = nw.bufCap
 			switch {
 			case slot == deg:
-				nw.kind[ch] = ejectChan
+				cs.kind, cs.room = ejectChan, math.MaxInt16
 			case slot > deg:
-				nw.kind[ch] = injectChan
+				cs.kind = injectChan
 			}
 		}
 	}
@@ -315,7 +318,7 @@ func (nw *network) finish() {
 	// per-channel balance over existing network channels only
 	var st stats.Stream
 	for ch, c := range nw.grantCount {
-		if nw.kind[ch] == netChan && nw.chanExists[ch] {
+		if nw.chans[ch].kind == netChan && nw.chanExists[ch] {
 			st.Add(float64(c))
 		}
 	}
@@ -340,7 +343,8 @@ func (nw *network) newMessage() *message {
 
 // doArrivals moves every arrival due by this cycle into its node's
 // source queue, visiting the nodes in index order. Cycles before the
-// cached earliest pending arrival return at once; NextArrival is a
+// cached earliest pending arrival return at once, and a node whose
+// cached next arrival is still ahead is not polled; NextArrival is a
 // pure getter, so skipping those polls changes nothing.
 func (nw *network) doArrivals() error {
 	now := float64(nw.cycle)
@@ -348,8 +352,14 @@ func (nw *network) doArrivals() error {
 		return nil
 	}
 	next := math.Inf(1)
-	for node, p := range nw.arrivals {
+	for node, t := range nw.nextAt {
+		if t > now {
+			next = min(next, t)
+			continue
+		}
+		p := nw.arrivals[node]
 		if p == nil { // failed node: generates no traffic
+			nw.nextAt[node] = math.Inf(1)
 			continue
 		}
 		for p.NextArrival() <= now {
@@ -387,7 +397,9 @@ func (nw *network) doArrivals() error {
 			}
 			nw.pushQueue(node, m)
 		}
-		next = math.Min(next, p.NextArrival())
+		t = p.NextArrival()
+		nw.nextAt[node] = t
+		next = min(next, t)
 	}
 	nw.nextArrival = next
 	return nil
@@ -578,7 +590,7 @@ func (nw *network) allocate(m *message) bool {
 		dRem := nw.top.Distance(node, m.dst) - 1
 		elig := nw.spec.EligibleVCs(m.st, hopNeg, nextColor, dRem, nw.eligBuf[:0])
 		for _, dim := range dims {
-			owned := nw.ownMask[nw.chanIdx(node, dim)]
+			owned := nw.chans[nw.chanIdx(node, dim)].ownMask
 			for _, vc := range elig {
 				if owned&(1<<uint(vc)) == 0 {
 					pairs = append(pairs, pair{dim: dim, vc: vc})
@@ -607,7 +619,7 @@ func (nw *network) allocate(m *message) bool {
 				continue
 			}
 			elig := nw.spec.MisrouteVCs(m.st, hopNeg, nextColor, dRem, nw.eligBuf[:0])
-			owned := nw.ownMask[ch]
+			owned := nw.chans[ch].ownMask
 			for _, vc := range elig {
 				if owned&(1<<uint(vc)) == 0 {
 					pairs = append(pairs, pair{dim: dim, vc: vc})
@@ -733,9 +745,10 @@ func (nw *network) occupy(m *message, ch int32, vc int, prev int32) int32 {
 	gvc := ch*int32(nw.v) + int32(vc)
 	nw.owner[gvc] = m
 	nw.vcs[gvc] = vcState{prev: prev, length: m.length}
-	nw.ownMask[ch] |= 1 << uint(vc)
-	nw.busyVCs[ch]++
-	if nw.busyVCs[ch] == 1 {
+	cs := &nw.chans[ch]
+	cs.ownMask |= 1 << uint(vc)
+	cs.busy++
+	if cs.busy == 1 {
 		nw.activePos[ch] = int32(len(nw.active))
 		nw.active = append(nw.active, ch)
 	}
@@ -745,7 +758,7 @@ func (nw *network) occupy(m *message, ch int32, vc int, prev int32) int32 {
 // lowestFree returns the lowest-numbered free VC of channel ch, or −1
 // when all are owned.
 func (nw *network) lowestFree(ch int32) int {
-	vc := bits.TrailingZeros64(^nw.ownMask[ch])
+	vc := bits.TrailingZeros64(^nw.chans[ch].ownMask)
 	if vc >= nw.v {
 		return -1
 	}
@@ -764,65 +777,125 @@ func (nw *network) lowestFree(ch int32) int {
 // ownMask right by rr puts the owned VCs at or above rr first and
 // those below it last, in the order a scan of all V slots would meet
 // them.
+//
+// The flit path takes no data-dependent branch in the common case.
+// The three readiness tests are sign bits ANDed into one (ready), an
+// injection VC's upstream is the source sentinel, whose buffer always
+// holds a flit, and an ejection channel's room is unbounded. A channel
+// with one owned VC, the usual case below saturation, writes its move
+// unconditionally and counts it by ready, and moves rr by mask.
+// Channels with several owned VCs scan them in round-robin order.
 func (nw *network) doTransfers() int {
-	moves := nw.moves[:0]
-	vcs := nw.vcs
-	for _, ch := range nw.active {
-		if nw.flapOfChan != nil && !nw.linkUpChan(ch) {
-			continue // link transiently down: flits hold their buffers
+	vcx := nw.vcx
+	chans := nw.chans
+	moves := nw.moves[:cap(nw.moves)]
+	v := int32(nw.v)
+	nm := 0
+	active := nw.active
+	if nw.flapOfChan != nil {
+		active = nw.linkUpActive()
+	}
+	for _, ch := range active {
+		cs := &chans[ch]
+		base := ch * v
+		eject := cs.kind == ejectChan
+		if own := cs.ownMask; own&(own-1) == 0 {
+			vc := int32(bits.TrailingZeros64(own))
+			vs := &vcx[base+vc+1]
+			ready := readyBit(vs, vcx, cs.room)
+			moves[nm] = transfer{gvc: base + vc, up: vs.prev + 1, eject: eject}
+			nm += int(ready)
+			vc++
+			vc &= (vc - v) >> 31 // V wraps to 0
+			cs.rr ^= (cs.rr ^ uint8(vc)) & -uint8(ready)
+			continue
 		}
-		eject := nw.kind[ch] == ejectChan
-		start := int(nw.rr[ch])
-		base := int(ch) * nw.v
-		for owned := bits.RotateLeft64(nw.ownMask[ch], -start); owned != 0; owned &= owned - 1 {
-			vc := (bits.TrailingZeros64(owned) + start) & 63
-			vs := &vcs[base+vc]
-			if vs.sent >= vs.length || vs.prev >= 0 && vcs[vs.prev].buf == 0 ||
-				!eject && vs.buf >= nw.bufCap {
+		start := int32(cs.rr)
+		for owned := bits.RotateLeft64(cs.ownMask, -int(start)); owned != 0; owned &= owned - 1 {
+			vc := (int32(bits.TrailingZeros64(owned)) + start) & 63
+			vs := &vcx[base+vc+1]
+			if readyBit(vs, vcx, cs.room) == 0 {
 				continue
 			}
-			moves = append(moves, transfer{gvc: int32(base + vc), eject: eject})
-			if vc++; vc == nw.v {
+			moves[nm] = transfer{gvc: base + vc, up: vs.prev + 1, eject: eject}
+			nm++
+			if vc++; vc == v {
 				vc = 0
 			}
-			nw.rr[ch] = uint8(vc)
+			cs.rr = uint8(vc)
 			break
 		}
 	}
+	moves = moves[:nm]
 	nw.moves = moves
 	for _, mv := range moves {
-		vs := &vcs[mv.gvc]
+		vs := &vcx[mv.gvc+1]
 		vs.sent++
-		if p := vs.prev; p >= 0 {
-			up := &vcs[p]
-			up.buf--
-			up.drained++
-			if up.drained == up.length {
-				nw.freeVC(p)
-			}
+		up := &vcx[mv.up]
+		up.buf--
+		up.drained++
+		if up.drained == up.length {
+			nw.freeVC(mv.up - 1)
 		}
-		if !mv.eject {
-			vs.buf++
-		} else if vs.sent == vs.length {
+		vcx[0] = sourceVC
+		eject := b2i(mv.eject)
+		vs.buf += 1 - eject
+		if vs.sent == vs.length && eject != 0 {
 			nw.deliver(nw.owner[mv.gvc], mv.gvc)
 		}
 	}
-	return len(moves)
+	return nm
+}
+
+// linkUpActive returns the active channels whose link is up this
+// cycle, in active order: flits on a transiently down link hold their
+// buffers.
+func (nw *network) linkUpActive() []int32 {
+	up := nw.upActive[:0]
+	for _, ch := range nw.active {
+		if nw.linkUpChan(ch) {
+			up = append(up, ch)
+		}
+	}
+	nw.upActive = up
+	return up
+}
+
+// b2i is 1 for true and 0 for false; it compiles to a flag move, not
+// a branch.
+func b2i(b bool) int16 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// readyBit is 1 when VC vs can forward a flit this cycle and 0
+// otherwise: sent < length, its upstream buffer (vcx[prev+1], the
+// source sentinel for an injection VC) holds a flit, and buf < room.
+// Each test is the sign bit of a difference, so the three combine
+// with one AND and no branch.
+func readyBit(vs *vcState, vcx []vcState, room int16) uint32 {
+	toSend := int32(vs.sent) - int32(vs.length)
+	upHolds := -int32(vcx[vs.prev+1].buf)
+	hasRoom := int32(vs.buf) - int32(room)
+	return uint32(toSend&upHolds&hasRoom) >> 31
 }
 
 func (nw *network) freeVC(gvc int32) {
 	ch := gvc / int32(nw.v)
 	// record the holding time of network channels granted inside the
 	// measurement window (ejection/injection channels excluded)
-	if nw.kind[ch] == netChan &&
+	cs := &nw.chans[ch]
+	if cs.kind == netChan &&
 		nw.grantCycle[gvc] >= nw.measureStart && nw.grantCycle[gvc] < nw.measureEnd {
 		nw.res.VCHolding.Add(float64(nw.cycle + 1 - nw.grantCycle[gvc]))
 	}
 	nw.owner[gvc] = nil
 	nw.vcs[gvc] = vcState{prev: -1}
-	nw.ownMask[ch] &^= 1 << uint(gvc-ch*int32(nw.v))
-	nw.busyVCs[ch]--
-	if nw.busyVCs[ch] == 0 {
+	cs.ownMask &^= 1 << uint(gvc-ch*int32(nw.v))
+	cs.busy--
+	if cs.busy == 0 {
 		// swap-remove from the active set
 		pos := nw.activePos[ch]
 		lastIdx := int32(len(nw.active) - 1)
@@ -880,7 +953,7 @@ func (nw *network) doSampling() {
 			if !nw.chanExists[ch] {
 				continue
 			}
-			nw.res.VCBusyHist[nw.busyVCs[ch]]++
+			nw.res.VCBusyHist[nw.chans[ch].busy]++
 		}
 	}
 }
