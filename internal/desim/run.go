@@ -582,8 +582,9 @@ func (nw *network) allocate(m *message) bool {
 	if nw.cfg.Policy == routing.FirstProfitable && len(dims) > 1 {
 		dims = dims[:1] // deterministic minimal path baseline
 	}
-	hopNeg := nw.top.Color(node) == 1
-	nextColor := 1 - nw.top.Color(node)
+	color := nw.top.Color(node)
+	hopNeg := color == 1
+	nextColor := 1 - color
 	misroute := false
 	pairs := nw.pairBuf[:0]
 	if len(dims) > 0 {
@@ -947,13 +948,10 @@ func (nw *network) doSampling() {
 		return
 	}
 	nw.sampleCountdown = sampleEvery
-	for node := 0; node < nw.top.N(); node++ {
-		for slot := 0; slot < nw.deg; slot++ {
-			ch := int(nw.chanIdx(node, slot))
-			if !nw.chanExists[ch] {
-				continue
-			}
-			nw.res.VCBusyHist[nw.chans[ch].busy]++
+	hist := nw.res.VCBusyHist
+	for ch, cs := range nw.chans {
+		if cs.kind == netChan && nw.chanExists[ch] {
+			hist[cs.busy]++
 		}
 	}
 }
