@@ -799,12 +799,11 @@ func (nw *network) doTransfers() int {
 	for _, ch := range active {
 		cs := &chans[ch]
 		base := ch * v
-		eject := cs.kind == ejectChan
 		if own := cs.ownMask; own&(own-1) == 0 {
 			vc := int32(bits.TrailingZeros64(own))
 			vs := &vcx[base+vc+1]
 			ready := readyBit(vs, vcx, cs.room)
-			moves[nm] = transfer{gvc: base + vc, up: vs.prev + 1, eject: eject}
+			moves[nm] = transfer{gvc: base + vc, up: vs.prev + 1, eject: cs.kind == ejectChan}
 			nm += int(ready)
 			vc++
 			vc &= (vc - v) >> 31 // V wraps to 0
@@ -818,7 +817,7 @@ func (nw *network) doTransfers() int {
 			if readyBit(vs, vcx, cs.room) == 0 {
 				continue
 			}
-			moves[nm] = transfer{gvc: base + vc, up: vs.prev + 1, eject: eject}
+			moves[nm] = transfer{gvc: base + vc, up: vs.prev + 1, eject: cs.kind == ejectChan}
 			nm++
 			if vc++; vc == v {
 				vc = 0
@@ -875,11 +874,13 @@ func b2i(b bool) int16 {
 // otherwise: sent < length, its upstream buffer (vcx[prev+1], the
 // source sentinel for an injection VC) holds a flit, and buf < room.
 // Each test is the sign bit of a difference, so the three combine
-// with one AND and no branch.
+// with one AND and no branch. The counters are never negative, so
+// reading them zero-extended gives the same values and lets the
+// compiler fold each load into an indexed move.
 func readyBit(vs *vcState, vcx []vcState, room int16) uint32 {
-	toSend := int32(vs.sent) - int32(vs.length)
-	upHolds := -int32(vcx[vs.prev+1].buf)
-	hasRoom := int32(vs.buf) - int32(room)
+	toSend := int32(uint16(vs.sent)) - int32(uint16(vs.length))
+	upHolds := -int32(uint16(vcx[vs.prev+1].buf))
+	hasRoom := int32(uint16(vs.buf)) - int32(uint16(room))
 	return uint32(toSend&upHolds&hasRoom) >> 31
 }
 
