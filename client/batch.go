@@ -122,6 +122,8 @@ func itemStatus(class string) int {
 		return http.StatusUnprocessableEntity
 	case wire.ClassTimeout:
 		return http.StatusGatewayTimeout
+	case wire.ClassReadOnly:
+		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
 	}

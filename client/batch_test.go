@@ -61,6 +61,34 @@ func TestSubmitBatchMixedOutcomes(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchReadOnlyItemIsTemporary: an item the server refuses
+// read_only (its pool-level backstop, 503 on a standalone submit) is
+// retryable like the standalone refusal, with the server's hint.
+func TestSubmitBatchReadOnlyItemIsTemporary(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"items":[{"error":{"class":"read_only","message":"journal read-only","retry_after_ms":1000}}]}`)
+	}))
+	defer ts.Close()
+
+	c, _ := newRecordingClient(t, ts.URL, Config{})
+	out, err := c.SubmitBatch(context.Background(), []BatchItem{
+		{Kind: "predict", Config: PredictRequest{Topo: TopoSpec{Kind: "star", N: 3}, V: 4, MsgLen: 8, Rate: 0.001}},
+	})
+	if err != nil {
+		t.Fatalf("SubmitBatch: %v", err)
+	}
+	var apiErr *APIError
+	if !errors.As(out[0].Err, &apiErr) || !apiErr.Temporary() {
+		t.Fatalf("item err = %v, want temporary *APIError", out[0].Err)
+	}
+	if apiErr.Status != http.StatusServiceUnavailable || apiErr.Class != wire.ClassReadOnly {
+		t.Fatalf("item status %d class %q, want 503 %q", apiErr.Status, apiErr.Class, wire.ClassReadOnly)
+	}
+	if got := apiErr.RetryAfter(); got != time.Second {
+		t.Fatalf("item retry-after = %v, want 1s", got)
+	}
+}
+
 func TestSubmitBatchChunksPastServerLimit(t *testing.T) {
 	var calls atomic.Int64
 	var sizes []int

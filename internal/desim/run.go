@@ -837,8 +837,11 @@ func (nw *network) doTransfers() int {
 		if up.drained == up.length {
 			nw.freeVC(mv.up - 1)
 		}
-		vcx[0] = sourceVC
-		eject := b2i(mv.eject)
+		vcx[0] = sourceVC // an injection move drained it
+		var eject int16   // a flag move, not a branch
+		if mv.eject {
+			eject = 1
+		}
 		vs.buf += 1 - eject
 		if vs.sent == vs.length && eject != 0 {
 			nw.deliver(nw.owner[mv.gvc], mv.gvc)
@@ -859,15 +862,6 @@ func (nw *network) linkUpActive() []int32 {
 	}
 	nw.upActive = up
 	return up
-}
-
-// b2i is 1 for true and 0 for false; it compiles to a flag move, not
-// a branch.
-func b2i(b bool) int16 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // readyBit is 1 when VC vs can forward a flit this cycle and 0
