@@ -438,8 +438,8 @@ const (
 
 // transfer is one flit move decided at the start of a cycle.
 type transfer struct {
-	gvc, up int32
-	eject   bool
+	gvc   int32
+	eject bool
 }
 
 // pair is one free eligible (dimension, vc) candidate of a header

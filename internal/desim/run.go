@@ -803,7 +803,7 @@ func (nw *network) doTransfers() int {
 			vc := int32(bits.TrailingZeros64(own))
 			vs := &vcx[base+vc+1]
 			ready := readyBit(vs, vcx, cs.room)
-			moves[nm] = transfer{gvc: base + vc, up: vs.prev + 1, eject: cs.kind == ejectChan}
+			moves[nm] = transfer{gvc: base + vc, eject: cs.kind == ejectChan}
 			nm += int(ready)
 			vc++
 			vc &= (vc - v) >> 31 // V wraps to 0
@@ -817,7 +817,7 @@ func (nw *network) doTransfers() int {
 			if readyBit(vs, vcx, cs.room) == 0 {
 				continue
 			}
-			moves[nm] = transfer{gvc: base + vc, up: vs.prev + 1, eject: cs.kind == ejectChan}
+			moves[nm] = transfer{gvc: base + vc, eject: cs.kind == ejectChan}
 			nm++
 			if vc++; vc == v {
 				vc = 0
@@ -831,11 +831,12 @@ func (nw *network) doTransfers() int {
 	for _, mv := range moves {
 		vs := &vcx[mv.gvc+1]
 		vs.sent++
-		up := &vcx[mv.up]
+		p := vs.prev
+		up := &vcx[p+1]
 		up.buf--
 		up.drained++
 		if up.drained == up.length {
-			nw.freeVC(mv.up - 1)
+			nw.freeVC(p)
 		}
 		vcx[0] = sourceVC // an injection move drained it
 		var eject int16   // a flag move, not a branch

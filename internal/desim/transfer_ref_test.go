@@ -119,7 +119,7 @@ func diffTransfers(t *testing.T, cfg Config, cycles int64) *Result {
 		if errFast != nil {
 			return &fast.res // both rejected the same arrival
 		}
-		if nFast != nRef || !sameMoves(fast.moves, ref.moves) {
+		if nFast != nRef || !slices.Equal(fast.moves, ref.moves) {
 			t.Fatalf("cycle %d: moves %v, reference %v", c, fast.moves, ref.moves)
 		}
 		if fast.vcx[0] != sourceVC {
@@ -151,14 +151,6 @@ func diffTransfers(t *testing.T, cfg Config, cycles int64) *Result {
 		t.Fatal("results differ from the reference loop")
 	}
 	return &fast.res
-}
-
-// sameMoves compares the decided moves. The reference loop leaves
-// transfer.up unset: it reads the upstream from the VC when applying.
-func sameMoves(a, b []transfer) bool {
-	return slices.EqualFunc(a, b, func(x, y transfer) bool {
-		return x.gvc == y.gvc && x.eject == y.eject
-	})
 }
 
 func firstDiff[T comparable](a, b []T) int {
