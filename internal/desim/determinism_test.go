@@ -97,17 +97,16 @@ func TestDeterminismByteIdentical(t *testing.T) {
 					Seed:          12345,
 					WarmupCycles:  1000,
 					MeasureCycles: 5000,
-					TraceCap:      64,
 				}
-				run := func() ([]byte, *Result) {
-					res, err := Run(cfg)
+				run := func() ([]byte, *Result, []Event) {
+					res, rec, err := RunRecorded(cfg, 64)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return fingerprint(t, res), res
+					return fingerprint(t, res), res, rec.Events
 				}
-				fp1, res1 := run()
-				fp2, _ := run()
+				fp1, res1, ev1 := run()
+				fp2, _, _ := run()
 				if !bytes.Equal(fp1, fp2) {
 					t.Fatalf("two runs with identical Config diverged (fingerprints %d vs %d bytes differ)",
 						len(fp1), len(fp2))
@@ -117,13 +116,13 @@ func TestDeterminismByteIdentical(t *testing.T) {
 				}
 				// The traces must agree event-for-event, not just in
 				// aggregate.
-				_, res3 := run()
-				if len(res1.Trace) != len(res3.Trace) {
-					t.Fatalf("trace lengths differ: %d vs %d", len(res1.Trace), len(res3.Trace))
+				_, _, ev3 := run()
+				if len(ev1) != len(ev3) {
+					t.Fatalf("trace lengths differ: %d vs %d", len(ev1), len(ev3))
 				}
-				for i := range res1.Trace {
-					if res1.Trace[i] != res3.Trace[i] {
-						t.Fatalf("trace event %d differs: %+v vs %+v", i, res1.Trace[i], res3.Trace[i])
+				for i := range ev1 {
+					if ev1[i] != ev3[i] {
+						t.Fatalf("trace event %d differs: %+v vs %+v", i, ev1[i], ev3[i])
 					}
 				}
 				// A different seed must move the statistics — otherwise

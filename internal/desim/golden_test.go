@@ -29,8 +29,8 @@ type goldenCase struct {
 }
 
 // goldenCfg is the base S4-sized run the matrix varies: rate 0.02,
-// M=8, 1000 warm-up + 5000 measured cycles, the first 64 lifecycle
-// events traced.
+// M=8, 1000 warm-up + 5000 measured cycles; its hash covers the first
+// goldenTraceCap lifecycle events.
 func goldenCfg(top topology.Topology, kind routing.Kind, v int) desim.Config {
 	return desim.Config{
 		Top:           top,
@@ -40,9 +40,11 @@ func goldenCfg(top topology.Topology, kind routing.Kind, v int) desim.Config {
 		Seed:          12345,
 		WarmupCycles:  1000,
 		MeasureCycles: 5000,
-		TraceCap:      64,
 	}
 }
+
+// goldenTraceCap is how many lifecycle events each golden hash covers.
+const goldenTraceCap = 64
 
 func goldenCases(t *testing.T) []goldenCase {
 	s4 := stargraph.MustNew(4)
@@ -98,17 +100,17 @@ func goldenCases(t *testing.T) []goldenCase {
 			c.LenDist = traffic.BimodalLen{Short: 8, Long: 20000, PLong: 0.002}
 		}), "d81649cc762eb903073bad00d855e699f13f96b667e0419eda0db344e45cb2e3"},
 		// the /v1/simulate job the jobs-async end-to-end workload submits
-		{"S4/jobs-async", with(jobsAsyncConfig(401), func(c *desim.Config) { c.TraceCap = 64 }), "4cbd19b8612c1e8b84b4ec7f49ca499495971758af988ddd646d8dbd1e1aee21"},
+		{"S4/jobs-async", jobsAsyncConfig(401), "4cbd19b8612c1e8b84b4ec7f49ca499495971758af988ddd646d8dbd1e1aee21"},
 	}
 }
 
-// goldenHash hashes a run's fingerprint, its traced events and its
-// stall trace.
-func goldenHash(t *testing.T, res *desim.Result) string {
+// goldenHash hashes a run's fingerprint, its recorded lifecycle events
+// and its stall trace.
+func goldenHash(t *testing.T, res *desim.Result, events []desim.Event) string {
 	t.Helper()
 	h := sha256.New()
 	h.Write(desim.Fingerprint(t, res))
-	for _, evs := range [][]desim.Event{res.Trace, res.StallTrace} {
+	for _, evs := range [][]desim.Event{events, res.StallTrace} {
 		for _, ev := range evs {
 			if err := binary.Write(h, binary.LittleEndian, ev); err != nil {
 				t.Fatal(err)
@@ -122,30 +124,37 @@ func goldenHash(t *testing.T, res *desim.Result) string {
 // commits: TestDeterminismByteIdentical only compares two runs of one
 // build, so a change that alters every run the same way passes it.
 // Each case's hash covers every statistic of the Result and the first
-// 64 traced events, and must come out the same with the obs collector
-// attached. A performance change to the simulator must leave every
-// hash untouched.
+// 64 lifecycle events, and must come out the same with the obs
+// collector attached; the unobserved run must match its fingerprint. A
+// performance change to the simulator must leave every hash untouched.
 func TestSimGoldenFingerprints(t *testing.T) {
 	for _, tc := range goldenCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := desim.Run(tc.cfg)
+			res, rec, err := desim.RunRecorded(tc.cfg, goldenTraceCap)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Delivered == 0 {
 				t.Fatal("no deliveries: the hash covers empty statistics")
 			}
-			got := goldenHash(t, res)
+			got := goldenHash(t, res, rec.Events)
+			plain, err := desim.Run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(desim.Fingerprint(t, res), desim.Fingerprint(t, plain)) {
+				t.Fatal("attaching the event recorder changed the result")
+			}
 			observed := tc.cfg
 			observed.Observer = obs.New(obs.Options{})
-			resObs, err := desim.Run(observed)
+			resObs, recObs, err := desim.RunRecorded(observed, goldenTraceCap)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(desim.Fingerprint(t, res), desim.Fingerprint(t, resObs)) {
 				t.Fatal("attaching the observer changed the result")
 			}
-			if gotObs := goldenHash(t, resObs); gotObs != got {
+			if gotObs := goldenHash(t, resObs, recObs.Events); gotObs != got {
 				t.Fatalf("attaching the observer changed the hash: %s vs %s", gotObs, got)
 			}
 			if got != tc.want {

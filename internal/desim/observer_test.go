@@ -121,7 +121,7 @@ func TestObserverSeesFullLifecycle(t *testing.T) {
 
 // TestObserverDoesNotPerturb is the passivity gate behind the
 // Observer contract: attaching an observer must leave the Result —
-// fingerprint and full trace — byte-identical to an unobserved run,
+// fingerprint and recorded trace — byte-identical to an unobserved run,
 // across the same topology/routing matrix as the determinism test.
 func TestObserverDoesNotPerturb(t *testing.T) {
 	s4 := stargraph.MustNew(4)
@@ -150,26 +150,30 @@ func TestObserverDoesNotPerturb(t *testing.T) {
 					Seed:          12345,
 					WarmupCycles:  1000,
 					MeasureCycles: 5000,
-					TraceCap:      64,
 				}
-				plain, err := Run(cfg)
+				bare, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plain, plainRec, err := RunRecorded(cfg, 64)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cfg.Observer = &recordingObserver{t: t}
-				observed, err := Run(cfg)
+				observed, obsRec, err := RunRecorded(cfg, 64)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(fingerprint(t, plain), fingerprint(t, observed)) {
+				if !bytes.Equal(fingerprint(t, bare), fingerprint(t, plain)) ||
+					!bytes.Equal(fingerprint(t, plain), fingerprint(t, observed)) {
 					t.Fatal("attaching an observer changed the Result fingerprint")
 				}
-				if len(plain.Trace) != len(observed.Trace) {
-					t.Fatalf("trace lengths differ: %d without observer, %d with", len(plain.Trace), len(observed.Trace))
+				if len(plainRec.Events) != len(obsRec.Events) {
+					t.Fatalf("trace lengths differ: %d without observer, %d with", len(plainRec.Events), len(obsRec.Events))
 				}
-				for i := range plain.Trace {
-					if plain.Trace[i] != observed.Trace[i] {
-						t.Fatalf("trace event %d differs: %+v vs %+v", i, plain.Trace[i], observed.Trace[i])
+				for i := range plainRec.Events {
+					if plainRec.Events[i] != obsRec.Events[i] {
+						t.Fatalf("trace event %d differs: %+v vs %+v", i, plainRec.Events[i], obsRec.Events[i])
 					}
 				}
 			})

@@ -22,15 +22,15 @@ func TestTraceWormholeOrdering(t *testing.T) {
 		Seed:          6,
 		WarmupCycles:  0,
 		MeasureCycles: 4000,
-		TraceCap:      200000,
 	}
-	res, err := Run(cfg)
+	_, rec, err := RunRecorded(cfg, 200000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) == 0 || res.TraceDropped != 0 {
+	trace := rec.Events
+	if len(trace) == 0 || rec.Dropped != 0 {
 		t.Fatalf("trace empty or truncated (%d events, %d dropped)",
-			len(res.Trace), res.TraceDropped)
+			len(trace), rec.Dropped)
 	}
 	type life struct {
 		gen, inj, del    *Event
@@ -40,8 +40,8 @@ func TestTraceWormholeOrdering(t *testing.T) {
 		sawEjectionGrant bool
 	}
 	lives := map[uint64]*life{}
-	for i := range res.Trace {
-		e := res.Trace[i]
+	for i := range trace {
+		e := trace[i]
 		l := lives[e.Msg]
 		if l == nil {
 			l = &life{prevGrantCycle: -1}
@@ -49,10 +49,10 @@ func TestTraceWormholeOrdering(t *testing.T) {
 		}
 		switch e.Kind {
 		case EvGenerate:
-			l.gen = &res.Trace[i]
+			l.gen = &trace[i]
 			l.src = e.Node
 		case EvInject:
-			l.inj = &res.Trace[i]
+			l.inj = &trace[i]
 		case EvGrant:
 			l.grants = append(l.grants, e)
 			if e.Cycle < l.prevGrantCycle {
@@ -60,7 +60,7 @@ func TestTraceWormholeOrdering(t *testing.T) {
 			}
 			l.prevGrantCycle = e.Cycle
 		case EvDeliver:
-			l.del = &res.Trace[i]
+			l.del = &trace[i]
 			l.dst = e.Node
 		}
 	}

@@ -8,8 +8,8 @@ package jobs
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"starperf/internal/fsx"
 	"starperf/internal/journal"
@@ -89,11 +89,45 @@ func TestENOSPCRollsBackSingleAndBatch(t *testing.T) {
 	}
 }
 
+// holdFS holds the first segment Write after arm until release is
+// closed, signalling entered once it is held — a window in which a
+// test can run Shutdown against an append that is still in flight.
+type holdFS struct {
+	fsx.FS
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func newHoldFS(inner fsx.FS) *holdFS {
+	return &holdFS{FS: inner, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (h *holdFS) OpenAppend(name string) (fsx.File, error) {
+	f, err := h.FS.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return holdFile{File: f, h: h}, nil
+}
+
+type holdFile struct {
+	fsx.File
+	h *holdFS
+}
+
+func (f holdFile) Write(p []byte) (int, error) {
+	if f.h.armed.CompareAndSwap(true, false) {
+		close(f.h.entered)
+		<-f.h.release
+	}
+	return f.File.Write(p)
+}
+
 // TestENOSPCBeatsRacingShutdown: when a Shutdown races an accept
 // whose records hit ENOSPC, the submission answers ErrReadOnly —
 // alone or in a batch — and no failed record is written to the disk
-// that just refused the accepts. The journal's GroupWindow linger
-// holds the append open while Shutdown runs.
+// that just refused the accepts. holdFS keeps the accepted record's
+// write open until Shutdown has returned.
 func TestENOSPCBeatsRacingShutdown(t *testing.T) {
 	fn := func(ctx context.Context) (any, error) { return nil, nil }
 	submits := map[string]func(p *Pool) error{
@@ -108,23 +142,21 @@ func TestENOSPCBeatsRacingShutdown(t *testing.T) {
 	}
 	for _, name := range []string{"single", "batch"} {
 		fa := fsx.NewFaulty(fsx.OS{}, fsx.FaultPlan{Seed: 1})
-		j, _, err := journal.Open(journal.Options{Dir: t.TempDir(), FS: fa, GroupWindow: 200 * time.Millisecond})
+		hold := newHoldFS(fa)
+		j, _, err := journal.Open(journal.Options{Dir: t.TempDir(), FS: hold})
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := NewPool(PoolConfig{Workers: 1, Journal: j})
 		fa.SetFull(true)
+		hold.armed.Store(true)
 		done := make(chan error, 1)
 		go func() { done <- submits[name](p) }()
-		for tries := 0; p.Stats().Submitted == 0; tries++ {
-			if tries > 2000 {
-				t.Fatalf("%s: submission never reserved its slot", name)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		<-hold.entered
 		if err := p.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		close(hold.release)
 		if err := <-done; !errors.Is(err, ErrReadOnly) {
 			t.Fatalf("%s: %v, want ErrReadOnly", name, err)
 		}
