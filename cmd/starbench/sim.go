@@ -49,12 +49,11 @@ func jobsAsyncConfig() desim.Config {
 // simBenches runs each configuration once, to count the cycles a run
 // simulates, and returns the timed loops.
 func simBenches() ([]bench, error) {
-	counters, full, traced := benchConfig(), benchConfig(), benchConfig()
+	counters, full := benchConfig(), benchConfig()
 	counters.Observer = obs.New(obs.Options{TraceCap: -1})
 	full.Observer = obs.New(obs.Options{})
-	traced.TraceCap = 64
 	return evaluated([]named[desim.Config]{
-		{"off", benchConfig()}, {"counters", counters}, {"full", full}, {"trace64", traced},
+		{"off", benchConfig()}, {"counters", counters}, {"full", full},
 		{"jobs_async", jobsAsyncConfig()},
 	}, desim.Run, func(name string, r *desim.Result) variant { return variant{Name: name, cycles: r.Cycles} })
 }

@@ -88,19 +88,6 @@ func BenchmarkSimObserver(b *testing.B) {
 	})
 }
 
-// BenchmarkSimTracer isolates the Result.Trace path (no observer):
-// TraceCap off vs the cap used by the determinism test.
-func BenchmarkSimTracer(b *testing.B) {
-	b.Run("off", func(b *testing.B) {
-		runBench(b, benchConfig())
-	})
-	b.Run("cap64", func(b *testing.B) {
-		cfg := benchConfig()
-		cfg.TraceCap = 64
-		runBench(b, cfg)
-	})
-}
-
 // BenchmarkSimJobsAsync is the compute behind one jobs-async job, so
 // the end-to-end workload's simulator share has its own ns/cycle and
 // allocs figure.

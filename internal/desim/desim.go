@@ -106,10 +106,6 @@ type Config struct {
 	// tests and debugging sessions.
 	Paranoid      bool
 	ParanoidEvery int64
-	// TraceCap, when positive, records up to that many Events in
-	// Result.Trace (generation, injection, per-hop VC grants,
-	// delivery) for debugging and for the wormhole-ordering tests.
-	TraceCap int
 	// Observer, when non-nil, receives lifecycle events, per-cycle
 	// ticks and a read-only state probe (see Observer). Observation is
 	// strictly passive: attaching one cannot change the Result. The
@@ -148,8 +144,6 @@ func (c *Config) Validate() error {
 		return cfgerr.Errorf("desim: negative DeadlockThreshold %d", c.DeadlockThreshold)
 	case c.MaxMsgAge < 0:
 		return cfgerr.Errorf("desim: negative MaxMsgAge %d", c.MaxMsgAge)
-	case c.TraceCap < 0:
-		return cfgerr.Errorf("desim: negative TraceCap %d", c.TraceCap)
 	}
 	return nil
 }
@@ -251,10 +245,6 @@ type Result struct {
 	// state was detected).
 	IntervalLatency []float64
 	SuggestedWarmup int64
-	// Trace holds the recorded events when Config.TraceCap > 0;
-	// TraceDropped counts events beyond the capacity.
-	Trace        []Event
-	TraceDropped uint64
 	// Deadlocked reports that the deadlock detector fired.
 	Deadlocked bool
 	// Drained reports that every measured message was delivered
@@ -268,7 +258,7 @@ type Result struct {
 	// is the cycle the watchdog fired, and StallTrace reconstructs
 	// the oldest in-flight message's route (generation, injection and
 	// one grant event per still-held virtual channel) from the live
-	// channel chains, independent of Config.TraceCap.
+	// channel chains, whether or not an Observer is attached.
 	Aborted     bool
 	AbortReason string
 	StallCycle  int64
@@ -374,11 +364,9 @@ type network struct {
 
 	freeList *message
 
-	// Observability: obs is Config.Observer (nil when detached) and
-	// wantEvents caches TraceCap>0 || obs!=nil so the hot paths pay a
-	// single boolean test — and build no Event — when both are off.
-	obs        Observer
-	wantEvents bool
+	// obs is Config.Observer, nil when detached: every event site
+	// tests it once and builds no Event on an unobserved run.
+	obs Observer
 
 	intervalSum   float64
 	intervalCount int64

@@ -2,11 +2,11 @@ package desim
 
 // The observability hook surface of the simulator. An Observer is an
 // opt-in, pull/push hybrid: the simulator pushes message-lifecycle
-// events (including the EvBlock episodes that Result.Trace omits) and
-// one EndCycle tick per simulated cycle, and hands the observer a
-// read-only Probe at BeginRun through which gauges — per-channel busy
-// VCs, injection-queue depths — can be sampled at whatever cadence the
-// observer chooses. internal/obs provides the standard implementation
+// events (EvBlock episodes included) and one EndCycle tick per
+// simulated cycle, and hands the observer a read-only Probe at
+// BeginRun through which gauges — per-channel busy VCs,
+// injection-queue depths — can be sampled at whatever cadence the
+// observer chooses. It is the simulator's one event sink. internal/obs provides the standard implementation
 // (fixed-interval time series, a bounded trace ring with JSONL export,
 // and per-hop blocking counters aligned with eqs. 6/13/15).
 //

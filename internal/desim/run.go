@@ -92,7 +92,6 @@ func newNetwork(cfg Config) (*network, error) {
 		eligBuf:      make([]int, 0, v),
 		pairBuf:      make([]pair, 0, deg*v),
 		obs:          cfg.Observer,
-		wantEvents:   cfg.TraceCap > 0 || cfg.Observer != nil,
 		measureStart: cfg.WarmupCycles,
 		measureEnd:   cfg.WarmupCycles + cfg.MeasureCycles,
 	}
@@ -388,8 +387,8 @@ func (nw *network) doArrivals() error {
 			m.measured = nw.cycle >= nw.measureStart && nw.cycle < nw.measureEnd
 			m.id = nw.res.Generated
 			nw.res.Generated++
-			if nw.wantEvents {
-				nw.traceEvent(Event{Cycle: nw.cycle, Kind: EvGenerate, Msg: m.id,
+			if nw.obs != nil {
+				nw.obs.HandleEvent(Event{Cycle: nw.cycle, Kind: EvGenerate, Msg: m.id,
 					Node: int32(node), VC: -1})
 			}
 			if m.measured {
@@ -465,8 +464,8 @@ func (nw *network) doInjection() int {
 		if m.measured {
 			nw.res.QueueTime.Add(float64(nw.cycle - m.genCycle))
 		}
-		if nw.wantEvents {
-			nw.traceEvent(Event{Cycle: nw.cycle, Kind: EvInject, Msg: m.id,
+		if nw.obs != nil {
+			nw.obs.HandleEvent(Event{Cycle: nw.cycle, Kind: EvInject, Msg: m.id,
 				Node: int32(node), VC: gvc})
 		}
 		m.waitStart = -1
@@ -541,8 +540,8 @@ func (nw *network) allocate(m *message) bool {
 			}
 			gvc := nw.grantVC(m, ch, vc)
 			m.routing = false
-			if nw.wantEvents {
-				nw.traceEvent(Event{Cycle: nw.cycle, Kind: EvGrant, Msg: m.id,
+			if nw.obs != nil {
+				nw.obs.HandleEvent(Event{Cycle: nw.cycle, Kind: EvGrant, Msg: m.id,
 					Node: int32(node), VC: gvc, Hop: int32(m.hops), Wait: int32(wait)})
 			}
 			return true
@@ -553,8 +552,8 @@ func (nw *network) allocate(m *message) bool {
 		// grant, never Result.HopWait.
 		if m.waitStart < 0 {
 			m.waitStart = nw.cycle
-			if nw.wantEvents {
-				nw.traceEvent(Event{Cycle: nw.cycle, Kind: EvBlock, Msg: m.id,
+			if nw.obs != nil {
+				nw.obs.HandleEvent(Event{Cycle: nw.cycle, Kind: EvBlock, Msg: m.id,
 					Node: int32(node), VC: -1, Hop: int32(m.hops),
 					Reason: routing.BlockEjectionBusy})
 			}
@@ -635,12 +634,12 @@ func (nw *network) allocate(m *message) bool {
 		// flap filter (or the misroute headroom rule) removed every
 		// candidate link — a fault denial, not the VC contention the
 		// model's P_block describes.
-		if nw.wantEvents && firstAttempt {
+		if nw.obs != nil && firstAttempt {
 			reason := routing.BlockVCsBusy
 			if len(dims) == 0 {
 				reason = routing.BlockLinkDown
 			}
-			nw.traceEvent(Event{Cycle: nw.cycle, Kind: EvBlock, Msg: m.id,
+			nw.obs.HandleEvent(Event{Cycle: nw.cycle, Kind: EvBlock, Msg: m.id,
 				Node: int32(node), VC: -1, Hop: int32(m.hops), Reason: reason})
 		}
 		return false
@@ -671,8 +670,8 @@ func (nw *network) allocate(m *message) bool {
 	}
 	gvc := nw.grantVC(m, ch, vc)
 	m.hops++
-	if nw.wantEvents {
-		nw.traceEvent(Event{Cycle: nw.cycle, Kind: EvGrant, Msg: m.id,
+	if nw.obs != nil {
+		nw.obs.HandleEvent(Event{Cycle: nw.cycle, Kind: EvGrant, Msg: m.id,
 			Node: int32(node), VC: gvc, Hop: hop, Wait: int32(wait), Misroute: misroute})
 	}
 	return true
@@ -908,8 +907,8 @@ const latencyInterval = 512
 
 func (nw *network) deliver(m *message, gvc int32) {
 	nw.freeVC(gvc)
-	if nw.wantEvents {
-		nw.traceEvent(Event{Cycle: nw.cycle, Kind: EvDeliver, Msg: m.id,
+	if nw.obs != nil {
+		nw.obs.HandleEvent(Event{Cycle: nw.cycle, Kind: EvDeliver, Msg: m.id,
 			Node: int32(m.dst), VC: -1, Hop: int32(m.hops)})
 	}
 	nw.intervalSum += float64(nw.cycle + 1 - m.genCycle)

@@ -14,9 +14,7 @@ type EventKind uint8
 // one virtual-channel grant per hop (network channels and the final
 // ejection channel), and delivery of the tail flit. EvBlock marks the
 // first failed allocation attempt of a hop (one event per blocking
-// episode, not per retried cycle); it is delivered to Config.Observer
-// only — Result.Trace keeps the four lifecycle kinds so existing
-// TraceCap consumers see an unchanged stream.
+// episode, not per retried cycle).
 const (
 	EvGenerate EventKind = iota
 	EvInject
@@ -75,23 +73,4 @@ func (e Event) String() string {
 		s += fmt.Sprintf(" hop=%d reason=%s", e.Hop, e.Reason)
 	}
 	return s
-}
-
-// traceEvent records ev up to Config.TraceCap (then drops, counting
-// the overflow) — enough to audit the full life of messages in a short
-// run without unbounded memory in long ones — and forwards every
-// event, blocks included, to the attached Observer. Callers guard
-// with nw.wantEvents so the fully disabled path costs one boolean
-// test and no Event construction.
-func (nw *network) traceEvent(ev Event) {
-	if nw.cfg.TraceCap > 0 && ev.Kind != EvBlock {
-		if len(nw.res.Trace) < nw.cfg.TraceCap {
-			nw.res.Trace = append(nw.res.Trace, ev)
-		} else {
-			nw.res.TraceDropped++
-		}
-	}
-	if nw.obs != nil {
-		nw.obs.HandleEvent(ev)
-	}
 }

@@ -106,28 +106,6 @@ func TestTraceWormholeOrdering(t *testing.T) {
 	}
 }
 
-func TestTraceCapacity(t *testing.T) {
-	g := stargraph.MustNew(4)
-	cfg := Config{
-		Top:           g,
-		Spec:          routing.MustNew(routing.EnhancedNbc, g, 5),
-		Rate:          0.02,
-		MsgLen:        8,
-		Seed:          6,
-		WarmupCycles:  0,
-		MeasureCycles: 4000,
-		TraceCap:      100,
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) != 100 || res.TraceDropped == 0 {
-		t.Fatalf("capacity not enforced: %d events, %d dropped",
-			len(res.Trace), res.TraceDropped)
-	}
-}
-
 func TestEventString(t *testing.T) {
 	e := Event{Cycle: 5, Kind: EvGrant, Msg: 3, Node: 2, VC: 7}
 	s := e.String()

@@ -60,7 +60,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative drain", func(c *Config) { c.DrainCycles = -1 }, "negative DrainCycles -1"},
 		{"negative deadlock threshold", func(c *Config) { c.DeadlockThreshold = -2 }, "negative DeadlockThreshold -2"},
 		{"negative max message age", func(c *Config) { c.MaxMsgAge = -3 }, "negative MaxMsgAge -3"},
-		{"negative trace cap", func(c *Config) { c.TraceCap = -4 }, "negative TraceCap -4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -62,9 +62,9 @@ func (nw *network) oldestInFlight() *message {
 }
 
 // stallTrace reconstructs the route of the oldest in-flight message
-// from the live virtual-channel chains — the same Event vocabulary as
-// Config.TraceCap tracing, but rebuilt after the fact so it is
-// available regardless of trace configuration: one EvGenerate, one
+// from the live virtual-channel chains — the same Event vocabulary the
+// Observer receives, but rebuilt after the fact so it is available
+// whether or not one is attached: one EvGenerate, one
 // EvInject, then an EvGrant per still-held channel in acquisition
 // order, each stamped with the cycle the grant happened.
 func (nw *network) stallTrace() []Event {

@@ -15,7 +15,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"time"
 
 	"starperf/internal/desim"
 	"starperf/internal/model"
@@ -40,14 +39,6 @@ type SimOptions struct {
 	BufCap int
 	// Workers bounds simulation parallelism (default NumCPU).
 	Workers int
-	// PointTimeout, when positive, is the wall-clock budget of one
-	// simulation. A run past the budget fails — Point.Failed in the
-	// latency sweeps, an error from the row-shaped experiments — and
-	// its goroutine is left to finish in the background (every run is
-	// cycle-bounded by the drain limit, so it terminates). The budget
-	// makes which runs fail timing-dependent, so leave it zero when
-	// byte-reproducible output matters.
-	PointTimeout time.Duration
 	// MaxMsgAge arms the simulator's over-age watchdog per run (see
 	// desim.Config.MaxMsgAge); aborted runs get one retry at an
 	// escalated drain window, then mark the point failed.
@@ -95,8 +86,8 @@ type Point struct {
 	SimSaturated bool
 	// Failed marks a point at least one of whose replications
 	// produced no usable result — a panic, a watchdog abort that
-	// survived the escalated-drain retry, or a wall-budget timeout —
-	// with Err carrying the first failure. Sim aggregates the
+	// survived the escalated-drain retry — with Err carrying the first
+	// failure. Sim aggregates the
 	// surviving replications (NaN when none survived); the panel
 	// renders the point as failed instead of the whole figure
 	// failing.
@@ -216,7 +207,7 @@ func simulate(cfgs []desim.Config, opts SimOptions) ([]*desim.Result, []error) {
 		sem <- struct{}{}
 		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
-			results[i], errs[i] = runPoint(cfgs[i], opts.PointTimeout)
+			results[i], errs[i] = runPoint(cfgs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -230,17 +221,16 @@ const drainEscalation = 4
 
 // runPoint executes one (point, seed) simulation with the harness's
 // resilience policy: panics become errors instead of killing the
-// sweep, a watchdog abort earns one retry at an escalated drain
-// window, and a positive wall budget bounds how long the caller
-// waits.
-func runPoint(cfg desim.Config, wall time.Duration) (*desim.Result, error) {
-	res, err := runRecovered(cfg, wall)
+// sweep, and a watchdog abort earns one retry at an escalated drain
+// window. Every run is bounded by its drain window.
+func runPoint(cfg desim.Config) (*desim.Result, error) {
+	res, err := runRecovered(cfg)
 	if err == nil && !res.Aborted {
 		return res, nil
 	}
 	retry := cfg
 	retry.DrainCycles = drainEscalation * cfg.DrainCycles
-	res2, err2 := runRecovered(retry, wall)
+	res2, err2 := runRecovered(retry)
 	switch {
 	case err2 == nil && !res2.Aborted:
 		return res2, nil
@@ -255,37 +245,14 @@ func runPoint(cfg desim.Config, wall time.Duration) (*desim.Result, error) {
 	}
 }
 
-// runRecovered is desim.Run with panics converted to errors and an
-// optional wall budget. On timeout the simulation goroutine is left
-// to run out its (bounded) drain window in the background and its
-// result is discarded.
-func runRecovered(cfg desim.Config, wall time.Duration) (*desim.Result, error) {
-	run := func() (res *desim.Result, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("experiments: simulation panicked: %v", r)
-			}
-		}()
-		return desim.Run(cfg)
-	}
-	if wall <= 0 {
-		return run()
-	}
-	type outcome struct {
-		res *desim.Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := run()
-		done <- outcome{res, err}
+// runRecovered is desim.Run with panics converted to errors.
+func runRecovered(cfg desim.Config) (res *desim.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("experiments: simulation panicked: %v", r)
+		}
 	}()
-	select {
-	case oc := <-done:
-		return oc.res, oc.err
-	case <-time.After(wall):
-		return nil, fmt.Errorf("experiments: simulation exceeded wall budget %v", wall)
-	}
+	return desim.Run(cfg)
 }
 
 // starModel is the base model configuration of S_n (paths and

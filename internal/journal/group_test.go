@@ -162,20 +162,6 @@ func TestGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestGroupWindowLingers: with an explicit window, a lone append still
-// commits (after the linger) — the knob trades latency, not
-// correctness.
-func TestGroupWindowLingers(t *testing.T) {
-	j, _ := mustOpen(t, Options{Dir: t.TempDir(), GroupWindow: time.Millisecond})
-	if err := j.Append(accepted(0)); err != nil {
-		t.Fatal(err)
-	}
-	if st := j.Stats(); st.Commits != 1 || st.Appends != 1 {
-		t.Fatalf("lingered append lost: %+v", st)
-	}
-	j.Close()
-}
-
 // TestGroupCommitTornBatchTail crashes the filesystem at every
 // mutating op while a committed batch A is followed by an in-flight
 // batch B. Whatever survives must satisfy: every record of A (whose

@@ -31,12 +31,10 @@
 // caller whose records that commit made durable. Records that arrive
 // while a commit's fsync is in flight simply form the next batch, so
 // the fsync itself is the batching window (the classic WAL group
-// commit); GroupWindow can add an explicit linger on top for bursty
-// loads that need larger batches at the price of single-append
-// latency. An append is only acknowledged after its commit's fsync
-// returns, so the durability contract is unchanged — a crash can tear
-// at most the unacknowledged tail of the in-flight batch, never a
-// committed record.
+// commit), and no commit lingers for more. An append is only
+// acknowledged after its commit's fsync returns, so the durability
+// contract is unchanged — a crash can tear at most the unacknowledged
+// tail of the in-flight batch, never a committed record.
 //
 // Durability is exactly as strong as the filesystem honours fsync —
 // the chaos suite drives the package over internal/fsx fault plans
@@ -119,12 +117,6 @@ type Options struct {
 	// into a single write + fsync (default 64). Concurrent appenders
 	// past the cap simply form the next batch.
 	GroupMaxRecords int
-	// GroupWindow, when positive, makes a commit leader linger that
-	// long before writing, so a bursty trickle accumulates into larger
-	// batches. The default 0 relies on natural batching alone — the
-	// in-flight fsync is the window — because a linger taxes every
-	// serial append with the full window's latency.
-	GroupWindow time.Duration
 	// Now is the clock behind the commit-latency histogram (default
 	// time.Now). It is a seam like jobs.PoolConfig.Now: the journal
 	// never branches on it, and tests inject a fake clock.
@@ -498,13 +490,6 @@ func (j *Journal) commitWait(w *waiter) error {
 			continue
 		}
 		j.committing = true
-		if j.opts.GroupWindow > 0 && !j.closed && j.queuedRecordsLocked() < j.opts.GroupMaxRecords {
-			// Opt-in linger: trade this batch's latency for size. New
-			// appends enqueue freely while we sleep; taken below.
-			j.mu.Unlock()
-			time.Sleep(j.opts.GroupWindow)
-			j.mu.Lock()
-		}
 		batch, buf, records := j.takeBatchLocked()
 		start := j.opts.Now()
 		j.mu.Unlock()
@@ -628,15 +613,6 @@ func (j *Journal) finishCommitLocked(batch []*waiter, records, bufLen, n int, er
 	}
 	j.committing = false
 	j.cond.Broadcast()
-}
-
-// queuedRecordsLocked counts the records currently awaiting commit.
-func (j *Journal) queuedRecordsLocked() int {
-	n := 0
-	for _, w := range j.queue {
-		n += w.count
-	}
-	return n
 }
 
 // rotateLocked closes the live segment, opens the next one and

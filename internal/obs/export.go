@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -29,20 +28,6 @@ func (m Metrics) WriteSeriesCSV(w io.Writer) error {
 	return nil
 }
 
-// WriteChannelCSV writes the per-physical-channel busy fraction as
-// CSV, one row per channel in index order.
-func (m Metrics) WriteChannelCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "channel,busy_fraction"); err != nil {
-		return err
-	}
-	for ch, f := range m.ChannelBusy {
-		if _, err := fmt.Fprintf(w, "%d,%g\n", ch, f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteHopCSV writes the per-hop blocking counters as CSV. The final
 // row, labelled "eject", covers the ejection channel.
 func (ct Counters) WriteHopCSV(w io.Writer) error {
@@ -60,18 +45,6 @@ func (ct Counters) WriteHopCSV(w io.Writer) error {
 		}
 	}
 	return row("eject", ct.Ejection)
-}
-
-// WriteJSON writes the summary as indented JSON (field order fixed by
-// the struct).
-func (s Summary) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
 }
 
 // WriteTraceJSONL writes the ring-buffered lifecycle trace as JSON

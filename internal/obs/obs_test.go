@@ -177,39 +177,31 @@ func TestTraceDisabled(t *testing.T) {
 // requires byte-identical exports — the artifact-level extension of
 // the simulator's determinism gate.
 func TestExportDeterministic(t *testing.T) {
-	render := func() (series, channels, hops, summary, trace []byte) {
+	render := func() (series, hops, trace []byte) {
 		c := New(Options{SampleEvery: 200, TraceCap: 256})
 		if _, err := desim.Run(testConfig(c)); err != nil {
 			t.Fatal(err)
 		}
-		var b1, b2, b3, b4, b5 bytes.Buffer
+		var b1, b2, b3 bytes.Buffer
 		if err := c.Metrics().WriteSeriesCSV(&b1); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Metrics().WriteChannelCSV(&b2); err != nil {
+		if err := c.Counters().WriteHopCSV(&b2); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Counters().WriteHopCSV(&b3); err != nil {
+		if err := c.WriteTraceJSONL(&b3); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Summary().WriteJSON(&b4); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.WriteTraceJSONL(&b5); err != nil {
-			t.Fatal(err)
-		}
-		return b1.Bytes(), b2.Bytes(), b3.Bytes(), b4.Bytes(), b5.Bytes()
+		return b1.Bytes(), b2.Bytes(), b3.Bytes()
 	}
-	s1, ch1, h1, j1, t1 := render()
-	s2, ch2, h2, j2, t2 := render()
+	s1, h1, t1 := render()
+	s2, h2, t2 := render()
 	for _, cmp := range []struct {
 		name string
 		a, b []byte
 	}{
 		{"series CSV", s1, s2},
-		{"channel CSV", ch1, ch2},
 		{"hop CSV", h1, h2},
-		{"summary JSON", j1, j2},
 		{"trace JSONL", t1, t2},
 	} {
 		if !bytes.Equal(cmp.a, cmp.b) {

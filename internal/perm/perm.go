@@ -160,16 +160,6 @@ func (p Permutation) SwapFirstInPlace(i int) {
 	p[0], p[i-1] = p[i-1], p[0]
 }
 
-// PositionOf returns the position (1-based) holding symbol s.
-func (p Permutation) PositionOf(s uint8) int {
-	for i, v := range p {
-		if v == s {
-			return i + 1
-		}
-	}
-	panic(fmt.Sprintf("perm: symbol %d not present in %v", s, p))
-}
-
 // Inverse returns q with q[p[i]-1] = i+1, i.e. the inverse mapping
 // from symbol to position.
 func (p Permutation) Inverse() Permutation {
@@ -192,14 +182,6 @@ func (p Permutation) Compose(q Permutation) Permutation {
 		r[i] = p[q[i]-1]
 	}
 	return r
-}
-
-// RelabelTo returns the permutation that maps src to dst in the star
-// graph's vertex-transitive sense: routing from src to dst is
-// isomorphic to routing from RelabelTo(src,dst) to the identity.
-// Concretely it returns dst⁻¹ ∘ src.
-func RelabelTo(src, dst Permutation) Permutation {
-	return dst.Inverse().Compose(src)
 }
 
 // Parity returns 0 for even permutations and 1 for odd ones.
@@ -390,15 +372,6 @@ func Unrank(n int, r uint64) (Permutation, error) {
 		}
 	}
 	return p, nil
-}
-
-// MustUnrank is Unrank but panics on error.
-func MustUnrank(n int, r uint64) Permutation {
-	p, err := Unrank(n, r)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // ForEach enumerates all n! permutations of n symbols in lexicographic

@@ -74,7 +74,6 @@ type Graph struct {
 	adj      []int32            // node*(n-1)+dim -> neighbour node
 	color    []uint8            // node -> parity
 	distID   []uint8            // node -> distance to identity
-	distDist []uint64           // distance histogram from a fixed node
 }
 
 // New constructs S_n. It precomputes adjacency, colours and distances
@@ -109,7 +108,6 @@ func New(n int) (*Graph, error) {
 			g.adj[node*(n-1)+dim] = int32(p.SwapFirst(dim + 2).Rank())
 		}
 	}
-	g.distDist = DistanceDistribution(n)
 	return g, nil
 }
 
@@ -134,9 +132,6 @@ func (g *Graph) Neighbor(node, dim int) int {
 // Perm returns the permutation labelling a node. The returned slice
 // is shared; callers must not modify it.
 func (g *Graph) Perm(node int) perm.Permutation { return g.perms[node] }
-
-// NodeOf returns the node index of a permutation.
-func (g *Graph) NodeOf(p perm.Permutation) int { return int(p.Rank()) }
 
 // Color returns the bipartition colour of a node: the parity of its
 // permutation (0 = even, 1 = odd). Every generator is a transposition,
@@ -172,10 +167,6 @@ func (g *Graph) relative(rel *[perm.MaxN]uint8, dst, cur int) perm.Permutation {
 // DistanceToID returns the precomputed distance from a node to the
 // identity node 0.
 func (g *Graph) DistanceToID(node int) int { return int(g.distID[node]) }
-
-// DistanceHistogram returns the number of nodes at each distance
-// 0..Diameter() from a fixed node. The returned slice is shared.
-func (g *Graph) DistanceHistogram() []uint64 { return g.distDist }
 
 // ProfitableDims appends the dimensions at cur that lie on a minimal
 // path to dst, and returns the extended slice.

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Stream is a single-pass mean/variance accumulator (Welford's
@@ -61,28 +60,6 @@ func (s *Stream) Min() float64 { return s.min }
 
 // Max returns the largest observation (0 when empty).
 func (s *Stream) Max() float64 { return s.max }
-
-// Merge folds another stream into s (parallel Welford combination).
-func (s *Stream) Merge(o *Stream) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	s.mean += delta * float64(o.n) / float64(n)
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = n
-}
 
 // Reset clears the stream.
 func (s *Stream) Reset() { *s = Stream{} }
@@ -179,110 +156,6 @@ func (h *Histogram) Max() int {
 		}
 	}
 	return 0
-}
-
-// BatchMeans estimates a confidence interval for a steady-state mean
-// from a stream of correlated observations by the method of batch
-// means: observations are grouped into fixed-size batches whose means
-// are treated as approximately independent.
-type BatchMeans struct {
-	batchSize uint64
-	cur       Stream
-	batches   Stream
-}
-
-// NewBatchMeans creates an estimator with the given batch size.
-func NewBatchMeans(batchSize uint64) *BatchMeans {
-	if batchSize == 0 {
-		panic("stats: batch size must be positive")
-	}
-	return &BatchMeans{batchSize: batchSize}
-}
-
-// Add folds one observation.
-func (b *BatchMeans) Add(x float64) {
-	b.cur.Add(x)
-	if b.cur.N() == b.batchSize {
-		b.batches.Add(b.cur.Mean())
-		b.cur.Reset()
-	}
-}
-
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() uint64 { return b.batches.N() }
-
-// Mean returns the grand mean over completed batches.
-func (b *BatchMeans) Mean() float64 { return b.batches.Mean() }
-
-// HalfWidth returns the half-width of the ~95% confidence interval of
-// the mean (normal approximation over batch means; returns +Inf with
-// fewer than 2 batches).
-func (b *BatchMeans) HalfWidth() float64 {
-	n := b.batches.N()
-	if n < 2 {
-		return math.Inf(1)
-	}
-	return 1.96 * b.batches.StdDev() / math.Sqrt(float64(n))
-}
-
-// RelHalfWidth returns HalfWidth()/|Mean()| (+Inf when the mean is 0
-// or fewer than 2 batches exist).
-func (b *BatchMeans) RelHalfWidth() float64 {
-	m := b.Mean()
-	if m == 0 {
-		return math.Inf(1)
-	}
-	return b.HalfWidth() / math.Abs(m)
-}
-
-// Series is a finished sample set with order statistics, used by the
-// experiment harness to summarise replications.
-type Series struct {
-	xs []float64
-}
-
-// NewSeries copies xs into a Series.
-func NewSeries(xs []float64) *Series {
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return &Series{xs: cp}
-}
-
-// N returns the sample count.
-func (s *Series) N() int { return len(s.xs) }
-
-// Mean returns the sample mean.
-func (s *Series) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Quantile returns the p-quantile by linear interpolation, p ∈ [0,1].
-func (s *Series) Quantile(p float64) float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	if n == 1 {
-		return s.xs[0]
-	}
-	pos := p * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo < 0 {
-		lo, hi = 0, 0
-	}
-	if hi >= n {
-		lo, hi = n-1, n-1
-	}
-	frac := pos - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
 }
 
 // MSER computes the MSER truncation point of a time series: the
