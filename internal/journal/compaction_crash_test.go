@@ -19,6 +19,7 @@ package journal
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"starperf/internal/fsx"
@@ -164,20 +165,26 @@ func TestCompactionCrashExplicit(t *testing.T) {
 }
 
 // TestCompactionCrashDuringRotation aims the crash at the compactions
-// that rotation itself triggers: the probe run finds the done-appends
-// that cross SegmentBytes and the op window from the first of them to
-// the end of the last, then each crash point in that window is
-// replayed. The second rotation compacts a segment that is itself the
-// first one's compaction output. A done-append acknowledged before the
+// that rotation itself triggers: the probe run finds the terminal
+// appends that rotate and the op window from the first of them to the
+// end of the last, then each crash point in that window is replayed.
+// The second rotation compacts a segment that is itself the first
+// one's compaction output. A terminal append acknowledged before the
 // crash is durable (its write and fsync precede the rotation, whose
 // failure Append swallows); the first unacknowledged one may land
 // either way; everything after it must replay incomplete.
 func TestCompactionCrashDuringRotation(t *testing.T) {
-	// Sized so the eight accepts fit in the first segment and the done
-	// phase crosses the threshold twice; the probe run below verifies
-	// both, so a drift in record size fails loudly rather than
-	// silently mistargeting the window.
+	// Sized so the eight accepts fit in the first segment and the
+	// terminal phase rotates twice. A rotation waits for SegmentBytes
+	// of new records on top of the compacted pending set, so the
+	// terminals are failed records whose message outweighs an accepted
+	// record. The probe run below verifies both, so a drift in record
+	// size fails loudly rather than silently mistargeting the window.
 	const segBytes = 1000
+	terminal := func(i int) Record {
+		return Record{Type: TypeFailed, ID: accepted(i).ID,
+			Err: "simulate: aborted by the watchdog: " + strings.Repeat("stalled hop; ", 32)}
+	}
 	open := func(dir string, fa *fsx.Faulty) *Journal {
 		t.Helper()
 		j, _, err := Open(Options{Dir: dir, FS: fa, SegmentBytes: segBytes})
@@ -201,7 +208,7 @@ func TestCompactionCrashDuringRotation(t *testing.T) {
 	first, last, before, after := -1, -1, 0, 0
 	for i := 0; i < compactDone; i++ {
 		pre, rotations := probe.Ops(), j.Stats().Rotations
-		if err := j.Append(Record{Type: TypeDone, ID: accepted(i).ID}); err != nil {
+		if err := j.Append(terminal(i)); err != nil {
 			t.Fatal(err)
 		}
 		if j.Stats().Rotations > rotations {
@@ -229,8 +236,8 @@ func TestCompactionCrashDuringRotation(t *testing.T) {
 				}
 			}
 			for i := 0; i < first; i++ {
-				if err := j.Append(Record{Type: TypeDone, ID: accepted(i).ID}); err != nil {
-					t.Fatalf("pre-window done %d failed: %v", i, err)
+				if err := j.Append(terminal(i)); err != nil {
+					t.Fatalf("pre-window terminal %d failed: %v", i, err)
 				}
 			}
 			// Inside the window: the crashed op is either an append's
@@ -239,7 +246,7 @@ func TestCompactionCrashDuringRotation(t *testing.T) {
 			// failure and returns nil); every later append fails.
 			done, uncertain := last+1, -1
 			for i := first; i <= last; i++ {
-				if err := j.Append(Record{Type: TypeDone, ID: accepted(i).ID}); err != nil && uncertain < 0 {
+				if err := j.Append(terminal(i)); err != nil && uncertain < 0 {
 					done, uncertain = i, i
 				}
 			}

@@ -172,6 +172,7 @@ type Journal struct {
 	file     fsx.File
 	fileName string
 	size     int64
+	base     int64    // live segment size once compaction rewrote the pending set
 	segments []string // on-disk segment paths, oldest first (includes current)
 	segIndex uint64   // index of the newest segment
 	seq      uint64
@@ -399,7 +400,7 @@ func (j *Journal) openSegment() error {
 	}
 	j.file = f
 	j.fileName = name
-	j.size = 0
+	j.size, j.base = 0, 0
 	j.torn = false
 	j.segments = append(j.segments, name)
 	if !j.opts.NoSync {
@@ -606,9 +607,12 @@ func (j *Journal) finishCommitLocked(batch []*waiter, records, bufLen, n int, er
 		w.done = true
 		w.err = err
 	}
-	if err == nil && bufLen > 0 && j.size >= j.opts.SegmentBytes {
-		// Rotation and compaction are best-effort: a failure leaves
-		// the current segment growing, not the journal broken.
+	if err == nil && bufLen > 0 && j.size >= j.base+j.opts.SegmentBytes {
+		// Rotate on SegmentBytes of new records, not on segment size:
+		// a pending set that alone fills a segment would otherwise be
+		// rewritten by every commit. Rotation and compaction are
+		// best-effort: a failure leaves the current segment growing,
+		// not the journal broken.
 		_ = j.rotateLocked()
 	}
 	j.committing = false
@@ -662,6 +666,7 @@ func (j *Journal) compactLocked() error {
 			return err
 		}
 		j.appends += uint64(len(pending))
+		j.base = j.size
 	}
 	// Remove old segments strictly oldest-first and STOP at the first
 	// failure, so the surviving set is always a suffix of the log. A

@@ -333,3 +333,48 @@ func newestSegment(t *testing.T, dir string) string {
 	}
 	return best
 }
+
+// TestRotationWaitsForNewBytes: once the pending set alone is larger
+// than a segment, a commit must not rotate — and rewrite that backlog
+// — until SegmentBytes of new records have landed on top of it.
+func TestRotationWaitsForNewBytes(t *testing.T) {
+	const seg, k = 4096, 3
+	j, _ := mustOpen(t, Options{Dir: t.TempDir(), SegmentBytes: seg, NoSync: true})
+	defer j.Close()
+	for i := 0; i < 200; i++ {
+		if err := j.Append(accepted(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	backlog := j.size
+	j.mu.Unlock()
+	if backlog <= seg {
+		t.Fatalf("compacted backlog is %d bytes, want more than one %d-byte segment", backlog, seg)
+	}
+	before := j.Stats().Rotations
+	var written int64
+	for i := 1000; written < k*seg; i++ {
+		recs := []Record{accepted(i), {Type: TypeDone, ID: accepted(i).ID}}
+		if err := j.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			line, err := encodeRecord(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			written += int64(len(line))
+		}
+	}
+	if got := j.Stats().Rotations - before; got > k+1 {
+		t.Fatalf("%d rotations for %d new bytes over %d-byte segments, want at most %d",
+			got, written, seg, k+1)
+	}
+	if j.Pending() != 200 {
+		t.Fatalf("pending %d, want the 200-record backlog", j.Pending())
+	}
+}
