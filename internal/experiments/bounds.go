@@ -101,13 +101,7 @@ func BoundsFigure(cfg BoundsFigureConfig) ([]BoundRow, error) {
 			mean = 0 // the figure's CSV reads 0, not NaN, past saturation
 		}
 		rows[i] = BoundRow{Rate: rate, Bound: bres.WorstCase, ModelMean: mean, ModelSaturated: sat}
-		cfgs[i] = desim.Config{
-			Top: top, Spec: spec, Policy: opts.Policy,
-			Rate: rate, MsgLen: cfg.MsgLen, BufCap: opts.BufCap,
-			Seed:         opts.Seeds[0],
-			WarmupCycles: opts.Warmup, MeasureCycles: opts.Measure,
-			DrainCycles: opts.Drain,
-		}
+		cfgs[i] = opts.config(top, spec, rate, cfg.MsgLen, opts.Seeds[0])
 	}
 	results, errs := simulate(cfgs, opts)
 	if err := errors.Join(errs...); err != nil {

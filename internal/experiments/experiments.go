@@ -70,6 +70,20 @@ func (o SimOptions) withDefaults() SimOptions {
 	return o
 }
 
+// config is the one place a simulation run's desim.Config is built:
+// every experiment point gets the options' cycle windows, selection
+// policy, buffer depth and watchdog. Callers set only what varies per
+// run — pattern, switching mode, observer. o must have its defaults
+// applied.
+func (o SimOptions) config(top topology.Topology, spec routing.Spec, rate float64, msgLen int, seed uint64) desim.Config {
+	return desim.Config{
+		Top: top, Spec: spec, Policy: o.Policy,
+		Rate: rate, MsgLen: msgLen, BufCap: o.BufCap, Seed: seed,
+		WarmupCycles: o.Warmup, MeasureCycles: o.Measure, DrainCycles: o.Drain,
+		MaxMsgAge: o.MaxMsgAge,
+	}
+}
+
 // Point is one operating point of a latency curve.
 type Point struct {
 	// Rate is λg in messages/node/cycle.
@@ -129,20 +143,8 @@ func runSweep(top topology.Topology, series []*Series, opts SimOptions, pattern 
 		}
 		for pi, p := range s.Points {
 			for ki, seed := range opts.Seeds {
-				cfg := desim.Config{
-					Top:           top,
-					Spec:          spec,
-					Policy:        opts.Policy,
-					Pattern:       pattern,
-					Rate:          p.Rate,
-					MsgLen:        s.MsgLen,
-					BufCap:        opts.BufCap,
-					Seed:          seed*1_000_003 + uint64(si*131+pi*17+1),
-					WarmupCycles:  opts.Warmup,
-					MeasureCycles: opts.Measure,
-					DrainCycles:   opts.Drain,
-					MaxMsgAge:     opts.MaxMsgAge,
-				}
+				cfg := opts.config(top, spec, p.Rate, s.MsgLen, seed*1_000_003+uint64(si*131+pi*17+1))
+				cfg.Pattern = pattern
 				var col *obs.Collector
 				if opts.Observe != nil && ki == 0 {
 					col = obs.New(*opts.Observe)

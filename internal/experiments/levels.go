@@ -43,12 +43,7 @@ func LevelUsage(v, msgLen int, rate float64, opts SimOptions) ([]LevelUsageRow, 
 		if err != nil {
 			return nil, err
 		}
-		cfgs[i] = desim.Config{
-			Top: g, Spec: spec, Rate: rate, MsgLen: msgLen,
-			Seed:         opts.Seeds[0],
-			WarmupCycles: opts.Warmup, MeasureCycles: opts.Measure,
-			DrainCycles: opts.Drain,
-		}
+		cfgs[i] = opts.config(g, spec, rate, msgLen, opts.Seeds[0])
 	}
 	results, errs := simulate(cfgs, opts)
 	if err := errors.Join(errs...); err != nil {

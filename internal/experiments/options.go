@@ -96,13 +96,7 @@ func ThroughputSweep(cfg ThroughputConfig) ([]ThroughputRow, error) {
 	rates := ratesUpTo(cfg.MaxRate, cfg.Points)
 	cfgs := make([]desim.Config, len(rates))
 	for i, rate := range rates {
-		cfgs[i] = desim.Config{
-			Top: cfg.Top, Spec: spec, Policy: opts.Policy,
-			Rate: rate, MsgLen: cfg.MsgLen, BufCap: opts.BufCap,
-			Seed:         opts.Seeds[0]*7919 + uint64(i),
-			WarmupCycles: opts.Warmup, MeasureCycles: opts.Measure,
-			DrainCycles: opts.Drain,
-		}
+		cfgs[i] = opts.config(cfg.Top, spec, rate, cfg.MsgLen, opts.Seeds[0]*7919+uint64(i))
 	}
 	results, errs := simulate(cfgs, opts)
 	if err := errors.Join(errs...); err != nil {

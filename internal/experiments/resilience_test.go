@@ -112,3 +112,42 @@ func TestRunPointRetriesEscalatedDrain(t *testing.T) {
 		t.Fatalf("escalated retry not reported: %v", err)
 	}
 }
+
+// TestRowExperimentsHonourMaxMsgAge: the row-shaped experiments build
+// their runs from SimOptions like the latency sweeps do, so an
+// impossible age limit reaches every run and surfaces as the
+// watchdog's retry error instead of being dropped.
+func TestRowExperimentsHonourMaxMsgAge(t *testing.T) {
+	opts := SimOptions{Warmup: 200, Measure: 1000, Drain: 2000, Seeds: []uint64{1}, Workers: 1, MaxMsgAge: 1}
+	s4 := stargraph.MustNew(4)
+	runs := map[string]func() error{
+		"TailLatency": func() error {
+			_, err := TailLatency(s4, routing.EnhancedNbc, 6, 8, 2, 0.01, opts)
+			return err
+		},
+		"LevelUsage": func() error {
+			_, err := LevelUsage(6, 8, 0.005, opts)
+			return err
+		},
+		"SwitchingComparison": func() error {
+			_, err := SwitchingComparison(6, 8, 1, opts)
+			return err
+		},
+		"BoundsFigure": func() error {
+			_, err := BoundsFigure(BoundsFigureConfig{MsgLen: 8, Points: 1, Sim: opts})
+			return err
+		},
+		"ThroughputSweep": func() error {
+			_, err := ThroughputSweep(ThroughputConfig{Top: s4, Kind: routing.EnhancedNbc, V: 6,
+				MsgLen: 8, Points: 1, MaxRate: 0.01, Sim: opts})
+			return err
+		},
+	}
+	for _, name := range []string{"TailLatency", "LevelUsage", "SwitchingComparison", "BoundsFigure", "ThroughputSweep"} {
+		t.Run(name, func(t *testing.T) {
+			if err := runs[name](); err == nil || !strings.Contains(err.Error(), "retry at 4× drain") {
+				t.Fatalf("MaxMsgAge 1 did not abort the runs: %v", err)
+			}
+		})
+	}
+}

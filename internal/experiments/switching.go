@@ -38,13 +38,9 @@ func SwitchingComparison(v, msgLen, points int, opts SimOptions) (*Panel, error)
 		s := Series{Name: mode.String(), V: v, MsgLen: msgLen, Kind: routing.EnhancedNbc}
 		for i, r := range ratesUpTo(maxRate, points) {
 			s.Points = append(s.Points, Point{Rate: r})
-			cfgs = append(cfgs, desim.Config{
-				Top: g, Spec: spec, Rate: r, MsgLen: msgLen,
-				CutThrough:   mode == model.CutThrough,
-				Seed:         opts.Seeds[0]*31 + uint64(i),
-				WarmupCycles: opts.Warmup, MeasureCycles: opts.Measure,
-				DrainCycles: opts.Drain,
-			})
+			cfg := opts.config(g, spec, r, msgLen, opts.Seeds[0]*31+uint64(i))
+			cfg.CutThrough = mode == model.CutThrough
+			cfgs = append(cfgs, cfg)
 		}
 		mbase := base
 		mbase.Switching = mode

@@ -34,13 +34,7 @@ func TailLatency(top topology.Topology, kind routing.Kind, v, msgLen, points int
 	rates := ratesUpTo(maxRate, points)
 	cfgs := make([]desim.Config, len(rates))
 	for i, rate := range rates {
-		cfgs[i] = desim.Config{
-			Top: top, Spec: spec, Policy: opts.Policy,
-			Rate: rate, MsgLen: msgLen, BufCap: opts.BufCap,
-			Seed:         opts.Seeds[0]*104729 + uint64(i),
-			WarmupCycles: opts.Warmup, MeasureCycles: opts.Measure,
-			DrainCycles: opts.Drain,
-		}
+		cfgs[i] = opts.config(top, spec, rate, msgLen, opts.Seeds[0]*104729+uint64(i))
 	}
 	results, errs := simulate(cfgs, opts)
 	if err := errors.Join(errs...); err != nil {
