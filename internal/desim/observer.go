@@ -6,9 +6,10 @@ package desim
 // simulated cycle, and hands the observer a read-only Probe at
 // BeginRun through which gauges — per-channel busy VCs,
 // injection-queue depths — can be sampled at whatever cadence the
-// observer chooses. It is the simulator's one event sink. internal/obs provides the standard implementation
-// (fixed-interval time series, a bounded trace ring with JSONL export,
-// and per-hop blocking counters aligned with eqs. 6/13/15).
+// observer chooses. It is the simulator's one event sink.
+// internal/obs provides the standard implementation (fixed-interval
+// time series, a bounded trace ring with JSONL export, and per-hop
+// blocking counters aligned with eqs. 6/13/15).
 //
 // Contract: observers are passive. The simulator never lets an
 // observer influence control flow, consume randomness or mutate state,

@@ -99,12 +99,11 @@ type Point struct {
 	SimHW        float64
 	SimSaturated bool
 	// Failed marks a point at least one of whose replications
-	// produced no usable result — a panic, a watchdog abort that
+	// produced no usable result — a panic, or a watchdog abort that
 	// survived the escalated-drain retry — with Err carrying the first
-	// failure. Sim aggregates the
-	// surviving replications (NaN when none survived); the panel
-	// renders the point as failed instead of the whole figure
-	// failing.
+	// failure. Sim aggregates the surviving replications (NaN when
+	// none survived); the panel renders the point as failed instead of
+	// the whole figure failing.
 	Failed bool
 	Err    string
 	// Obs is the observer summary of the point's first-seed

@@ -26,6 +26,13 @@ import (
 	"starperf/internal/fsx"
 )
 
+// chaosSegmentBytes is smaller than any one commit of the chaos
+// workloads, so every commit rotates: a segment rotates only once it
+// holds SegmentBytes beyond the pending set its compaction rewrote,
+// and the crash-at-every-op runs want rotation and compaction at
+// every point of the workload.
+const chaosSegmentBytes = 64
+
 // chaosWorkload drives one journal through two waves of a fixed
 // lifecycle mix — per wave six jobs, four done, one failed, one left
 // incomplete — with small segments so rotation and compaction fall
@@ -103,7 +110,7 @@ func checkRecovery(t *testing.T, label string, w *chaosWorkload, rec *Recovery) 
 func TestChaosJournalCrashAtEveryOp(t *testing.T) {
 	// A fault-free instrumented run fixes the op-count domain.
 	probe := fsx.NewFaulty(fsx.OS{}, fsx.FaultPlan{Seed: 1})
-	j, _, err := Open(Options{Dir: t.TempDir(), FS: probe, SegmentBytes: 300})
+	j, _, err := Open(Options{Dir: t.TempDir(), FS: probe, SegmentBytes: chaosSegmentBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +127,7 @@ func TestChaosJournalCrashAtEveryOp(t *testing.T) {
 		t.Run(fmt.Sprintf("crash@%d", crash), func(t *testing.T) {
 			dir := t.TempDir()
 			fa := fsx.NewFaulty(fsx.OS{}, fsx.FaultPlan{Seed: 1, CrashAt: crash})
-			j, _, err := Open(Options{Dir: dir, FS: fa, SegmentBytes: 300})
+			j, _, err := Open(Options{Dir: dir, FS: fa, SegmentBytes: chaosSegmentBytes})
 			if err != nil {
 				// Crashed before the journal existed: nothing was
 				// acknowledged, nothing to recover.
@@ -146,7 +153,7 @@ func TestChaosJournalFaultStorm(t *testing.T) {
 		fa := fsx.NewFaulty(fsx.OS{}, fsx.FaultPlan{
 			Seed: seed, PWrite: 0.15, PSync: 0.1, PRename: 0.2, ShortWrites: true,
 		})
-		j, _, err := Open(Options{Dir: dir, FS: fa, SegmentBytes: 300})
+		j, _, err := Open(Options{Dir: dir, FS: fa, SegmentBytes: chaosSegmentBytes})
 		if err != nil {
 			// The plan can kill journal creation itself; nothing to check.
 			return outcome{acks: -1}

@@ -298,7 +298,7 @@ func TestChaosBatchWorkloadCrashAtEveryOp(t *testing.T) {
 		return w
 	}
 	probe := fsx.NewFaulty(fsx.OS{}, fsx.FaultPlan{Seed: 3})
-	j, _, err := Open(Options{Dir: t.TempDir(), FS: probe, SegmentBytes: 300})
+	j, _, err := Open(Options{Dir: t.TempDir(), FS: probe, SegmentBytes: chaosSegmentBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestChaosBatchWorkloadCrashAtEveryOp(t *testing.T) {
 		t.Run(fmt.Sprintf("crash@%d", crash), func(t *testing.T) {
 			dir := t.TempDir()
 			fa := fsx.NewFaulty(fsx.OS{}, fsx.FaultPlan{Seed: 3, CrashAt: crash})
-			j, _, err := Open(Options{Dir: dir, FS: fa, SegmentBytes: 300})
+			j, _, err := Open(Options{Dir: dir, FS: fa, SegmentBytes: chaosSegmentBytes})
 			if err != nil {
 				return
 			}

@@ -107,7 +107,9 @@ type Options struct {
 	// FS is the filesystem seam (default fsx.OS{}; chaos tests inject
 	// fsx.Faulty).
 	FS fsx.FS
-	// SegmentBytes is the rotation threshold (default 1 MiB).
+	// SegmentBytes is the rotation threshold (default 1 MiB): a
+	// segment rotates once it holds that many bytes beyond the pending
+	// set its compaction rewrote.
 	SegmentBytes int64
 	// NoSync skips the per-append fsync. Only benchmarks and tests
 	// that measure the sync cost itself should set it: an unsynced
