@@ -36,32 +36,32 @@ func (r *EventRecorder) EndCycle(int64) {}
 // EndRun implements Observer.
 func (r *EventRecorder) EndRun(*Result) {}
 
-// Tee fans every callback out to each observer in order.
-type Tee []Observer
+// tee fans every callback out to each observer in order.
+type tee []Observer
 
 // BeginRun implements Observer.
-func (t Tee) BeginRun(info RunInfo) {
+func (t tee) BeginRun(info RunInfo) {
 	for _, o := range t {
 		o.BeginRun(info)
 	}
 }
 
 // HandleEvent implements Observer.
-func (t Tee) HandleEvent(ev Event) {
+func (t tee) HandleEvent(ev Event) {
 	for _, o := range t {
 		o.HandleEvent(ev)
 	}
 }
 
 // EndCycle implements Observer.
-func (t Tee) EndCycle(cycle int64) {
+func (t tee) EndCycle(cycle int64) {
 	for _, o := range t {
 		o.EndCycle(cycle)
 	}
 }
 
 // EndRun implements Observer.
-func (t Tee) EndRun(res *Result) {
+func (t tee) EndRun(res *Result) {
 	for _, o := range t {
 		o.EndRun(res)
 	}
@@ -73,7 +73,7 @@ func (t Tee) EndRun(res *Result) {
 func RunRecorded(cfg Config, traceCap int) (*Result, *EventRecorder, error) {
 	rec := &EventRecorder{Cap: traceCap}
 	if cfg.Observer != nil {
-		cfg.Observer = Tee{rec, cfg.Observer}
+		cfg.Observer = tee{rec, cfg.Observer}
 	} else {
 		cfg.Observer = rec
 	}
