@@ -89,9 +89,9 @@ func TestENOSPCRollsBackSingleAndBatch(t *testing.T) {
 	}
 }
 
-// holdFS holds the first segment Write after arm until release is
-// closed, signalling entered once it is held — a window in which a
-// test can run Shutdown against an append that is still in flight.
+// holdFS holds the first segment Write after armed is set until
+// release is closed, signalling entered once it is held — a window in
+// which a test can run Shutdown against an append still in flight.
 type holdFS struct {
 	fsx.FS
 	armed            atomic.Bool
