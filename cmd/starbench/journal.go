@@ -14,9 +14,15 @@ import (
 // The journal suite: microbenchmarks of the durability layer —
 // fsynced appends (the price every accepted job pays), appends with
 // fsync off (isolating the encoding + write cost), group-committed
-// appends (64 concurrent appenders sharing fsyncs, and the explicit
-// AppendBatch API — both reported per record so they read directly
-// against append_fsync), and cold-start replay of a populated log.
+// appends (64 concurrent appenders sharing fsyncs, alone and on top of
+// a backlog larger than a segment, and the explicit AppendBatch API —
+// all reported per record so they read directly against
+// append_fsync), and cold-start replay of a populated log.
+
+// backlogRecords is append_fsync_backlog's pending set: that many
+// accepted jobs that never complete, ~1.7 MB of records, more than
+// one default 1 MiB segment.
+const backlogRecords = 8192
 
 // lifecycleRecord is record i of the accept/done stream: even i
 // accepts job i/2 — a content hash id plus a small canonical request
@@ -35,6 +41,32 @@ func lifecycleRecord(i int) journal.Record {
 		Kind: "simulate",
 		Req:  []byte(fmt.Sprintf(`{"msg_len":8,"rate":0.002,"seed":%d,"topo":{"kind":"star","n":3},"v":4}`, i/2)),
 	}
+}
+
+// appendPairs is the 64-appender workload: 64 goroutines append the
+// first n lifecycle records against j, each taking whole
+// accept-then-done pairs from one shared pair counter. A job's done
+// is appended only after its accepted has committed, so the stream
+// leaves no job pending. Every Append waits for its group commit, so
+// concurrent appenders share write+fsync units.
+func appendPairs(tb testing.TB, j *journal.Journal, n int) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; 2*k < n; k = int(next.Add(1)) - 1 {
+				for i := 2 * k; i < min(2*k+2, n); i++ {
+					if err := j.Append(lifecycleRecord(i)); err != nil {
+						tb.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // withJournal runs body against a fresh journal in a temp dir, with
@@ -73,21 +105,27 @@ func journalBenches() ([]bench, error) {
 			// the batch. CI's bench-journal gate requires ≥5× the
 			// serial append_fsync figure.
 			withJournal(b, false, func(j *journal.Journal, _ string) {
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				for g := 0; g < 64; g++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := int(next.Add(1)) - 1; i < b.N; i = int(next.Add(1)) - 1 {
-							if err := j.Append(lifecycleRecord(i)); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}()
+				appendPairs(b, j, b.N)
+			})
+		}},
+		{variant{Name: "append_fsync_backlog"}, func(b *testing.B) {
+			// append_fsync_batch64 over a pending set larger than a
+			// segment, so every compaction rewrites ~1.7 MB. The
+			// journal rotates only after a segment of new records, so
+			// that rewrite is paid once per segment; a journal that
+			// rotated whenever the file reached a segment would pay it
+			// at every commit, and this row would show it.
+			withJournal(b, false, func(j *journal.Journal, _ string) {
+				backlog := make([]journal.Record, backlogRecords)
+				for k := range backlog {
+					// ids from 2^32 up stay clear of the workload's
+					backlog[k] = lifecycleRecord(2 * (1<<32 + k))
 				}
-				wg.Wait()
+				if err := j.AppendBatch(backlog); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				appendPairs(b, j, b.N)
 			})
 		}},
 		{variant{Name: "appendbatch_fsync_64"}, func(b *testing.B) {

@@ -34,7 +34,7 @@ type suite struct {
 var suites = []suite{
 	{"sim", "S4 EnhancedNbc V=4 rate=0.02 M=8 warmup=1000 measure=5000 seed=12345; jobs_async: the jobs-async simulate job, S4 EnhancedNbc V=6 rate=0.005 M=32 BufCap=2 warmup=1000 measure=4000 drain=20000 seed=401", simBenches},
 	{"serve", "serving-layer hot paths: canonical content hash, two-tier cache, 4-worker pool dispatch", serveBenches},
-	{"journal", "durable job journal: fsynced append, unsynced append, group-committed appends (64 concurrent appenders / 64-record AppendBatch, per record), cold replay of 1k records", journalBenches},
+	{"journal", "durable job journal: fsynced append, unsynced append, group-committed appends (64 concurrent appenders alone and over an 8192-job backlog / 64-record AppendBatch, per record), cold replay of 1k records", journalBenches},
 	{"bounds", "one worst-case delay-bound evaluation per topology (quadratic flow enumeration + fixed-point composition)", boundsBenches},
 	{"predict", "model miss: one model evaluation, S5 EnhancedNbc V=6 M=32 rate=0.01, S7 V=8 M=32 rate=0.002 and 16-ary 4-cube (evaluate_t16x4) V=20 M=16 rate=0.006; predict_miss_s5: one S5 V=6 M=32 /v1/predict through the server handler (1 worker), rate 0.004 + i·1e-9 so every request misses the cache", predictBenches},
 }

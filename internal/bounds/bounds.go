@@ -33,7 +33,7 @@
 //     bounded by (k−1) worst predecessor hop delays — flow paths are
 //     loop-free even when the channel graph is not, which is what
 //     keeps the recursion well-founded. A fixed point that fails to
-//     stabilise within MaxIter iterations means the burstiness
+//     stabilise within maxIter iterations means the burstiness
 //     amplification loop diverges at this load: the engine returns
 //     ErrUnboundable instead of a bogus number;
 //   - the end-to-end bound for an h-hop flow composes the per-hop
@@ -84,6 +84,13 @@ const MaxNodes = 1024
 // use, and iterating past it only overflows the floats.
 const maxHopDelay = 1e15
 
+// The cyclic burstiness fixed point's iteration cap and relative
+// convergence tolerance.
+const (
+	maxIter = 256
+	tol     = 1e-9
+)
+
 // Config parameterises one bounds evaluation.
 type Config struct {
 	// Top is the network topology (pristine or faulted).
@@ -104,11 +111,6 @@ type Config struct {
 	// LinkBW is the physical channel bandwidth in flits/cycle
 	// (default 1, the unit the whole repo works in).
 	LinkBW float64
-	// MaxIter caps the cyclic burstiness fixed point (default 256).
-	MaxIter int
-	// Tol is the fixed point's relative convergence tolerance
-	// (default 1e-9).
-	Tol float64
 }
 
 func (c Config) withDefaults() Config {
@@ -119,12 +121,6 @@ func (c Config) withDefaults() Config {
 	// value must survive into validate and be rejected there.
 	if floats.EqualWithin(c.LinkBW, 0, 0) {
 		c.LinkBW = 1
-	}
-	if c.MaxIter == 0 {
-		c.MaxIter = 256
-	}
-	if floats.EqualWithin(c.Tol, 0, 0) {
-		c.Tol = 1e-9
 	}
 	return c
 }
@@ -147,12 +143,6 @@ func (c Config) validate() error {
 	}
 	if c.LinkBW <= 0 {
 		return cfgerr.Errorf("bounds: link bandwidth %v, want > 0 flits/cycle", c.LinkBW)
-	}
-	if c.MaxIter < 1 {
-		return cfgerr.Errorf("bounds: iteration cap %d, want ≥ 1", c.MaxIter)
-	}
-	if c.Tol <= 0 {
-		return cfgerr.Errorf("bounds: tolerance %v, want > 0", c.Tol)
 	}
 	if _, err := routing.New(c.Kind, c.Top, c.V); err != nil {
 		return err
@@ -243,7 +233,7 @@ func Evaluate(cfg Config) (*Result, error) {
 		composeFeedforward(cfg.Top, cl, act, cv, hopT)
 	} else {
 		var err error
-		iters, err = composeCyclic(cfg.Top, cl, act, cv, cfg.MaxIter, cfg.Tol, hopT)
+		iters, err = composeCyclic(cfg.Top, cl, act, cv, hopT)
 		if err != nil {
 			return nil, err
 		}
@@ -371,7 +361,7 @@ func composeFeedforward(top topology.Topology, cl *chanLoad, act []int, cv curve
 // stabilises (the fixed point, a valid bound) or grows without limit
 // — burstiness amplification around the cycle outruns the residual
 // service, and the operating point is unboundable.
-func composeCyclic(top topology.Topology, cl *chanLoad, act []int, cv curveParams, maxIter int, tol float64, hopT []float64) (int, error) {
+func composeCyclic(top topology.Topology, cl *chanLoad, act []int, cv curveParams, hopT []float64) (int, error) {
 	deg := cl.deg
 	pred := make([]float64, len(cl.rate))
 	for _, ch := range act {

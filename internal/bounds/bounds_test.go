@@ -40,8 +40,6 @@ func TestEvaluateInvalidConfig(t *testing.T) {
 		{"zero rate", func(c *Config) { c.Rate = 0 }},
 		{"negative bufcap", func(c *Config) { c.BufCap = -1 }},
 		{"negative linkbw", func(c *Config) { c.LinkBW = -2 }},
-		{"negative tol", func(c *Config) { c.Tol = -1 }},
-		{"negative maxiter", func(c *Config) { c.MaxIter = -5 }},
 		{"vc budget below minimum", func(c *Config) { c.V = 1 }},
 	}
 	for _, tc := range cases {

@@ -191,6 +191,3 @@ func (r *Ring) Successors(key string) []string {
 	}
 	return out
 }
-
-// Owns reports whether this node owns key.
-func (r *Ring) Owns(key string) bool { return r.Owner(key) == r.self }

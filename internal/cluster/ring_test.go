@@ -118,7 +118,7 @@ func TestRingConsistency(t *testing.T) {
 func TestSingleNodeRing(t *testing.T) {
 	r := mustRing(t, Config{Self: "a:1"})
 	for _, key := range testKeys(16) {
-		if !r.Owns(key) {
+		if r.Owner(key) != r.Self() {
 			t.Fatalf("single-node ring does not own %s", key)
 		}
 		if succ := r.Successors(key); len(succ) != 1 || succ[0] != "a:1" {

@@ -39,6 +39,10 @@ import (
 // transfer loop keeps each channel's owned VCs in one 64-bit mask.
 const MaxVCs = 64
 
+// latencyHistBins is Result.LatencyHist's range: latencies of
+// latencyHistBins cycles or more land in its overflow bucket.
+const latencyHistBins = 1 << 14
+
 // Config fully describes one simulation run.
 type Config struct {
 	// Top is the network topology.
@@ -196,8 +200,8 @@ type Result struct {
 	// of the model's P_block·w̄ (eqs. 6 and 15).
 	HopWait stats.Stream
 	// LatencyHist is the integer histogram of measured message
-	// latencies (bins are cycles, clamped at 1<<14), from which tail
-	// percentiles can be read.
+	// latencies (bins are cycles, clamped at 1<<14), from
+	// which tail percentiles can be read.
 	LatencyHist *stats.Histogram
 	// Generated counts all messages created during the run;
 	// Delivered all deliveries; MeasuredDelivered the measured ones

@@ -41,7 +41,11 @@ func fingerprint(t *testing.T, r *Result) []byte {
 	stream(&r.HopCount)
 	stream(&r.VCHolding)
 	stream(&r.HopWait)
-	put(r.LatencyHist.Bins, r.LatencyHist.Clamped, r.LatencyHist.Total(),
+	// Bins grows lazily; padding it with zeros to the full histogram
+	// range keeps the encoding of the eager 16384-bin slice.
+	bins := make([]uint64, latencyHistBins)
+	copy(bins, r.LatencyHist.Bins)
+	put(bins, r.LatencyHist.Clamped, r.LatencyHist.Total(),
 		math.Float64bits(r.LatencyHist.Mean()))
 	put(r.Generated, r.Delivered, r.MeasuredDelivered, r.DeliveredInWindow, r.Cycles)
 	put(r.VCBusyHist, math.Float64bits(r.Multiplexing))

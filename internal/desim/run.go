@@ -117,7 +117,7 @@ func newNetwork(cfg Config) (*network, error) {
 	}
 	nw.res.VCBusyHist = make([]uint64, v+1)
 	nw.res.ClassBLevelUse = make([]uint64, cfg.Spec.V2)
-	nw.res.LatencyHist = stats.NewHistogram(1 << 14)
+	nw.res.LatencyHist = stats.NewHistogram(latencyHistBins)
 	nw.grantCount = make([]uint32, n*slots)
 	nw.grantCycle = make([]int64, numVC)
 	nw.activePos = make([]int32, n*slots)

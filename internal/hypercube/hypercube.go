@@ -46,9 +46,6 @@ func MustNew(m int) *Graph {
 // Name returns "Q<m>".
 func (g *Graph) Name() string { return fmt.Sprintf("Q%d", g.m) }
 
-// Dimensions returns m.
-func (g *Graph) Dimensions() int { return g.m }
-
 // N returns 2^m.
 func (g *Graph) N() int { return g.nodes }
 

@@ -45,6 +45,12 @@ func (e *QueueFullError) Error() string {
 // Is reports the ErrQueueFull identity for errors.Is.
 func (e *QueueFullError) Is(target error) bool { return target == ErrQueueFull }
 
+// retainDone bounds how many finished jobs stay pollable through Get
+// before the oldest are forgotten. Results meant to outlive the
+// registry belong in the content-addressed cache, which is keyed by
+// the same id.
+const retainDone = 1024
+
 // PoolConfig sizes a Pool. The zero value is usable: one worker, the
 // default queue depth, no per-job timeout.
 type PoolConfig struct {
@@ -64,11 +70,6 @@ type PoolConfig struct {
 	// ctx, so none outlives the resources it writes to. Zero means no
 	// timeout and no extra goroutine.
 	JobTimeout time.Duration
-	// RetainDone bounds how many finished jobs stay pollable through
-	// Get before the oldest are forgotten (default 1024). Results
-	// meant to outlive the registry belong in the content-addressed
-	// cache, which is keyed by the same id.
-	RetainDone int
 	// Journal, when set, makes the pool crash-safe: every lifecycle
 	// transition (accepted, started, done, failed) is appended to the
 	// durable WAL before or as it happens, and Recover re-enqueues
@@ -90,9 +91,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.RetainDone <= 0 {
-		c.RetainDone = 1024
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -518,7 +516,7 @@ func (p *Pool) finish(j *Job, result any, err error, took time.Duration) {
 	}
 	p.observeExecLocked(j.kind, took)
 	p.doneOrder = append(p.doneOrder, j)
-	for len(p.doneOrder) > p.cfg.RetainDone {
+	for len(p.doneOrder) > retainDone {
 		old := p.doneOrder[0]
 		p.doneOrder = p.doneOrder[1:]
 		if p.jobs[old.id] == old {

@@ -233,12 +233,12 @@ func TestPoolShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestPoolGetRetention: finished jobs stay pollable until RetainDone
+// TestPoolGetRetention: finished jobs stay pollable until retainDone
 // pushes them out, oldest first.
 func TestPoolGetRetention(t *testing.T) {
-	p := NewPool(PoolConfig{Workers: 1, RetainDone: 2, QueueDepth: 8})
+	p := NewPool(PoolConfig{Workers: 1, QueueDepth: 8})
 	defer p.Shutdown(context.Background())
-	for i := 0; i < 3; i++ {
+	for i := 0; i < retainDone+1; i++ {
 		id := fmt.Sprintf("keep/%d", i)
 		if _, err := p.Do(context.Background(), id, func(ctx context.Context) (any, error) {
 			return i, nil
@@ -247,9 +247,10 @@ func TestPoolGetRetention(t *testing.T) {
 		}
 	}
 	if _, ok := p.Get("keep/0"); ok {
-		t.Fatal("oldest finished job survived past RetainDone")
+		t.Fatal("oldest finished job survived past retainDone")
 	}
-	for _, id := range []string{"keep/1", "keep/2"} {
+	for i := 1; i <= retainDone; i++ {
+		id := fmt.Sprintf("keep/%d", i)
 		j, ok := p.Get(id)
 		if !ok || j.Status() != StatusDone {
 			t.Fatalf("job %s not retained", id)

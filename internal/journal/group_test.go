@@ -55,19 +55,19 @@ func TestAppendBatchSingleCommit(t *testing.T) {
 	}
 }
 
-// TestAppendBatchRespectsGroupMax: a batch larger than GroupMaxRecords
+// TestAppendBatchRespectsGroupMax: a batch larger than groupMaxRecords
 // still commits as one unit (a batch waiter is indivisible), while
 // separate appends split at the cap.
 func TestAppendBatchRespectsGroupMax(t *testing.T) {
-	j, _ := mustOpen(t, Options{Dir: t.TempDir(), GroupMaxRecords: 4})
-	recs := make([]Record, 10)
+	j, _ := mustOpen(t, Options{Dir: t.TempDir()})
+	recs := make([]Record, groupMaxRecords+10)
 	for i := range recs {
 		recs[i] = accepted(i)
 	}
 	if err := j.AppendBatch(recs); err != nil {
 		t.Fatal(err)
 	}
-	if st := j.Stats(); st.Commits != 1 || st.MaxBatch != 10 {
+	if st := j.Stats(); st.Commits != 1 || st.MaxBatch != len(recs) {
 		t.Fatalf("oversized batch split: %+v", st)
 	}
 	j.Close()

@@ -26,7 +26,7 @@
 // Group commit. Append is AppendBatch of one record, and concurrent
 // appends coalesce into one write and one fsync: a caller encodes its
 // records under the lock, enqueues them, and the first waiter in line
-// becomes the commit leader — it takes up to GroupMaxRecords queued
+// becomes the commit leader — it takes up to groupMaxRecords queued
 // records, writes them as one buffer, fsyncs once, and releases every
 // caller whose records that commit made durable. Records that arrive
 // while a commit's fsync is in flight simply form the next batch, so
@@ -97,6 +97,11 @@ type Record struct {
 	Err string `json:"err,omitempty"`
 }
 
+// groupMaxRecords caps how many records one group commit coalesces
+// into a single write + fsync. Concurrent appenders past the cap
+// simply form the next batch.
+const groupMaxRecords = 64
+
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("journal: closed")
 
@@ -115,10 +120,6 @@ type Options struct {
 	// that measure the sync cost itself should set it: an unsynced
 	// journal is a journal only until the power goes out.
 	NoSync bool
-	// GroupMaxRecords caps how many records one group commit coalesces
-	// into a single write + fsync (default 64). Concurrent appenders
-	// past the cap simply form the next batch.
-	GroupMaxRecords int
 	// Now is the clock behind the commit-latency histogram (default
 	// time.Now). It is a seam like jobs.PoolConfig.Now: the journal
 	// never branches on it, and tests inject a fake clock.
@@ -131,9 +132,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
-	}
-	if o.GroupMaxRecords <= 0 {
-		o.GroupMaxRecords = 64
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -508,19 +506,19 @@ func (j *Journal) commitWait(w *waiter) error {
 	}
 }
 
-// takeBatchLocked dequeues up to GroupMaxRecords records' worth of
+// takeBatchLocked dequeues up to groupMaxRecords records' worth of
 // waiters and frames their coalesced write buffer. Zero-record flush
 // barriers ride along for free. Callers hold j.mu.
 func (j *Journal) takeBatchLocked() (batch []*waiter, buf []byte, records int) {
 	for len(j.queue) > 0 {
 		next := j.queue[0]
-		if len(batch) > 0 && records+next.count > j.opts.GroupMaxRecords {
+		if len(batch) > 0 && records+next.count > groupMaxRecords {
 			break
 		}
 		batch = append(batch, next)
 		records += next.count
 		j.queue = j.queue[1:]
-		if records >= j.opts.GroupMaxRecords {
+		if records >= groupMaxRecords {
 			break
 		}
 	}

@@ -9,7 +9,7 @@
 // wait and V̄ the average virtual-channel multiplexing degree. The
 // network latency of a destination at distance h is
 //
-//	S_i = M + h + Σ_k P_block(i,k) · w̄             (eqs. 4–6)
+//	S_i = M + h + 1 + Σ_k P_block(i,k) · w̄         (eqs. 4–6)
 //
 // with blocking probabilities computed per hop over the adaptivity
 // structure of the minimal paths (eqs. 7–11, via PathStructure and
@@ -19,6 +19,11 @@
 // truncated birth–death chain (eq. 18) and V̄ from Dally's formula
 // (eq. 19). The interdependent quantities are solved by damped
 // fixed-point iteration, exactly as the paper prescribes.
+//
+// The +1 in S_i is the one-cycle injection-channel pipeline offset
+// that the simulator (and any real router) exhibits; the paper's
+// eq. 4 omits it. So the model's zero-load latency is M + d̄ + 1, not
+// the paper's M + d̄.
 package model
 
 import (
@@ -68,11 +73,6 @@ type Config struct {
 	// error to this approximation; the ablation A4 quantifies that
 	// claim.
 	Variance VarianceModel
-	// OmitInjectionCycle drops the one-cycle injection-channel
-	// pipeline offset that the simulator (and any real router)
-	// exhibits; the paper's eq. 4 omits it. The default (false)
-	// includes it, so zero-load latency is M + d̄ + 1.
-	OmitInjectionCycle bool
 	// SingleOutput models deterministic minimal routing (the
 	// routing.FirstProfitable baseline): the header has exactly one
 	// candidate channel per hop, so every hop's adaptivity degree is
@@ -84,14 +84,19 @@ type Config struct {
 	// mode isolates how much model error stems from the occupancy
 	// approximation versus the blocking analysis.
 	FixedOccupancy []float64
-	// Damping is the fixed-point damping factor in (0,1]; 0 selects
-	// the default 0.5.
-	Damping float64
-	// Tol is the relative convergence tolerance; 0 selects 1e-10.
-	Tol float64
-	// MaxIter bounds the iteration count; 0 selects 10000.
-	MaxIter int
 }
+
+// The fixed-point solve's settings: the damping factor, the relative
+// convergence tolerance on S̄ and the iteration cap.
+const (
+	damping = 0.5
+	tol     = 1e-10
+	maxIter = 10000
+)
+
+// injectionCycle is the one-cycle injection-channel offset every
+// message pays on top of its M + h flit times (see the package doc).
+const injectionCycle = 1.0
 
 // Result is one model evaluation.
 type Result struct {
@@ -231,21 +236,6 @@ func Evaluate(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	damping := cfg.Damping
-	if damping < 0 || damping > 1 {
-		return nil, cfgerr.Errorf("model: damping %v outside (0,1]", damping)
-	}
-	if damping <= 0 { // unset: negatives were rejected above
-		damping = 0.5
-	}
-	tol := cfg.Tol
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	maxIter := cfg.MaxIter
-	if maxIter == 0 {
-		maxIter = 10000
-	}
 	if cfg.FixedOccupancy != nil {
 		if len(cfg.FixedOccupancy) != cfg.V+1 {
 			return nil, cfgerr.Errorf("model: FixedOccupancy has %d entries, want V+1=%d",
@@ -269,14 +259,10 @@ func Evaluate(cfg Config) (*Result, error) {
 		totalDst += float64(c.Count)
 	}
 	m := float64(cfg.MsgLen)
-	inj := 1.0
-	if cfg.OmitInjectionCycle {
-		inj = 0
-	}
 	dbar := cfg.Top.AvgDistance()
 	lambdaC := cfg.Rate * dbar / float64(cfg.Top.Degree()) // eq. 3
 
-	s := m + dbar + inj // zero-load starting point
+	s := m + dbar + injectionCycle // zero-load starting point
 	res := &Result{ChannelRate: lambdaC}
 	bs := newBlockingState(spec, cfg.Blocking)
 	// per-class blocking sums from each source colour, refilled every
@@ -339,7 +325,7 @@ func Evaluate(cfg Config) (*Result, error) {
 				bsum += 0.5 * b[idx]
 			}
 			w8 := float64(c.Count) / totalDst
-			si := m + float64(c.H) + inj + bsum*w
+			si := m + float64(c.H) + injectionCycle + bsum*w
 			res.PerClass[idx] = ClassLatency{
 				Label: c.Label, H: c.H, Weight: w8,
 				NetLatency: si, Blocking: bsum * w,

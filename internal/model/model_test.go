@@ -30,22 +30,6 @@ func TestZeroLoadClosedForm(t *testing.T) {
 	}
 }
 
-func TestOmitInjectionCycle(t *testing.T) {
-	sp, _ := NewStarPaths(5)
-	g := stargraph.MustNew(5)
-	r, err := Evaluate(Config{
-		Paths: sp, Top: g, Kind: routing.EnhancedNbc, V: 6, MsgLen: 32,
-		Rate: 0, OmitInjectionCycle: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 32 + g.AvgDistance()
-	if math.Abs(r.Latency-want) > 1e-6 {
-		t.Fatalf("paper-form zero-load latency %v, want %v", r.Latency, want)
-	}
-}
-
 func TestLatencyMonotoneInRate(t *testing.T) {
 	prev := 0.0
 	for _, rate := range []float64{0.001, 0.004, 0.008, 0.012} {
@@ -128,7 +112,6 @@ func TestValidationErrors(t *testing.T) {
 		{Paths: sp, Top: g, V: 4, MsgLen: 0, Rate: 0.001},
 		{Paths: sp, Top: g, V: 4, MsgLen: 16, Rate: -0.001},
 		{Paths: sp, Top: g, V: 1, MsgLen: 16, Rate: 0.001}, // V below minimum
-		{Paths: sp, Top: g, V: 4, MsgLen: 16, Rate: 0.001, Damping: 2},
 	}
 	for i, cfg := range cases {
 		if _, err := Evaluate(cfg); err == nil {

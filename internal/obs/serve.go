@@ -60,15 +60,6 @@ type CacheStats struct {
 // Hits is the total over both tiers.
 func (s CacheStats) Hits() uint64 { return s.MemHits + s.DiskHits }
 
-// HitRate is Hits/(Hits+Misses), 0 when no lookups happened.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits() + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits()) / float64(total)
-}
-
 // JournalStats is a point-in-time snapshot of a journal.Journal, the
 // durable job WAL added in PR 5.
 type JournalStats struct {

@@ -170,20 +170,6 @@ func (p Permutation) Inverse() Permutation {
 	return q
 }
 
-// Compose returns the permutation r = p∘q defined by r[i] = p[q[i]-1]:
-// apply q first, then p, reading permutations as maps from positions
-// to symbols. Panics if lengths differ.
-func (p Permutation) Compose(q Permutation) Permutation {
-	if len(p) != len(q) {
-		panic("perm: Compose length mismatch")
-	}
-	r := make(Permutation, len(p))
-	for i := range r {
-		r[i] = p[q[i]-1]
-	}
-	return r
-}
-
 // Parity returns 0 for even permutations and 1 for odd ones.
 // Each star-graph generator is a transposition, so Parity is the
 // bipartition colour of the node.

@@ -28,10 +28,8 @@ const (
 )
 
 // BreakerConfig tunes the per-route circuit breaker. The zero value
-// gets usable defaults; Disabled turns the breaker off entirely.
+// gets usable defaults.
 type BreakerConfig struct {
-	// Disabled turns the breaker into a pass-through.
-	Disabled bool
 	// Window is the number of recent outcomes considered (default 20).
 	Window int
 	// MinSamples is the fewest outcomes in the window before the
@@ -105,9 +103,6 @@ func (b *breakerSet) route(name string) *routeBreaker {
 // allow decides whether a request on route may proceed. A rejection
 // carries the cooldown time remaining, for Retry-After.
 func (b *breakerSet) allow(name string) (ok bool, retryAfter time.Duration) {
-	if b.cfg.Disabled {
-		return true, 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	rb := b.route(name)
@@ -136,9 +131,6 @@ func (b *breakerSet) allow(name string) (ok bool, retryAfter time.Duration) {
 // observe records one finished request's outcome on route. failed
 // means a server-side failure (status ≥ 500).
 func (b *breakerSet) observe(name string, failed bool) {
-	if b.cfg.Disabled {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	rb := b.route(name)

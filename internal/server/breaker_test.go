@@ -92,17 +92,6 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	}
 }
 
-// TestBreakerDisabled: a disabled breaker is a pass-through.
-func TestBreakerDisabled(t *testing.T) {
-	b := newBreakerSet(BreakerConfig{Disabled: true, MinSamples: 1, FailureRatio: 0.1})
-	for i := 0; i < 50; i++ {
-		b.observe("/x", true)
-	}
-	if ok, _ := b.allow("/x"); !ok {
-		t.Fatal("disabled breaker rejected")
-	}
-}
-
 // TestBreakerOverHTTP drives the breaker through the real stack: a
 // 1ns job timeout turns every cold predict into a 504, the route
 // trips, and the next request is rejected locally with 503

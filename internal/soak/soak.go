@@ -48,11 +48,12 @@ type Config struct {
 	// (default 2s). The monotonicity invariant checks forwarded
 	// requests against it.
 	Deadline time.Duration
-	// DrainAttempts bounds the per-job post-heal polling (default
-	// 500 attempts at 10ms — the drain phase is what proves "no
-	// acknowledged job was lost", so it waits out queues).
-	DrainAttempts int
 }
+
+// drainAttempts bounds the per-job post-heal polling (500 attempts at
+// 10ms — the drain phase is what proves "no acknowledged job was
+// lost", so it waits out queues).
+const drainAttempts = 500
 
 func (c Config) withDefaults() Config {
 	if c.Ops <= 0 {
@@ -60,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 2 * time.Second
-	}
-	if c.DrainAttempts <= 0 {
-		c.DrainAttempts = 500
 	}
 	return c
 }
@@ -399,7 +397,7 @@ func (h *harness) drain() {
 // drainOne polls one (id, target) pair until a verified done result
 // arrives (checking byte-identity) or the attempt budget runs out.
 func (h *harness) drainOne(id, target string) bool {
-	for attempt := 0; attempt < h.cfg.DrainAttempts; attempt++ {
+	for attempt := 0; attempt < drainAttempts; attempt++ {
 		status, hdr, b, ok := h.exchange(http.MethodGet, "http://"+target+"/v1/jobs/"+id, "")
 		if ok && status == http.StatusOK {
 			var env wire.Job
@@ -446,7 +444,7 @@ func (h *harness) checkBreakers() {
 }
 
 func (h *harness) breakersRecover(target string) bool {
-	for attempt := 0; attempt < h.cfg.DrainAttempts; attempt++ {
+	for attempt := 0; attempt < drainAttempts; attempt++ {
 		status, _, b, ok := h.exchange(http.MethodGet, "http://"+target+"/metricsz", "")
 		if ok && status == http.StatusOK {
 			var m breakerMetrics

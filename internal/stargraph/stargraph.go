@@ -120,9 +120,6 @@ func MustNew(n int) *Graph {
 	return g
 }
 
-// Symbols returns n, the number of symbols (so nodes = n!).
-func (g *Graph) Symbols() int { return g.n }
-
 // Neighbor returns the node reached from node via dimension dim
 // (0-based; dimension dim corresponds to generator g_{dim+2}).
 func (g *Graph) Neighbor(node, dim int) int {
@@ -153,8 +150,10 @@ func (g *Graph) Distance(a, b int) int {
 }
 
 // relative returns the relative permutation dst⁻¹∘cur, composed into
-// the caller's array: the allocation-free form of
-// g.inverses[dst].Compose(g.perms[cur]) for the per-hop routing calls.
+// the caller's array without allocating, for the per-hop routing
+// calls: q[i] = inv[p[i]-1] with inv = g.inverses[dst] and
+// p = g.perms[cur]. FuzzDistance checks it against a test-local
+// allocating composition.
 func (g *Graph) relative(rel *[perm.MaxN]uint8, dst, cur int) perm.Permutation {
 	inv, p := g.inverses[dst], g.perms[cur]
 	q := perm.Permutation(rel[:g.n])
@@ -214,16 +213,6 @@ func profitableOf(q perm.Permutation, buf []int) []int {
 		}
 	}
 	return buf
-}
-
-// ProfitableOfRelative exposes profitableOf for callers that already
-// hold a relative permutation (the analytical model's path
-// enumerators). Dimensions are 0-based.
-func ProfitableOfRelative(q perm.Permutation, buf []int) []int {
-	if q.IsIdentity() {
-		return buf
-	}
-	return profitableOf(q, buf)
 }
 
 // DistanceToIdentity returns the star-graph distance from the node

@@ -287,11 +287,11 @@ func TestTopologyInterfaceCompliance(t *testing.T) {
 }
 
 func TestProfitableOfRelative(t *testing.T) {
-	if dims := ProfitableOfRelative(perm.Identity(5), nil); len(dims) != 0 {
+	if dims := profitableOf(perm.Identity(5), nil); len(dims) != 0 {
 		t.Fatalf("identity has %d profitable dims", len(dims))
 	}
 	q := perm.MustNew([]int{2, 1, 3, 4, 5})
-	dims := ProfitableOfRelative(q, nil)
+	dims := profitableOf(q, nil)
 	if len(dims) != 1 || dims[0] != 0 {
 		t.Fatalf("swap(1,2): dims %v, want [0]", dims)
 	}

@@ -23,8 +23,8 @@ type Latency struct {
 // Add folds one duration; negative durations count as zero.
 func (l *Latency) Add(d time.Duration) {
 	us := max(d.Microseconds(), 0)
-	if l.hist.Bins == nil {
-		l.hist.Bins = make([]uint64, latencyBins)
+	if l.hist.n == 0 {
+		l.hist.n = latencyBins
 	}
 	l.exact.Add(float64(us))
 	l.hist.Add(bits.Len64(uint64(us)))

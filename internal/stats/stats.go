@@ -61,32 +61,33 @@ func (s *Stream) Min() float64 { return s.min }
 // Max returns the largest observation (0 when empty).
 func (s *Stream) Max() float64 { return s.max }
 
-// Reset clears the stream.
-func (s *Stream) Reset() { *s = Stream{} }
-
 // String summarises the stream.
 func (s *Stream) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
 		s.n, s.Mean(), s.StdDev(), s.min, s.max)
 }
 
-// Histogram counts integer-valued observations in [0, len(bins)).
-// Negative values are clamped into bin 0; values at or above the bin
-// range land in an explicit overflow bucket (Overflow count plus the
-// largest value seen, OverflowMax) instead of silently inflating the
-// last bin, so a capped tail stays detectable. Clamped counts every
-// out-of-range observation in either direction.
+// Histogram counts integer-valued observations in [0, n), n fixed at
+// construction. Bins grows on demand to one past the largest in-range
+// value seen, so bins beyond it are implicitly zero and a run that
+// stays far below n never pays for n bins. Negative values are
+// clamped into bin 0; values at or above n land in an explicit
+// overflow bucket (Overflow count plus the largest value seen,
+// OverflowMax) instead of silently inflating the last bin, so a
+// capped tail stays detectable. Clamped counts every out-of-range
+// observation in either direction.
 type Histogram struct {
 	Bins        []uint64
 	Clamped     uint64
 	Overflow    uint64
 	OverflowMax int
+	n           int
 	total       uint64
 	sum         float64
 }
 
-// NewHistogram returns a histogram with n bins.
-func NewHistogram(n int) *Histogram { return &Histogram{Bins: make([]uint64, n)} }
+// NewHistogram returns an empty histogram over [0, n).
+func NewHistogram(n int) *Histogram { return &Histogram{n: n} }
 
 // Add counts one observation.
 func (h *Histogram) Add(v int) {
@@ -94,16 +95,17 @@ func (h *Histogram) Add(v int) {
 	h.sum += float64(v)
 	if v < 0 {
 		h.Clamped++
-		h.Bins[0]++
-		return
-	}
-	if v >= len(h.Bins) {
+		v = 0
+	} else if v >= h.n {
 		h.Clamped++
 		h.Overflow++
 		if v > h.OverflowMax {
 			h.OverflowMax = v
 		}
 		return
+	}
+	if v >= len(h.Bins) {
+		h.Bins = append(h.Bins, make([]uint64, v+1-len(h.Bins))...)
 	}
 	h.Bins[v]++
 }
@@ -124,7 +126,7 @@ func (h *Histogram) Mean() float64 {
 // When the target rank falls inside the overflow bucket (the
 // observation is off the right edge of the bin range), Quantile
 // returns OverflowMax — a conservative upper estimate rather than a
-// silently-capped len(Bins)-1.
+// silently-capped n-1.
 func (h *Histogram) Quantile(p float64) int {
 	if h.total == 0 {
 		return 0
@@ -140,7 +142,7 @@ func (h *Histogram) Quantile(p float64) int {
 	if h.Overflow > 0 {
 		return h.OverflowMax
 	}
-	return len(h.Bins) - 1
+	return h.n - 1
 }
 
 // Max returns the largest observed value: OverflowMax when any

@@ -32,15 +32,6 @@ func TestStreamBasics(t *testing.T) {
 	}
 }
 
-func TestStreamReset(t *testing.T) {
-	var s Stream
-	s.Add(1)
-	s.Reset()
-	if s.N() != 0 || s.Mean() != 0 {
-		t.Fatal("Reset did not clear")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(5)
 	for _, v := range []int{0, 1, 1, 2, 4, 7, -1} {
