@@ -118,7 +118,7 @@ func journalBenches() ([]bench, error) {
 			withJournal(b, false, func(j *journal.Journal, _ string) {
 				backlog := make([]journal.Record, backlogRecords)
 				for k := range backlog {
-					// ids from 2^32 up stay clear of the workload's
+					// ids from 2^32 up stay clear of the workload's ids
 					backlog[k] = lifecycleRecord(2 * (1<<32 + k))
 				}
 				if err := j.AppendBatch(backlog); err != nil {

@@ -200,8 +200,8 @@ type Result struct {
 	// of the model's P_block·w̄ (eqs. 6 and 15).
 	HopWait stats.Stream
 	// LatencyHist is the integer histogram of measured message
-	// latencies (bins are cycles, clamped at 1<<14), from
-	// which tail percentiles can be read.
+	// latencies (bins are cycles, clamped at 1<<14), from which tail
+	// percentiles can be read.
 	LatencyHist *stats.Histogram
 	// Generated counts all messages created during the run;
 	// Delivered all deliveries; MeasuredDelivered the measured ones
