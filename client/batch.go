@@ -166,7 +166,7 @@ func (c *Client) WaitBatch(ctx context.Context, ids []string) []JobResult {
 			}
 			var job wire.Job
 			if err := json.Unmarshal(raw, &job); err != nil {
-				out[i].Err = fmt.Errorf("client: job poll: %w", err)
+				out[i].Err = fmt.Errorf("%w: job poll: %v", ErrProtocol, err)
 				continue
 			}
 			switch {

@@ -488,77 +488,57 @@ func (c *Client) Health(ctx context.Context) error {
 
 // Predict evaluates the analytical model synchronously.
 func (c *Client) Predict(ctx context.Context, req PredictRequest) (*PredictResult, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	out, _, err := c.do(ctx, http.MethodPost, "/v1/predict", body)
-	if err != nil {
-		return nil, err
-	}
-	var res PredictResult
-	if err := json.Unmarshal(out, &res); err != nil {
-		return nil, fmt.Errorf("%w: predict response: %v", ErrProtocol, err)
-	}
-	return &res, nil
+	return decode[PredictResult](c.post(ctx, "/v1/predict", req))
 }
 
 // PredictBounds evaluates the worst-case delay-bound engine
 // synchronously. An unboundable operating point is reported in the
 // result (Unboundable true), not as an error.
 func (c *Client) PredictBounds(ctx context.Context, req BoundsRequest) (*BoundsResult, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	out, _, err := c.do(ctx, http.MethodPost, "/v1/bounds", body)
-	if err != nil {
-		return nil, err
-	}
-	var res BoundsResult
-	if err := json.Unmarshal(out, &res); err != nil {
-		return nil, fmt.Errorf("%w: bounds response: %v", ErrProtocol, err)
-	}
-	return &res, nil
+	return decode[BoundsResult](c.post(ctx, "/v1/bounds", req))
 }
 
 // Simulate submits a flit-level simulation and waits for its result,
 // polling the job endpoint until done or ctx expires.
 func (c *Client) Simulate(ctx context.Context, req SimulateRequest) (*SimulateResult, error) {
-	raw, err := c.runJob(ctx, "/v1/simulate", req)
-	if err != nil {
-		return nil, err
-	}
-	var res SimulateResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, fmt.Errorf("%w: simulate result: %v", ErrProtocol, err)
-	}
-	return &res, nil
+	return decode[SimulateResult](c.runJob(ctx, "/v1/simulate", req))
 }
 
 // Sweep submits a Figure 1 panel sweep and waits for its result.
 func (c *Client) Sweep(ctx context.Context, req SweepRequest) (*SweepResult, error) {
-	raw, err := c.runJob(ctx, "/v1/sweep", req)
+	return decode[SweepResult](c.runJob(ctx, "/v1/sweep", req))
+}
+
+// decode unmarshals a result body into a T. A body that does not
+// parse breaks the API contract and wraps ErrProtocol.
+func decode[T any](raw []byte, err error) (*T, error) {
 	if err != nil {
 		return nil, err
 	}
-	var res SweepResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, fmt.Errorf("%w: sweep result: %v", ErrProtocol, err)
+	res := new(T)
+	if err := json.Unmarshal(raw, res); err != nil {
+		return nil, fmt.Errorf("%w: %T body: %v", ErrProtocol, *res, err)
 	}
-	return &res, nil
+	return res, nil
 }
 
-// runJob drives one async endpoint end to end: submit (with retries),
-// then poll GET /v1/jobs/{id} until the job is terminal. Submissions
-// are safe to retry blind — the id is a content hash, so the server
-// coalesces duplicates instead of re-running them.
-func (c *Client) runJob(ctx context.Context, path string, req any) (json.RawMessage, error) {
+// post marshals req and POSTs it to path with the full retry
+// discipline, returning the response body.
+func (c *Client) post(ctx context.Context, path string, req any) ([]byte, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
 	out, _, err := c.do(ctx, http.MethodPost, path, body)
+	return out, err
+}
+
+// runJob drives one async endpoint end to end: submit (with retries),
+// then wait for the job through WaitBatch, the one poll loop.
+// Submissions are safe to retry blind — the id is a content hash, so
+// the server coalesces duplicates instead of re-running them.
+func (c *Client) runJob(ctx context.Context, path string, req any) ([]byte, error) {
+	out, err := c.post(ctx, path, req)
 	if err != nil {
 		return nil, err
 	}
@@ -569,26 +549,17 @@ func (c *Client) runJob(ctx context.Context, path string, req any) (json.RawMess
 	if job.ID == "" {
 		return nil, fmt.Errorf("%w: job submission returned no id", ErrProtocol)
 	}
-	for {
-		// Accepted-from-cache responses are done without the body; one
-		// poll fetches it.
-		if job.Finished() {
-			return job.Result, nil
-		}
-		if job.Status == "failed" {
-			return nil, fmt.Errorf("%w: job %s: %s", ErrJobFailed, job.ID, job.Error)
-		}
-		if err := c.sleep(ctx, c.cfg.PollInterval); err != nil {
-			return nil, err
-		}
-		// Poll the id's ring owner first (it holds the job), falling
-		// down the successor order when it is unreachable.
-		out, _, err := c.doTargets(ctx, http.MethodGet, c.targets(job.ID), "/v1/jobs/"+job.ID, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := json.Unmarshal(out, &job); err != nil {
-			return nil, fmt.Errorf("%w: job poll: %v", ErrProtocol, err)
-		}
+	// Accepted-from-cache responses are done without the body; the
+	// first poll fetches it.
+	if job.Finished() {
+		return job.Result, nil
 	}
+	if job.Status == "failed" {
+		return nil, fmt.Errorf("%w: job %s: %s", ErrJobFailed, job.ID, job.Error)
+	}
+	if err := c.sleep(ctx, c.cfg.PollInterval); err != nil {
+		return nil, err
+	}
+	r := c.WaitBatch(ctx, []string{job.ID})[0]
+	return r.Result, r.Err
 }

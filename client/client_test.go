@@ -219,7 +219,7 @@ func TestJobPolling(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	c, _ := newRecordingClient(t, ts.URL, Config{})
+	c, sleeps := newRecordingClient(t, ts.URL, Config{})
 	res, err := c.Simulate(context.Background(), SimulateRequest{})
 	if err != nil {
 		t.Fatal(err)
@@ -229,6 +229,34 @@ func TestJobPolling(t *testing.T) {
 	}
 	if polls.Load() != 3 {
 		t.Fatalf("polls = %d, want 3", polls.Load())
+	}
+	// One PollInterval before each poll, the first included.
+	if len(*sleeps) != 3 || (*sleeps)[0] != 50*time.Millisecond || (*sleeps)[2] != 50*time.Millisecond {
+		t.Fatalf("sleeps = %v, want three 50ms poll intervals", *sleeps)
+	}
+}
+
+// TestUndecodablePollIsProtocolError: a 200 poll whose body is not a
+// job envelope breaks the API contract, so both poll entry points
+// classify it as ErrProtocol.
+func TestUndecodablePollIsProtocolError(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprint(w, `{"id":"sha256:abc","status":"queued"}`)
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `<html>not a job</html>`)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	c, _ := newRecordingClient(t, ts.URL, Config{})
+	if err := c.WaitBatch(context.Background(), []string{"sha256:abc"})[0].Err; !errors.Is(err, ErrProtocol) {
+		t.Fatalf("WaitBatch err = %v, want ErrProtocol", err)
+	}
+	if _, err := c.Simulate(context.Background(), SimulateRequest{}); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("Simulate err = %v, want ErrProtocol", err)
 	}
 }
 

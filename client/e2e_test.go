@@ -125,7 +125,7 @@ func TestClientSimulateEndToEnd(t *testing.T) {
 func TestClientRetriesThroughOverload(t *testing.T) {
 	s, c := newStack(t, server.Config{Workers: 1, QueueDepth: 1})
 	gate := make(chan struct{})
-	if _, err := s.Pool().Submit("sha256:wedge1", func(ctx context.Context) (any, error) {
+	if _, err := s.Pool().SubmitMeta("sha256:wedge1", jobs.Meta{}, func(ctx context.Context) (any, error) {
 		select {
 		case <-gate:
 		case <-ctx.Done():
@@ -142,7 +142,7 @@ func TestClientRetriesThroughOverload(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.Pool().Submit("sha256:wedge2", func(ctx context.Context) (any, error) {
+	if _, err := s.Pool().SubmitMeta("sha256:wedge2", jobs.Meta{}, func(ctx context.Context) (any, error) {
 		return nil, nil
 	}); err != nil {
 		t.Fatal(err)

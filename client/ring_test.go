@@ -102,7 +102,7 @@ func idOwnedBy(t *testing.T, members []string, want string) string {
 	}
 	for i := 0; i < 100000; i++ {
 		id := fmt.Sprintf("sha256:%064x", i)
-		if ring.Owner(id) == want {
+		if ring.Successors(id)[0] == want {
 			return id
 		}
 	}

@@ -68,7 +68,7 @@ func serveBenches() ([]bench, error) {
 		{variant{Name: "pool_do_roundtrip"}, func(b *testing.B) {
 			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
-				if _, err := pool.Do(ctx, "bench", func(context.Context) (any, error) {
+				if _, err := pool.DoMeta(ctx, "bench", jobs.Meta{}, func(context.Context) (any, error) {
 					return i, nil
 				}); err != nil {
 					b.Fatal(err)

@@ -198,13 +198,6 @@ func main() {
 	}
 }
 
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // writeArtifact writes one observer export to path (no-op when the
 // flag was left empty).
 func writeArtifact(path string, write func(w io.Writer) error) {

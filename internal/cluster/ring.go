@@ -164,12 +164,6 @@ func (r *Ring) start(key string) int {
 	return i
 }
 
-// Owner returns the member that owns key: the node of the first
-// virtual node clockwise of the key's hash.
-func (r *Ring) Owner(key string) string {
-	return r.points[r.start(key)].node
-}
-
 // Successors returns every member in key's preference order: the
 // owner first, then each further member in the order their virtual
 // nodes appear clockwise. This is the failover order — when the owner

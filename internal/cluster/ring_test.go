@@ -42,12 +42,12 @@ func TestRingAgreesAcrossMembers(t *testing.T) {
 		}
 	}
 	for _, key := range testKeys(256) {
-		owner := rings[0].Owner(key)
+		owner := rings[0].Successors(key)[0]
 		order := fmt.Sprint(rings[0].Successors(key))
 		for _, r := range rings {
-			if r.Owner(key) != owner {
+			if got := r.Successors(key)[0]; got != owner {
 				t.Fatalf("ring of %s owns %s to %s, ring of %s to %s",
-					rings[0].Self(), key, owner, r.Self(), r.Owner(key))
+					rings[0].Self(), key, owner, r.Self(), got)
 			}
 			if fmt.Sprint(r.Successors(key)) != order {
 				t.Fatalf("successor order diverged for %s", key)
@@ -65,8 +65,10 @@ func TestSuccessorsCoverAllMembersOwnerFirst(t *testing.T) {
 		if len(succ) != r.Size() {
 			t.Fatalf("successors %v do not cover the %d members", succ, r.Size())
 		}
-		if succ[0] != r.Owner(key) {
-			t.Fatalf("successors %v do not start with owner %s", succ, r.Owner(key))
+		// The owner is the node of the first virtual node clockwise
+		// of the key's hash.
+		if owner := r.points[r.start(key)].node; succ[0] != owner {
+			t.Fatalf("successors %v do not start with owner %s", succ, owner)
 		}
 		seen := map[string]bool{}
 		for _, s := range succ {
@@ -85,7 +87,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	keys := testKeys(3000)
 	for _, key := range keys {
-		counts[r.Owner(key)]++
+		counts[r.Successors(key)[0]]++
 	}
 	fair := len(keys) / r.Size()
 	for _, m := range r.Members() {
@@ -102,8 +104,8 @@ func TestRingConsistency(t *testing.T) {
 	full := mustRing(t, Config{Self: "a:1", Peers: []string{"b:2", "c:3", "d:4"}})
 	without := mustRing(t, Config{Self: "a:1", Peers: []string{"b:2", "c:3"}})
 	for _, key := range testKeys(512) {
-		was := full.Owner(key)
-		now := without.Owner(key)
+		was := full.Successors(key)[0]
+		now := without.Successors(key)[0]
 		if was != "d:4" && now != was {
 			t.Fatalf("key %s moved %s → %s though its owner never left", key, was, now)
 		}
@@ -118,7 +120,7 @@ func TestRingConsistency(t *testing.T) {
 func TestSingleNodeRing(t *testing.T) {
 	r := mustRing(t, Config{Self: "a:1"})
 	for _, key := range testKeys(16) {
-		if r.Owner(key) != r.Self() {
+		if r.Successors(key)[0] != r.Self() {
 			t.Fatalf("single-node ring does not own %s", key)
 		}
 		if succ := r.Successors(key); len(succ) != 1 || succ[0] != "a:1" {

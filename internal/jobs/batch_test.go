@@ -27,8 +27,8 @@ func TestSubmitBatchOutcomes(t *testing.T) {
 	park := func(ctx context.Context) (any, error) { <-block; return nil, nil }
 	// Fill the workers so the queue bound is observable. Bounded poll
 	// (~2s) as in pool_test, not a wall-clock deadline.
-	p.Submit("park/0", park)
-	p.Submit("park/1", park)
+	p.SubmitMeta("park/0", Meta{}, park)
+	p.SubmitMeta("park/1", Meta{}, park)
 	for tries := 0; p.Stats().Running < 2; tries++ {
 		if tries > 2000 {
 			t.Fatal("workers never picked up parked jobs")

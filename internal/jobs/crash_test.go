@@ -218,12 +218,12 @@ func TestJournaledLifecycleRecords(t *testing.T) {
 	p := NewPool(PoolConfig{Workers: 1, Journal: j})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := p.Do(ctx, crashID(1), func(ctx context.Context) (any, error) {
+	if _, err := p.DoMeta(ctx, crashID(1), Meta{}, func(ctx context.Context) (any, error) {
 		return "ok", nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Do(ctx, crashID(2), func(ctx context.Context) (any, error) {
+	if _, err := p.DoMeta(ctx, crashID(2), Meta{}, func(ctx context.Context) (any, error) {
 		return nil, fmt.Errorf("boom")
 	}); err == nil {
 		t.Fatal("failing job succeeded")

@@ -78,7 +78,7 @@ func TestPoolExecAccounting(t *testing.T) {
 	if _, err := p.SubmitMeta("sha256:exec1", Meta{Kind: "sim"}, block); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Submit("sha256:exec2", block); err != nil {
+	if _, err := p.SubmitMeta("sha256:exec2", Meta{}, block); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.EstWaitMicros(); got != 4e6 {

@@ -19,7 +19,7 @@ import (
 // applying backpressure and the caller should shed or retry later.
 var ErrQueueFull = errors.New("jobs: queue full")
 
-// ErrPoolClosed is returned by Submit after Shutdown began.
+// ErrPoolClosed is returned by a submit after Shutdown began.
 var ErrPoolClosed = errors.New("jobs: pool closed")
 
 // ErrReadOnly is returned by SubmitMeta/SubmitBatch while the pool's
@@ -166,19 +166,15 @@ type Meta struct {
 	Req  []byte
 }
 
-// Submit enqueues fn under the given id and returns its Job. If a job
-// with the same id is already queued or running, that job is returned
-// instead of enqueuing a duplicate (singleflight); resubmitting a
-// finished id starts a fresh computation. A full queue returns
-// *QueueFullError; a shut-down pool returns ErrPoolClosed.
-func (p *Pool) Submit(id string, fn Func) (*Job, error) {
-	return p.SubmitMeta(id, Meta{}, fn)
-}
-
-// SubmitMeta is Submit carrying the journalable request identity.
-// When the pool has a journal, the accepted record — kind and request
-// body included — is fsynced before the job is enqueued, so a crash
-// at any later point can replay it. It is a batch of one: see submit.
+// SubmitMeta enqueues fn under the given id and returns its Job. If a
+// job with the same id is already queued or running, that job is
+// returned instead of enqueuing a duplicate (singleflight);
+// resubmitting a finished id starts a fresh computation. A full queue
+// returns *QueueFullError; a shut-down pool returns ErrPoolClosed.
+// When the pool has a journal, the accepted record — meta's kind and
+// request body included — is fsynced before the job is enqueued, so a
+// crash at any later point can replay it. It is a batch of one: see
+// submit.
 func (p *Pool) SubmitMeta(id string, meta Meta, fn Func) (*Job, error) {
 	r := p.submit([]BatchItem{{ID: id, Meta: meta, Fn: fn}}, true)[0]
 	return r.Job, r.Err
@@ -340,18 +336,14 @@ func (p *Pool) kind(name string) *kindAgg {
 	return agg
 }
 
-// Do submits fn under id and waits for the outcome — the synchronous
-// entry point. The ctx bounds only this caller's wait; the job itself
-// runs to completion (or its own timeout) regardless.
-func (p *Pool) Do(ctx context.Context, id string, fn Func) (any, error) {
-	return p.DoMeta(ctx, id, Meta{}, fn)
-}
-
-// DoMeta is Do carrying the journalable request identity, so even
-// synchronous work replays after a crash. It keeps serving while the
-// journal is read-only: the caller waits for the bytes, so nothing is
-// acknowledged that a crash could lose — a full disk costs sync work
-// its replay-ability, not its availability.
+// DoMeta submits fn under id and waits for the outcome — the
+// synchronous entry point. The ctx bounds only this caller's wait;
+// the job itself runs to completion (or its own timeout) regardless.
+// Like SubmitMeta it journals meta, so even synchronous work replays
+// after a crash. It keeps serving while the journal is read-only: the
+// caller waits for the bytes, so nothing is acknowledged that a crash
+// could lose — a full disk costs sync work its replay-ability, not
+// its availability.
 func (p *Pool) DoMeta(ctx context.Context, id string, meta Meta, fn Func) (any, error) {
 	r := p.submit([]BatchItem{{ID: id, Meta: meta, Fn: fn}}, false)[0]
 	if r.Err != nil {
@@ -398,8 +390,8 @@ func (p *Pool) Stats() obs.PoolStats {
 // then the workers exit, and so do runs abandoned by JobTimeout. If
 // ctx expires first, the per-job contexts are cancelled — jobs not
 // yet started fail fast with the context error, and Shutdown returns
-// without waiting for in-flight computations to notice. Submit fails
-// with ErrPoolClosed from the moment Shutdown is called.
+// without waiting for in-flight computations to notice. A submit
+// fails with ErrPoolClosed from the moment Shutdown is called.
 func (p *Pool) Shutdown(ctx context.Context) error {
 	p.mu.Lock()
 	if !p.closed {

@@ -18,7 +18,7 @@ func TestPoolRunsJobs(t *testing.T) {
 	var handles []*Job
 	for i := 0; i < 20; i++ {
 		i := i
-		j, err := p.Submit(fmt.Sprintf("job/%d", i), func(ctx context.Context) (any, error) {
+		j, err := p.SubmitMeta(fmt.Sprintf("job/%d", i), Meta{}, func(ctx context.Context) (any, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -52,7 +52,7 @@ func TestPoolBackpressure(t *testing.T) {
 	block := make(chan struct{})
 	park := func(ctx context.Context) (any, error) { <-block; return nil, nil }
 	// One job occupies the worker...
-	if _, err := p.Submit("park/0", park); err != nil {
+	if _, err := p.SubmitMeta("park/0", Meta{}, park); err != nil {
 		t.Fatal(err)
 	}
 	// Bounded poll (~2s) instead of a wall-clock deadline, keeping the
@@ -65,11 +65,11 @@ func TestPoolBackpressure(t *testing.T) {
 	}
 	// ...and two more fill the queue to its bound.
 	for i := 1; i < 3; i++ {
-		if _, err := p.Submit(fmt.Sprintf("park/%d", i), park); err != nil {
+		if _, err := p.SubmitMeta(fmt.Sprintf("park/%d", i), Meta{}, park); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := p.Submit("park/overflow", park)
+	_, err := p.SubmitMeta("park/overflow", Meta{}, park)
 	var qf *QueueFullError
 	if !errors.As(err, &qf) || !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit: got %v, want QueueFullError", err)
@@ -103,7 +103,7 @@ func TestPoolSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			j, err := p.Submit("shared", fn)
+			j, err := p.SubmitMeta("shared", Meta{}, fn)
 			if err != nil {
 				t.Error(err)
 				return
@@ -141,7 +141,7 @@ func TestPoolResubmitAfterDone(t *testing.T) {
 	var runs atomic.Int64
 	fn := func(ctx context.Context) (any, error) { return runs.Add(1), nil }
 	for want := int64(1); want <= 2; want++ {
-		j, err := p.Submit("again", fn)
+		j, err := p.SubmitMeta("again", Meta{}, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestPoolJobTimeout(t *testing.T) {
 	defer p.Shutdown(context.Background())
 	release := make(chan struct{})
 	defer close(release)
-	slow, err := p.Submit("slow", func(ctx context.Context) (any, error) {
+	slow, err := p.SubmitMeta("slow", Meta{}, func(ctx context.Context) (any, error) {
 		<-release
 		return nil, nil
 	})
@@ -172,7 +172,7 @@ func TestPoolJobTimeout(t *testing.T) {
 	if slow.Status() != StatusFailed {
 		t.Fatalf("slow job status %s, want failed", slow.Status())
 	}
-	fast, err := p.Do(context.Background(), "fast", func(ctx context.Context) (any, error) {
+	fast, err := p.DoMeta(context.Background(), "fast", Meta{}, func(ctx context.Context) (any, error) {
 		return 42, nil
 	})
 	if err != nil || fast.(int) != 42 {
@@ -185,13 +185,13 @@ func TestPoolJobTimeout(t *testing.T) {
 func TestPoolPanicBecomesError(t *testing.T) {
 	p := NewPool(PoolConfig{Workers: 1})
 	defer p.Shutdown(context.Background())
-	_, err := p.Do(context.Background(), "boom", func(ctx context.Context) (any, error) {
+	_, err := p.DoMeta(context.Background(), "boom", Meta{}, func(ctx context.Context) (any, error) {
 		panic("kaboom")
 	})
 	if err == nil || err.Error() != "jobs: job panicked: kaboom" {
 		t.Fatalf("panic job: got %v", err)
 	}
-	if v, err := p.Do(context.Background(), "ok", func(ctx context.Context) (any, error) {
+	if v, err := p.DoMeta(context.Background(), "ok", Meta{}, func(ctx context.Context) (any, error) {
 		return "alive", nil
 	}); err != nil || v != "alive" {
 		t.Fatalf("pool dead after panic: %v, %v", v, err)
@@ -208,7 +208,7 @@ func TestPoolShutdownDrains(t *testing.T) {
 	var done atomic.Int64
 	var handles []*Job
 	for i := 0; i < 10; i++ {
-		j, err := p.Submit(fmt.Sprintf("drain/%d", i), func(ctx context.Context) (any, error) {
+		j, err := p.SubmitMeta(fmt.Sprintf("drain/%d", i), Meta{}, func(ctx context.Context) (any, error) {
 			done.Add(1)
 			return nil, nil
 		})
@@ -228,7 +228,7 @@ func TestPoolShutdownDrains(t *testing.T) {
 			t.Fatalf("job %d not done after drain: %s", i, j.Status())
 		}
 	}
-	if _, err := p.Submit("late", func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrPoolClosed) {
+	if _, err := p.SubmitMeta("late", Meta{}, func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("post-shutdown submit: got %v, want ErrPoolClosed", err)
 	}
 }
@@ -240,7 +240,7 @@ func TestPoolGetRetention(t *testing.T) {
 	defer p.Shutdown(context.Background())
 	for i := 0; i < retainDone+1; i++ {
 		id := fmt.Sprintf("keep/%d", i)
-		if _, err := p.Do(context.Background(), id, func(ctx context.Context) (any, error) {
+		if _, err := p.DoMeta(context.Background(), id, Meta{}, func(ctx context.Context) (any, error) {
 			return i, nil
 		}); err != nil {
 			t.Fatal(err)
@@ -263,10 +263,10 @@ func TestPoolGetRetention(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	p := NewPool(PoolConfig{})
 	defer p.Shutdown(context.Background())
-	if _, err := p.Submit("", func(ctx context.Context) (any, error) { return nil, nil }); err == nil {
+	if _, err := p.SubmitMeta("", Meta{}, func(ctx context.Context) (any, error) { return nil, nil }); err == nil {
 		t.Fatal("empty id accepted")
 	}
-	if _, err := p.Submit("x", nil); err == nil {
+	if _, err := p.SubmitMeta("x", Meta{}, nil); err == nil {
 		t.Fatal("nil fn accepted")
 	}
 }
@@ -278,7 +278,7 @@ func TestShutdownWaitsForAbandonedRun(t *testing.T) {
 	p := NewPool(PoolConfig{Workers: 1, JobTimeout: 10 * time.Millisecond})
 	release := make(chan struct{})
 	var finished atomic.Bool
-	j, err := p.Submit("abandoned", func(ctx context.Context) (any, error) {
+	j, err := p.SubmitMeta("abandoned", Meta{}, func(ctx context.Context) (any, error) {
 		<-release
 		time.Sleep(20 * time.Millisecond)
 		finished.Store(true)

@@ -15,7 +15,7 @@ import (
 //
 // The scan is interprocedural: a call made under a lock is resolved
 // through the program call graph, so the I/O may be buried several
-// frames deep (Submit → journal.Append → file.Sync). Packages whose
+// frames deep (SubmitMeta → journal.Append → file.Sync). Packages whose
 // whole point is I/O under their own lock — the journal's WAL
 // serialises writers by design, and fsx.Faulty brackets injected
 // faults with a bookkeeping mutex — are excluded by scope, not by

@@ -92,16 +92,6 @@ func (p Permutation) Equal(q Permutation) bool {
 	return true
 }
 
-// IsIdentity reports whether p is the identity permutation.
-func (p Permutation) IsIdentity() bool {
-	for i, s := range p {
-		if int(s) != i+1 {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the permutation as its symbol sequence, e.g. "21345".
 // Symbols ≥ 10 are rendered space-separated to stay unambiguous.
 func (p Permutation) String() string {

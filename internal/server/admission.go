@@ -64,9 +64,13 @@ func micros(us float64) time.Duration {
 	return time.Duration(us * float64(time.Microsecond))
 }
 
+// defaultDeadline is the patience assumed for a request that carries
+// neither a context deadline nor an X-Starperf-Deadline header.
+const defaultDeadline = 30 * time.Second
+
 // requestDeadline resolves how long the caller is willing to wait:
 // the request context's deadline, else the X-Starperf-Deadline
-// header, else the configured default.
+// header, else defaultDeadline.
 func (s *Server) requestDeadline(r *http.Request) time.Duration {
 	if t, ok := r.Context().Deadline(); ok {
 		return time.Until(t)
@@ -76,7 +80,7 @@ func (s *Server) requestDeadline(r *http.Request) time.Duration {
 			return d
 		}
 	}
-	return s.cfg.DefaultDeadline
+	return defaultDeadline
 }
 
 // queueWait is the route-agnostic backlog estimate used where no

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"starperf/internal/jobs"
 	"starperf/internal/wire"
 )
 
@@ -24,7 +25,7 @@ func primeBacklog(t *testing.T, s *Server, kind string, mean time.Duration, njob
 	gate := make(chan struct{})
 	for i := 0; i < njobs; i++ {
 		id := "sha256:block" + strconv.Itoa(i)
-		if _, err := s.pool.Submit(id, func(ctx context.Context) (any, error) {
+		if _, err := s.pool.SubmitMeta(id, jobs.Meta{}, func(ctx context.Context) (any, error) {
 			select {
 			case <-gate:
 			case <-ctx.Done():
@@ -151,7 +152,8 @@ func TestQueueFullCarriesRetryAfter(t *testing.T) {
 // derived Retry-After too (satellite of the same contract: every
 // 429/503 tells the client when to come back).
 func TestConcurrencyCapCarriesRetryAfter(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, MaxInFlight: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.sem = make(chan struct{}, 1)
 	// Occupy the single slot with a request that blocks in the pool.
 	gate := primeBacklog(t, s, "block", time.Second, 1)
 	released := false

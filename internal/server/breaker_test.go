@@ -97,11 +97,8 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 // trips, and the next request is rejected locally with 503
 // queue_full + Retry-After — without touching the pool.
 func TestBreakerOverHTTP(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		Workers:    1,
-		JobTimeout: time.Nanosecond,
-		Breaker:    BreakerConfig{Window: 8, MinSamples: 3, FailureRatio: 0.5, Cooldown: time.Minute},
-	})
+	s, ts := newTestServer(t, Config{Workers: 1, JobTimeout: time.Nanosecond})
+	s.breakers = newBreakerSet(BreakerConfig{Window: 8, MinSamples: 3, FailureRatio: 0.5, Cooldown: time.Minute})
 
 	sawOpen := false
 	for i := 0; i < 8 && !sawOpen; i++ {
@@ -155,5 +152,4 @@ func TestBreakerOverHTTP(t *testing.T) {
 	if mz.Admission.BreakerRejected < 1 {
 		t.Fatalf("admission stats %+v", mz.Admission)
 	}
-	_ = s
 }

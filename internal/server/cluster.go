@@ -40,8 +40,18 @@ import (
 // once per cooldown, not hammered by every request that would have
 // preferred it.
 
-// maxPeerBody bounds a relayed or filled response body.
-const maxPeerBody = 64 << 20
+const (
+	// maxPeerBody bounds a relayed or filled response body.
+	maxPeerBody = 64 << 20
+	// peerTimeout bounds one peer cache fill or cross-node job lookup.
+	// A forwarded compute request is budgeted by requestDeadline
+	// instead.
+	peerTimeout = 2 * time.Second
+	// peerScheme is the URL scheme peers are reached by: cluster
+	// traffic is assumed to run on a trusted network, as the README
+	// documents.
+	peerScheme = "http"
+)
 
 // peerNet is one node's view of the cluster: the ring, the HTTP
 // client it reaches peers with, per-peer breakers and the routing
@@ -49,8 +59,6 @@ const maxPeerBody = 64 << 20
 type peerNet struct {
 	ring     *cluster.Ring
 	http     *http.Client
-	scheme   string
-	timeout  time.Duration // per-peer budget for cache fills and job lookups
 	breakers *breakerSet
 
 	owned           atomic.Uint64
@@ -67,14 +75,12 @@ func newPeerNet(cfg Config) *peerNet {
 	return &peerNet{
 		ring:     cfg.Ring,
 		http:     cfg.PeerHTTP,
-		scheme:   cfg.PeerScheme,
-		timeout:  cfg.PeerTimeout,
 		breakers: newBreakerSet(cfg.PeerBreaker),
 	}
 }
 
 // url renders a peer's base URL from its ring address.
-func (cn *peerNet) url(node string) string { return cn.scheme + "://" + node }
+func (cn *peerNet) url(node string) string { return peerScheme + "://" + node }
 
 // stats snapshots the cluster counters.
 func (cn *peerNet) stats() obs.ClusterStats {
@@ -229,7 +235,7 @@ func relayResponse(w http.ResponseWriter, resp *http.Response, body []byte) {
 // is counted corrupt and reported as not-ok: unverifiable bytes are
 // never stored and never served.
 func (cn *peerNet) peerJob(ctx context.Context, node, id string) (env wire.Job, ok, failed bool) {
-	ctx, cancel := context.WithTimeout(ctx, cn.timeout)
+	ctx, cancel := context.WithTimeout(ctx, peerTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cn.url(node)+"/v1/jobs/"+id, nil)
 	if err != nil {

@@ -20,6 +20,7 @@ import (
 	"starperf/internal/cache"
 	"starperf/internal/cluster"
 	"starperf/internal/fsx"
+	"starperf/internal/jobs"
 	"starperf/internal/journal"
 	"starperf/internal/wire"
 )
@@ -404,7 +405,7 @@ func TestClusterChaosDrillOwnerKilledMidJob(t *testing.T) {
 	for _, addr := range tc.addrs {
 		gate := make(chan struct{})
 		gates[addr] = gate
-		if _, err := tc.srvs[addr].Pool().Submit("sha256:wedge-"+addr, func(ctx context.Context) (any, error) {
+		if _, err := tc.srvs[addr].Pool().SubmitMeta("sha256:wedge-"+addr, jobs.Meta{}, func(ctx context.Context) (any, error) {
 			select {
 			case <-gate:
 			case <-ctx.Done():

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"starperf/internal/cache"
+	"starperf/internal/jobs"
 )
 
 // cacheCfg gives each manually-constructed server its own disk dir.
@@ -35,7 +36,7 @@ func TestCloseDrainsInFlightJobs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		id := "sha256:drain" + string(rune('a'+i))
 		jobs4 = append(jobs4, id)
-		if _, err := s.Pool().Submit(id, func(ctx context.Context) (any, error) {
+		if _, err := s.Pool().SubmitMeta(id, jobs.Meta{}, func(ctx context.Context) (any, error) {
 			<-release
 			return "drained", nil
 		}); err != nil {
@@ -84,7 +85,7 @@ func TestCloseTimesOutOnStuckJobs(t *testing.T) {
 	}
 	release := make(chan struct{})
 	defer close(release) // unstick the leaked worker at test end
-	if _, err := s.Pool().Submit("sha256:stuck", func(ctx context.Context) (any, error) {
+	if _, err := s.Pool().SubmitMeta("sha256:stuck", jobs.Meta{}, func(ctx context.Context) (any, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -93,7 +94,7 @@ func TestCloseTimesOutOnStuckJobs(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Pool().Submit("sha256:queued-behind", func(ctx context.Context) (any, error) {
+	if _, err := s.Pool().SubmitMeta("sha256:queued-behind", jobs.Meta{}, func(ctx context.Context) (any, error) {
 		return "never", nil
 	}); err != nil {
 		t.Fatal(err)

@@ -31,12 +31,9 @@ func tripRoute(b *breakerSet, route string, n int) {
 // until restart. Once the backlog drains, a patient request must be
 // admitted as the probe and close the breaker.
 func TestShedDoesNotConsumeHalfOpenProbe(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		Workers: 1,
-		Breaker: BreakerConfig{Window: 4, MinSamples: 2, FailureRatio: 0.5, Cooldown: time.Second},
-	})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	clk := newFakeClock()
-	withClock(s.breakers, clk)
+	s.breakers = withClock(newBreakerSet(BreakerConfig{Window: 4, MinSamples: 2, FailureRatio: 0.5, Cooldown: time.Second}), clk)
 	tripRoute(s.breakers, "/v1/predict", 2)
 	clk.advance(2 * time.Second) // cooldown over: the next admitted request is THE probe
 
@@ -102,10 +99,7 @@ func TestShedDoesNotConsumeHalfOpenProbe(t *testing.T) {
 // half-open probe re-opens the breaker instead of leaking the probe
 // slot, and the next cooldown admits a fresh probe.
 func TestPanickingProbeReleasesSlot(t *testing.T) {
-	s, err := New(Config{
-		Workers: 1,
-		Breaker: BreakerConfig{Window: 4, MinSamples: 2, FailureRatio: 0.5, Cooldown: time.Second},
-	})
+	s, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +111,7 @@ func TestPanickingProbeReleasesSlot(t *testing.T) {
 		}
 	})
 	clk := newFakeClock()
-	withClock(s.breakers, clk)
+	s.breakers = withClock(newBreakerSet(BreakerConfig{Window: 4, MinSamples: 2, FailureRatio: 0.5, Cooldown: time.Second}), clk)
 
 	x := &jobKind{name: "x", route: "/x"}
 	boom := s.guard(x, func(w http.ResponseWriter, r *http.Request) { panic("boom") })

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"starperf/internal/jobs"
 	"starperf/internal/journal"
 	"starperf/internal/wire"
 )
@@ -123,7 +124,7 @@ func recoverKind(t *testing.T, k *jobKind, body, id string) []byte {
 			t.Error(err)
 		}
 	}()
-	if _, err := s1.Pool().Submit("sha256:wedge", func(ctx context.Context) (any, error) {
+	if _, err := s1.Pool().SubmitMeta("sha256:wedge", jobs.Meta{}, func(ctx context.Context) (any, error) {
 		select {
 		case <-gate:
 		case <-ctx.Done():

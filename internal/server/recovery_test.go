@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"starperf/internal/cache"
+	"starperf/internal/jobs"
 	"starperf/internal/journal"
 	"starperf/internal/wire"
 )
@@ -107,7 +108,7 @@ func TestJournaledServerRecoversInterruptedJob(t *testing.T) {
 		_ = s1.Close(ctx) // shutting the crashed server down is not under test
 		_ = j1.Close()
 	})
-	if _, err := s1.Pool().Submit("sha256:wedge", func(ctx context.Context) (any, error) {
+	if _, err := s1.Pool().SubmitMeta("sha256:wedge", jobs.Meta{}, func(ctx context.Context) (any, error) {
 		select {
 		case <-gate:
 		case <-ctx.Done():
@@ -301,7 +302,7 @@ func TestRecoverRequeuesCorruptCachedResult(t *testing.T) {
 	if recov.Requeued != 1 || recov.Skipped != 0 {
 		t.Fatalf("recovery with corrupt cache = %+v, want 1 requeued (a stat-only check would skip it)", recov)
 	}
-	if q := s2.Cache().Stats().Quarantined; q < 1 {
+	if q := s2.cache.Stats().Quarantined; q < 1 {
 		t.Fatalf("corrupt entry not quarantined (quarantined = %d)", q)
 	}
 	got := jobResultBody(t, ts2.URL, jb.ID)
@@ -341,7 +342,7 @@ func TestAsyncResubmitRecomputesCorruptCacheEntry(t *testing.T) {
 	// The poll can read the result from the memory tier before the
 	// disk write lands; corrupting the file any earlier would be
 	// undone by that write.
-	for deadline := time.Now().Add(10 * time.Second); s1.Cache().Stats().DiskWrites == 0; {
+	for deadline := time.Now().Add(10 * time.Second); s1.cache.Stats().DiskWrites == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("cache entry never written to disk")
 		}
@@ -360,7 +361,7 @@ func TestAsyncResubmitRecomputesCorruptCacheEntry(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("resubmit over a corrupt entry: %d %s, want 202", resp.StatusCode, body)
 	}
-	if q := s2.Cache().Stats().Quarantined; q < 1 {
+	if q := s2.cache.Stats().Quarantined; q < 1 {
 		t.Fatalf("corrupt entry not quarantined (quarantined = %d)", q)
 	}
 	if got := jobResultBody(t, ts2.URL, id); string(got) != string(want) {

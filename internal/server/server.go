@@ -62,22 +62,11 @@ type Config struct {
 	Cache cache.Config
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// MaxInFlight caps concurrently served requests; excess requests
-	// are refused with 503 (default 256).
-	MaxInFlight int
 	// Journal, when set, makes the job pool crash-safe: lifecycle
 	// records are fsynced to this WAL and Recover replays what a
 	// crash interrupted. The Server does not own the journal — the
 	// caller opens it (journal.Open) and closes it after Close.
 	Journal *journal.Journal
-	// DefaultDeadline is the patience assumed for requests that carry
-	// neither a context deadline nor an X-Starperf-Deadline header
-	// (default 30s); admission control sheds a request whose
-	// estimated queue wait exceeds its deadline.
-	DefaultDeadline time.Duration
-	// Breaker tunes the per-route circuit breaker guarding the
-	// compute routes.
-	Breaker BreakerConfig
 	// Ring, when set, makes this node one member of a sharded cluster
 	// (see internal/cluster and cluster.go): compute requests for ids
 	// a peer owns are forwarded there, failing over down the ring when
@@ -89,14 +78,6 @@ type Config struct {
 	// PeerHTTP is the HTTP client peers are reached with (default a
 	// plain http.Client; tests inject one bound to test listeners).
 	PeerHTTP *http.Client
-	// PeerTimeout bounds one peer cache fill or cross-node job lookup
-	// (default 2s). Forwarded compute requests are budgeted by the
-	// caller's own deadline instead.
-	PeerTimeout time.Duration
-	// PeerScheme is the URL scheme peers are reached by (default
-	// "http" — cluster traffic is assumed to run on a trusted
-	// network, as the README documents).
-	PeerScheme string
 	// PeerBreaker tunes the per-peer circuit breakers that keep a
 	// dead or flapping peer probed instead of hammered.
 	PeerBreaker BreakerConfig
@@ -117,23 +98,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 256
-	}
-	if c.DefaultDeadline <= 0 {
-		c.DefaultDeadline = 30 * time.Second
-	}
 	if c.ProbeEvery == 0 {
 		c.ProbeEvery = time.Second
 	}
 	if c.PeerHTTP == nil {
 		c.PeerHTTP = &http.Client{}
-	}
-	if c.PeerScheme == "" {
-		c.PeerScheme = "http"
-	}
-	if c.PeerTimeout <= 0 {
-		c.PeerTimeout = 2 * time.Second
 	}
 	return c
 }
@@ -166,7 +135,12 @@ type Server struct {
 	batchMax   atomic.Int64
 }
 
-// New builds a Server and starts its job pool.
+// maxInFlight caps concurrently served requests; excess requests are
+// refused with 503.
+const maxInFlight = 256
+
+// New builds a Server and starts its job pool. The per-route circuit
+// breakers run at BreakerConfig's defaults.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	store, err := cache.New(cfg.Cache)
@@ -185,8 +159,8 @@ func New(cfg Config) (*Server, error) {
 		journal:  cfg.Journal,
 		mux:      http.NewServeMux(),
 		metrics:  newMetrics(),
-		breakers: newBreakerSet(cfg.Breaker),
-		sem:      make(chan struct{}, cfg.MaxInFlight),
+		breakers: newBreakerSet(BreakerConfig{}),
+		sem:      make(chan struct{}, maxInFlight),
 	}
 	if cfg.Ring != nil {
 		s.cluster = newPeerNet(cfg)
@@ -234,9 +208,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Pool exposes the job pool (metrics, tests).
 func (s *Server) Pool() *jobs.Pool { return s.pool }
-
-// Cache exposes the result store (metrics, tests).
-func (s *Server) Cache() *cache.Cache { return s.cache }
 
 // Close drains the job pool within ctx's budget.
 func (s *Server) Close(ctx context.Context) error { return s.pool.Shutdown(ctx) }

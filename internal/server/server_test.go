@@ -370,10 +370,11 @@ func TestSingleflightOverHTTP(t *testing.T) {
 	}
 }
 
-// TestConcurrencyCap: requests past MaxInFlight shed with 503 instead
-// of queueing without bound.
+// TestConcurrencyCap: requests past the concurrency cap shed with 503
+// instead of queueing without bound.
 func TestConcurrencyCap(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, MaxInFlight: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.sem = make(chan struct{}, 1)
 	// Saturate the one slot from inside the handler semaphore by
 	// occupying it directly.
 	s.sem <- struct{}{}

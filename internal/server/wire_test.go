@@ -77,7 +77,8 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 // millisecond hint inside the envelope, mirroring the Retry-After
 // header.
 func TestErrorEnvelopeRetryAfterMS(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, MaxInFlight: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.sem = make(chan struct{}, 1)
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 	resp, err := http.Get(ts.URL + "/healthz")
