@@ -231,8 +231,8 @@ func TestJobPolling(t *testing.T) {
 		t.Fatalf("polls = %d, want 3", polls.Load())
 	}
 	// One PollInterval before each poll, the first included.
-	if len(*sleeps) != 3 || (*sleeps)[0] != 50*time.Millisecond || (*sleeps)[2] != 50*time.Millisecond {
-		t.Fatalf("sleeps = %v, want three 50ms poll intervals", *sleeps)
+	if want := []time.Duration{50 * time.Millisecond, 50 * time.Millisecond, 50 * time.Millisecond}; fmt.Sprint(*sleeps) != fmt.Sprint(want) {
+		t.Fatalf("sleeps = %v, want %v", *sleeps, want)
 	}
 }
 

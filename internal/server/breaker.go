@@ -27,8 +27,9 @@ const (
 	breakerHalfOpen = "half-open"
 )
 
-// BreakerConfig tunes the per-route circuit breaker. The zero value
-// gets usable defaults.
+// BreakerConfig tunes a set of circuit breakers. The per-route
+// breakers run at its defaults; Config.PeerBreaker tunes the per-peer
+// ones. The zero value gets usable defaults.
 type BreakerConfig struct {
 	// Window is the number of recent outcomes considered (default 20).
 	Window int
